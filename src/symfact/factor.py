@@ -1,8 +1,8 @@
 """Constructive V V^T factorization of complex symmetric matrices.
 
-The algorithm recurses on the dimension.  Each level takes one eigenpair
-(lambda, e) of the current symmetric block C and branches on whether e is
-isotropic (e^T e = 0, possible only over the complex field):
+The construction is an induction on the dimension.  Each level takes one
+eigenpair (lambda, e) of the current symmetric block C and branches on
+whether e is isotropic (e^T e = 0, possible only over the complex field):
 
 * ``CaseI``               non-isotropic e: congruence by [complement | e]
                           splits off a 1x1 corner, recurse on the rest.
@@ -12,10 +12,17 @@ isotropic (e^T e = 0, possible only over the complex field):
                           an extra bordered transform D restores the CaseI
                           shape; the free entries of D are chosen so that
                           det D is safely nonzero.
-* ``CaseII_Degenerate``   isotropic e, lambda != 0, coupling block zero:
-                          the remaining 2x2 antidiagonal core is factored
-                          in closed form.
+* ``CaseII_Degenerate``   isotropic e, lambda != 0, coupling block zero or
+                          negligible: the remaining 2x2 antidiagonal core is
+                          factored in closed form.
 * ``Base`` / ``ZeroMatrix`` terminate the recursion.
+
+``_plan`` is the one place where a level's branch is decided.  It returns
+the level's congruence A, the next block, and the part of B (with
+B^T B = A^T C A) known at this level.  ``factor_symmetric`` walks the
+blocks down in a loop, keeping each level's A and B, then assembles
+V = solve(A^T, B^T) bottom-up, so the Python stack does not grow with the
+dimension.
 
 Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
 """
@@ -72,6 +79,10 @@ _ETE_DANGER = 3e-3
 #: drives the bordered transform (x_n = -1/(lambda*alpha)) toward singularity;
 #: such candidates are deferred the same way
 _LAMBDA_DANGER = 1e-4
+#: coupling block with |c_tilde'|_F below this multiple of |C|_F is dropped
+#: through the closed form: that costs at most its own norm, far under
+#: verify_tol, while a bordered transform built on it scores rounding noise
+_DROP_CUT = 5e-9
 
 
 class NotSymmetricError(ValueError):
@@ -102,6 +113,26 @@ class LevelRecord:
     alpha: float | None = None
     det_d: complex | None = None
     x_strategy: str | None = None
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """One level, decided but not yet assembled.
+
+    The level's factor is V = solve(A^T, B^T).  ``b`` is B with its leading
+    (m-1)x(m-1) block left zero for the transposed factor of ``sub``, the
+    next block; ``sub`` is None when this level ends the chain.  ``sound``
+    is False only for a bordered transform that scored ill-conditioned: some
+    coupling blocks (a cross coupling with vanishing diagonal that is small
+    but not negligible, say) admit no well-conditioned transform at all, and
+    another eigenvalue candidate is then preferable.
+    """
+
+    record: LevelRecord
+    a: np.ndarray
+    sub: np.ndarray | None
+    b: np.ndarray
+    sound: bool = True
 
 
 @dataclass(frozen=True)
@@ -253,37 +284,16 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfi
     return None
 
 
-def _iso_route_is_sound(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int) -> bool:
-    """Dry-run the isotropic branch plan for this pair.
-
-    Some coupling blocks (for instance a cross coupling with vanishing
-    diagonal that is small but not negligible) admit no well-conditioned
-    bordered transform at all; in that situation a different eigenvalue
-    candidate is preferable.
-    """
-    a_prime, c_prime, ct_prime, _ = reduce_case_ii(c, pair, cfg)
-    la = complex(c_prime[c.shape[0] - 2, c.shape[0] - 1])
-    if abs(la) <= _LAMBDA_ZERO_CUT * frobenius(c):
-        return True  # block-diagonal split, exact
-    chosen = choose_x(ct_prime, la, cfg, depth)
-    if isinstance(chosen, AllZeroSignal):
-        return True
-    if chosen.score >= 1e-3:
-        return True
-    return frobenius(ct_prime) <= 5e-9 * frobenius(c)  # assembly will drop it
-
-
-def _recursion_eigenpair(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> eigen.EigenPair:
-    """Eigenpair for one recursion level.
+def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, vscale: float) -> LevelPlan:
+    """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first.  A candidate is
     taken when it gives an exact route: a null vector (unitary split), an
-    isotropic vector whose branch plan is well conditioned, or a safely
-    non-isotropic vector.  Candidates in the ill-conditioned gaps are
-    deferred; nearly nilpotent blocks always hold a clean candidate further
-    down the list.
+    isotropic vector whose plan is sound, or a safely non-isotropic vector.
+    Candidates in the ill-conditioned gaps are deferred; nearly nilpotent
+    blocks always hold a clean candidate further down the list.
     """
-    fallback_iso = None  # isotropic vector whose branch plan is awkward
+    fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
     scale = frobenius(c)
     for ci, cand in enumerate(eigen._candidate_values(c, cfg)):
@@ -296,31 +306,27 @@ def _recursion_eigenpair(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> eig
         if abs(lam) <= _LAMBDA_ZERO_CUT * scale:
             # null vector: the unitary split takes any e^T e, but an isotropic
             # representative (when the null space holds one) keeps the branch exact
-            if ete <= cfg.iso_tol:
-                return pair
-            return _isotropic_upgrade(c, pair, cfg) or pair
-        candidates = [pair] if ete <= cfg.iso_tol else []
-        if not candidates:
-            upgraded = _isotropic_upgrade(c, pair, cfg)
-            if upgraded is not None:
-                candidates.append(upgraded)
-        for iso_pair in candidates:
-            if abs(iso_pair.value) <= _LAMBDA_ZERO_CUT * scale:
-                return iso_pair
-            if abs(iso_pair.value) >= _LAMBDA_DANGER * scale and _iso_route_is_sound(c, iso_pair, cfg, depth):
-                return iso_pair
-            if fallback_iso is None or abs(iso_pair.value) > abs(fallback_iso.value):
-                fallback_iso = iso_pair
-        if candidates:
+            if ete > cfg.iso_tol:
+                pair = _isotropic_upgrade(c, pair, cfg) or pair
+            return _plan(c, pair, cfg, depth, vscale)
+        iso = pair if ete <= cfg.iso_tol else _isotropic_upgrade(c, pair, cfg)
+        if iso is not None:
+            in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
+            plan = None if in_gap else _plan(c, iso, cfg, depth, vscale)
+            if plan is not None and plan.sound:
+                return plan
+            if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
+                fallback_iso = (iso, plan)
             continue
         if ete >= _ETE_DANGER:
-            return pair
+            return _plan(c, pair, cfg, depth, vscale)
         if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
             fallback_ete = pair
     if fallback_iso is not None:
-        return fallback_iso
+        iso, plan = fallback_iso
+        return plan if plan is not None else _plan(c, iso, cfg, depth, vscale)
     if fallback_ete is not None:
-        return fallback_ete
+        return _plan(c, fallback_ete, cfg, depth, vscale)
     raise eigen.ConvergenceError("inverse iteration stagnated for every eigenvalue candidate")
 
 
@@ -359,21 +365,9 @@ def _isotropic_in_subspace(s: np.ndarray):
 
 
 def dispatch_case(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None) -> str:
-    """Branch taken by the recursion for the given eigenpair."""
+    """Branch the factorization takes for the given eigenpair of C."""
     c = as_matrix(c, square=True, name="C")
-    cfg = cfg or ToleranceConfig()
-    e = pair.vector
-    norm2 = float(np.vdot(e, e).real)
-    if abs(bilinear(e, e)) > cfg.iso_tol * norm2:
-        return BRANCH_CASE_I
-    _, c_prime, ct_prime, _ = reduce_case_ii(c, pair, cfg)
-    m = c.shape[0]
-    la = complex(c_prime[m - 2, m - 1])
-    if abs(la) <= _LAMBDA_ZERO_CUT * frobenius(c):
-        return BRANCH_CASE_II_LAMBDA_ZERO
-    if isinstance(choose_x(ct_prime, la, cfg), AllZeroSignal):
-        return BRANCH_CASE_II_DEGENERATE
-    return BRANCH_CASE_II_GENERAL
+    return _plan(c, pair, cfg or ToleranceConfig(), 0).record.branch
 
 
 def reduce_case_i(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
@@ -396,20 +390,6 @@ def reduce_case_i(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
     ct = 0.5 * (ct + ct.T)
     mu = complex(e1 @ (c @ e1))
     return a, ct, mu
-
-
-def assemble_case_i(v_tilde, mu, a) -> np.ndarray:
-    """V = (B A^{-1})^T via the solve A^T V = B^T, B = blockdiag(v_tilde^T, sqrt(mu))."""
-    v_tilde = as_matrix(v_tilde, square=True, name="v_tilde")
-    a = as_matrix(a, square=True, name="A")
-    mu = as_scalar(mu, "mu")
-    n = v_tilde.shape[0]
-    if a.shape[0] != n + 1:
-        raise ValidationError(f"A must be {(n + 1, n + 1)}, got {a.shape}")
-    b = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    b[:n, :n] = v_tilde.T
-    b[n, n] = principal_sqrt(mu)
-    return solve_linear(a.T, b.T)
 
 
 def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
@@ -436,127 +416,54 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     return a_prime, c_prime, ct_prime, alpha
 
 
-def assemble_case_ii(c, a_prime, c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None,
-                     depth: int = 0, _levels: list | None = None) -> np.ndarray:
-    """Resolve the isotropic sub-branches and assemble V for this level."""
-    c = as_matrix(c, square=True, name="C")
-    a_prime = as_matrix(a_prime, square=True, name="A_prime")
-    ct_prime = as_matrix(c_tilde_prime, square=True, name="c_tilde_prime")
-    la = as_scalar(lambda_alpha, "lambda_alpha")
-    cfg = cfg or ToleranceConfig()
-    levels = [] if _levels is None else _levels
+def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int,
+          vscale: float = 1.0) -> LevelPlan:
+    """Decide the branch of one level for ``pair`` and build its congruence.
+
+    ``c`` is the working block, the caller's block divided by ``vscale``.
+    Records of the null split and of CaseI carry ``pair.value`` in the
+    caller's units; isotropic records carry the measured corner
+    lambda*alpha of the working block.
+    """
     m = c.shape[0]
+    b = np.zeros((m, m), dtype=np.complex128)
+    e = pair.vector
+    ete = complex(np.dot(e, e))
+    value = pair.value * vscale
+    if abs(value) <= _LAMBDA_ZERO_CUT * frobenius(c) * vscale:
+        # null vector: the blocking identity w^T C e = lambda w^T e holds for
+        # every w, so the unitary basis [sesquilinear complement | e] works
+        # regardless of e^T e and keeps the transform perfectly conditioned
+        w = _reflector(e)[:, 1:]
+        ct = w.T @ c @ w
+        b[m - 1, m - 1] = principal_sqrt(complex(e @ (c @ e)))
+        branch = BRANCH_CASE_II_LAMBDA_ZERO if abs(ete) <= cfg.iso_tol else BRANCH_CASE_I
+        record = LevelRecord(dim=m, branch=branch, value=value, ete=ete, alpha=float(np.vdot(e, e).real))
+        return LevelPlan(record, np.hstack([w, e.reshape(-1, 1)]), 0.5 * (ct + ct.T), b)
+    if abs(ete) > cfg.iso_tol:
+        a, ct, mu = reduce_case_i(c, pair, cfg)
+        b[m - 1, m - 1] = principal_sqrt(mu)
+        return LevelPlan(LevelRecord(dim=m, branch=BRANCH_CASE_I, value=value, ete=ete), a, ct, b)
+    a_prime, c_prime, ct_prime, _ = reduce_case_ii(c, pair, cfg)
+    la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
+    iso = dict(dim=m, value=la, ete=0.0, alpha=1.0)
     if abs(la) <= _LAMBDA_ZERO_CUT * frobenius(c):
-        levels.append(
-            LevelRecord(dim=m, branch=BRANCH_CASE_II_LAMBDA_ZERO, value=la, ete=0.0, alpha=1.0)
-        )
-        vt = _factor_recursive(ct_prime, cfg, depth + 1, levels)
-        b = np.zeros((m, m), dtype=np.complex128)
-        b[: m - 1, : m - 1] = vt.T
-        return solve_linear(a_prime.T, b.T)
+        return LevelPlan(LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso), a_prime, ct_prime, b)
     chosen = choose_x(ct_prime, la, cfg, depth)
-    # go through the closed form when the coupling block vanishes, and also
-    # when it is negligible yet admits no well-conditioned bordered transform
-    # (dropping it then costs at most its own norm, far under verify_tol)
-    droppable = (
-        not isinstance(chosen, AllZeroSignal)
-        and chosen.score < 1e-3
-        and frobenius(ct_prime) <= 5e-9 * frobenius(c)
-    )
-    if isinstance(chosen, AllZeroSignal) or droppable:
-        levels.append(
-            LevelRecord(dim=m, branch=BRANCH_CASE_II_DEGENERATE, value=la, ete=0.0, alpha=1.0,
-                        x_strategy="allzero" if isinstance(chosen, AllZeroSignal) else "dropped")
-        )
-        core = factor_antidiagonal(la)
-        b = np.zeros((m, m), dtype=np.complex128)
-        b[m - 2 :, m - 2 :] = core
-        return solve_linear(a_prime.T, b.T)
-    levels.append(
-        LevelRecord(dim=m, branch=BRANCH_CASE_II_GENERAL, value=la, ete=0.0, alpha=1.0,
-                    det_d=chosen.det_d, x_strategy=chosen.strategy)
-    )
+    allzero = isinstance(chosen, AllZeroSignal)
+    if allzero or frobenius(ct_prime) <= _DROP_CUT * frobenius(c):
+        b[m - 2 :, m - 2 :] = factor_antidiagonal(la)
+        record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
+                             **iso)
+        return LevelPlan(record, a_prime, None, b)
     x = chosen.x
     y = ct_prime @ x
-    d = build_D(x, y)
-    a = a_prime @ d
     u = np.zeros(m - 1, dtype=np.complex128)
     u[-1] = la
     ct = ct_prime + np.outer(y, u) + np.outer(u, y)
-    ct = 0.5 * (ct + ct.T)
-    vt = _factor_recursive(ct, cfg, depth + 1, levels)
-    b = np.zeros((m, m), dtype=np.complex128)
-    b[: m - 1, : m - 1] = vt.T
     b[m - 1, m - 1] = principal_sqrt(complex(x @ y))  # lambda'^2 = sum x_i y_i = -det D
-    return solve_linear(a.T, b.T)
-
-
-def _null_split(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig,
-                depth: int, levels: list) -> np.ndarray:
-    """Split off a null eigenvector with a unitary congruence.
-
-    For lambda = 0 the blocking identity w^T C e = lambda w^T e holds for
-    every w, so the basis [sesquilinear complement | e] works regardless of
-    e^T e and keeps the transform perfectly conditioned.
-    """
-    m = c.shape[0]
-    e = pair.vector
-    ete = complex(np.dot(e, e))
-    u = _reflector(e)
-    w = u[:, 1:]
-    basis = np.hstack([w, e.reshape(-1, 1)])
-    ct = w.T @ c @ w
-    ct = 0.5 * (ct + ct.T)
-    mu = complex(e @ (c @ e))
-    branch = BRANCH_CASE_II_LAMBDA_ZERO if abs(ete) <= cfg.iso_tol else BRANCH_CASE_I
-    levels.append(LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete,
-                              alpha=float(np.vdot(e, e).real)))
-    vt = _factor_recursive(ct, cfg, depth + 1, levels)
-    b = np.zeros((m, m), dtype=np.complex128)
-    b[: m - 1, : m - 1] = vt.T
-    b[m - 1, m - 1] = principal_sqrt(mu)
-    return solve_linear(basis.T, b.T)
-
-
-def _factor_recursive(c: np.ndarray, cfg: ToleranceConfig, depth: int, levels: list) -> np.ndarray:
-    m = c.shape[0]
-    norm = frobenius(c)
-    if norm == 0.0:
-        levels.append(LevelRecord(dim=m, branch=BRANCH_ZERO_MATRIX))
-        return np.zeros((m, m), dtype=np.complex128)
-    if m == 1:
-        value = complex(c[0, 0])
-        levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value))
-        return np.array([[principal_sqrt(value)]], dtype=np.complex128)
-    # work at unit norm: the bordered transform of the isotropic branch uses
-    # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1
-    if abs(np.log10(norm)) > 1.0:
-        v = _factor_level(c / norm, cfg, depth, levels, vscale=norm)
-        return v * np.sqrt(norm)
-    return _factor_level(c, cfg, depth, levels)
-
-
-def _factor_level(c: np.ndarray, cfg: ToleranceConfig, depth: int, levels: list,
-                  vscale: float = 1.0) -> np.ndarray:
-    m = c.shape[0]
-    pair = _recursion_eigenpair(c, cfg, depth)
-    if vscale != 1.0:  # record eigenvalues in the caller's units
-        pair = eigen.EigenPair(value=pair.value * vscale, vector=pair.vector,
-                               residual=pair.residual * vscale)
-        cut = _LAMBDA_ZERO_CUT * frobenius(c) * vscale
-    else:
-        cut = _LAMBDA_ZERO_CUT * frobenius(c)
-    if abs(pair.value) <= cut:
-        return _null_split(c, pair, cfg, depth, levels)
-    ete = complex(np.dot(pair.vector, pair.vector))
-    if abs(ete) > cfg.iso_tol:
-        a, ct, mu = reduce_case_i(c, pair, cfg)
-        levels.append(LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete))
-        vt = _factor_recursive(ct, cfg, depth + 1, levels)
-        return assemble_case_i(vt, mu, a)
-    a_prime, c_prime, ct_prime, alpha = reduce_case_ii(c, pair, cfg)
-    la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
-    return assemble_case_ii(c, a_prime, ct_prime, la, cfg, depth, levels)
+    record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
+    return LevelPlan(record, a_prime @ build_D(x, y), 0.5 * (ct + ct.T), b, sound=chosen.score >= 1e-3)
 
 
 def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResult:
@@ -573,7 +480,38 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
     c = 0.5 * (c + c.T)
     levels: list = []
-    v = _factor_recursive(c, cfg, 0, levels)
+    steps: list = []  # (A, B, vscale) of each planned level, top down
+    block, depth = c, 0
+    while True:
+        m = block.shape[0]
+        norm = frobenius(block)
+        if norm == 0.0:
+            levels.append(LevelRecord(dim=m, branch=BRANCH_ZERO_MATRIX))
+            v = np.zeros((m, m), dtype=np.complex128)
+            break
+        if m == 1:
+            value = complex(block[0, 0])
+            levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value))
+            v = np.array([[principal_sqrt(value)]], dtype=np.complex128)
+            break
+        # work at unit norm: the bordered transform of the isotropic branch uses
+        # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1
+        vscale = 1.0
+        if abs(np.log10(norm)) > 1.0:
+            block, vscale = block / norm, norm
+        plan = _first_sound_plan(block, cfg, depth, vscale)
+        levels.append(plan.record)
+        steps.append((plan.a, plan.b, vscale))
+        if plan.sub is None:
+            v = None
+            break
+        block, depth = plan.sub, depth + 1
+    for a, b, vscale in reversed(steps):
+        if v is not None:
+            b[:-1, :-1] = v.T
+        v = solve_linear(a.T, b.T)
+        if vscale != 1.0:
+            v = v * np.sqrt(vscale)
     check = verify_factorization(c, v, cfg)
     return FactorizationResult(
         V=v,

@@ -1,5 +1,7 @@
 """Unit tests for the V V^T factorization."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,6 @@ from symfact.factor import (
     BRANCH_CASE_II_GENERAL,
     BRANCH_CASE_II_LAMBDA_ZERO,
     NotSymmetricError,
-    assemble_case_i,
-    assemble_case_ii,
     build_D,
     choose_x,
     dispatch_case,
@@ -25,7 +25,15 @@ from symfact.factor import (
     reduce_case_ii,
     verify_factorization,
 )
-from symfact.matcore import ToleranceConfig, ValidationError, bilinear, determinant, frobenius
+from symfact.matcore import (
+    ToleranceConfig,
+    ValidationError,
+    bilinear,
+    complement_basis_within,
+    determinant,
+    frobenius,
+    solve_linear,
+)
 
 CFG = ToleranceConfig()
 
@@ -33,6 +41,14 @@ CFG = ToleranceConfig()
 def _unit(v):
     v = np.asarray(v, dtype=complex)
     return v / np.linalg.norm(v)
+
+
+def _isotropic_core(seed, n):
+    """Unit isotropic e and C = lam (e e* + conj(e) e^T), which has C e = lam e."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 2)))
+    e = (q[:, 0] + 1j * q[:, 1]) / np.sqrt(2)
+    lam = 1.1 * np.exp(0.4j)
+    return e, lam, lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e))
 
 
 def test_factor_scalar_base_case():
@@ -138,11 +154,6 @@ def test_reduce_case_i_structural_zeros_random():
         off = max(frobenius(block[:-1, -1]), frobenius(block[-1, :-1]))
         assert off <= 1e-10 * frobenius(c)
         assert frobenius(ct - ct.T) <= 1e-13 * max(frobenius(ct), 1.0)
-
-
-def test_assemble_case_i_diagonal_example():
-    v = assemble_case_i(np.array([[1.0]]), 4.0, np.eye(2))
-    assert np.allclose(v, np.diag([1.0, 2.0]))
 
 
 def test_assemble_case_i_full_pipeline_diag():
@@ -261,16 +272,45 @@ def test_assemble_case_ii_general_pipeline():
 
 
 def test_assemble_case_ii_direct_call():
-    from symfact.factor import _recursion_eigenpair
+    from symfact.factor import _first_sound_plan
 
     for seed in (2, 3):  # one degenerate-core and one bulk-enriched instance
         c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=seed, kind="IsotropicLambdaNonzero"))
-        pair = _recursion_eigenpair(c, CFG, 0)
-        assert abs(bilinear(pair.vector, pair.vector)) <= CFG.iso_tol
-        a_prime, c_prime, ct_prime, _ = reduce_case_ii(c, pair, CFG)
-        la = complex(c_prime[-2, -1])
-        v = assemble_case_ii(c, a_prime, ct_prime, la, CFG)
-        assert verify_factorization(c, v, CFG).passed
+        plan = _first_sound_plan(c, CFG, 0, 1.0)
+        assert plan.record.branch in (BRANCH_CASE_II_DEGENERATE, BRANCH_CASE_II_GENERAL)
+        b = plan.b.copy()
+        if plan.sub is not None:  # any factor of the next block completes B
+            b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
+        assert verify_factorization(c, solve_linear(plan.a.T, b.T), CFG).passed
+
+
+def test_dispatch_case_agrees_with_executed_plan():
+    # a coupling block of 3e-10 scores well only with x amplified by 1e7;
+    # the bordered transform built from it is singular, so the level drops it
+    e, lam, c = _isotropic_core(7, 5)
+    c = c + 3e-10 * np.outer(e, e)
+    pair = EigenPair(value=lam, vector=e, residual=0.0)
+    assert dispatch_case(c, pair, CFG) == BRANCH_CASE_II_DEGENERATE
+    from symfact.factor import _plan
+
+    plan = _plan(c, pair, CFG, 0)
+    assert plan.record.x_strategy == "dropped" and plan.sub is None
+    assert verify_factorization(c, solve_linear(plan.a.T, plan.b.T), CFG).passed
+
+
+def test_factor_stack_depth_does_not_grow_with_dimension():
+    c = oracle.gen(oracle.GeneratorSpec(dim=40, seed=1, kind="DenseSymmetric"))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        r = factor_symmetric(c, CFG)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.relative_residual <= CFG.verify_tol
+    assert len(r.trace.levels) == 40
 
 
 def test_orthogonal_gauge_identity_and_permutation():
@@ -358,20 +398,25 @@ def test_choose_x_magnitude_sweep_for_weak_coupling():
 def test_weak_cross_coupling_is_dropped_not_bungled():
     # cross-coupling with vanishing diagonals admits no well-conditioned
     # bordered transform; when negligible it must go through the closed form
-    rng = np.random.default_rng(35)
-    g = rng.standard_normal((5, 2))
-    q, _ = np.linalg.qr(g)
-    e = (q[:, 0] + 1j * q[:, 1]) / np.sqrt(2)
-    lam = 1.1 * np.exp(0.4j)
-    core = lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e))
-    from symfact.matcore import complement_basis_within
-
-    basis = complement_basis_within(e)
+    e, _, c = _isotropic_core(35, 5)
     s = np.zeros((3, 3), dtype=complex)
     s[0, 1] = s[1, 0] = 1e-9  # pure cross coupling
-    c = core + basis @ s @ basis.T
+    c = c + complement_basis_within(e) @ s @ complement_basis_within(e).T
     r = factor_symmetric(c, CFG)
     assert r.residual <= 1e-8 * frobenius(c)
+
+
+def test_negligible_coupling_is_dropped_even_when_the_ladder_scores_well():
+    # the magnitude sweep accepts x amplified by 1e3 here, a score earned on
+    # rounding noise; the level must drop the coupling instead
+    e, _, c = _isotropic_core(4, 8)
+    s = np.zeros((6, 6), dtype=complex)
+    s[0, 0] = 1e-9
+    c = c + complement_basis_within(e) @ s @ complement_basis_within(e).T
+    r = factor_symmetric(c, CFG)
+    assert r.relative_residual <= CFG.verify_tol
+    first = r.trace.levels[0]
+    assert (first.branch, first.x_strategy) == (BRANCH_CASE_II_DEGENERATE, "dropped")
 
 
 def test_ldlt_agreement_when_it_succeeds():
