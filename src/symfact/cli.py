@@ -145,7 +145,6 @@ def _config_dict(cfg: ToleranceConfig) -> dict:
         "iso_tol": cfg.iso_tol,
         "det_tol": cfg.det_tol,
         "verify_tol": cfg.verify_tol,
-        "max_qr_iters": cfg.max_qr_iters,
         "seed": cfg.seed,
     }
 
@@ -401,7 +400,6 @@ def _make_config(args) -> ToleranceConfig:
         iso_tol=args.iso_tol if args.iso_tol is not None else base.iso_tol,
         det_tol=args.det_tol if args.det_tol is not None else base.det_tol,
         verify_tol=args.tol if args.tol is not None else base.verify_tol,
-        max_qr_iters=base.max_qr_iters,
         seed=seed,
     )
 

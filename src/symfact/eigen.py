@@ -1,9 +1,10 @@
 """Dense complex eigensolver.
 
-Householder reduction to Hessenberg form, a single-shift QR iteration with
-deflation for the eigenvalues, inverse iteration with Rayleigh refinement
-for individual eigenpairs, and assembly of a complete biorthonormal
-eigensystem {psi, phi} with Phi^* Psi = I for diagonalizable operators.
+The spectrum comes from LAPACK (``np.linalg.eigvals``).  On top of it:
+inverse iteration with Rayleigh refinement for individual eigenpairs, on a
+guarded LU that keeps near-singular shifts solvable, and assembly of a
+complete biorthonormal eigensystem {psi, phi} with Phi^* Psi = I for
+diagonalizable operators.
 """
 
 from __future__ import annotations
@@ -23,14 +24,9 @@ from .matcore import (
     _lu_solve,
 )
 
-_EPS = float(np.finfo(np.float64).eps)
-
-#: subdiagonal h[k+1,k] is declared negligible below this multiple of its neighbours
-_DEFLATE = 1e-14
-
 
 class ConvergenceError(RuntimeError):
-    """The QR or inverse iteration failed to converge within its budget."""
+    """The eigenvalue iteration or inverse iteration failed to converge."""
 
 
 class DefectiveOperatorError(ValueError):
@@ -85,123 +81,24 @@ def _rng(seed: int, *streams: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) & 0xFFFFFFFF for s in streams]))
 
 
-def hessenberg_reduce(a) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary reduction A = Q H Q^* with H upper Hessenberg.
+def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
+    """All eigenvalues (with multiplicity), sorted by (real, imag).
 
-    Returns (H, Q) with Q^* A Q = H; Q is a product of Householder reflectors.
+    ``cfg`` is accepted for a uniform call signature; LAPACK's QR iteration
+    has no budget to set.  Its non-convergence raises ConvergenceError.
     """
     a = as_matrix(a, square=True, name="A")
-    n = a.shape[0]
-    h = a.copy()
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0 + 0.0j
-        v = x.copy()
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v = v / nv
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def _eig_2x2(a, b, c, d):
-    t = 0.5 * (a + d)
-    s = complex(np.sqrt(np.complex128(0.25 * (a - d) ** 2 + b * c)))
-    return t + s, t - s
-
-
-def _wilkinson_shift(h, hi):
-    l1, l2 = _eig_2x2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-    return l1 if abs(l1 - h[hi, hi]) <= abs(l2 - h[hi, hi]) else l2
-
-
-def _qr_hessenberg_eigvals(h0: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    h = np.array(h0, dtype=np.complex128)
-    n = h.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    if n == 1:
-        out[0] = h[0, 0]
-        return out
-    norm_h = frobenius(h)
-    hi = n - 1
-    stagnation = 0
-    while hi >= 0:
-        for k in range(hi):
-            thr = _DEFLATE * (abs(h[k, k]) + abs(h[k + 1, k + 1]))
-            if thr == 0.0:
-                thr = _EPS * norm_h
-            if abs(h[k + 1, k]) <= thr:
-                h[k + 1, k] = 0.0
-        if hi == 0:
-            out[0] = h[0, 0]
-            break
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == hi:
-            out[hi] = h[hi, hi]
-            hi -= 1
-            stagnation = 0
-            continue
-        if hi - lo == 1:
-            out[lo], out[hi] = _eig_2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            hi -= 2
-            stagnation = 0
-            continue
-        stagnation += 1
-        if stagnation > cfg.max_qr_iters:
-            raise ConvergenceError(f"QR iteration did not converge within {cfg.max_qr_iters} steps")
-        if stagnation % 10 == 0:  # exceptional shift to break rare cycling
-            mu = h[hi, hi] + 0.75 * abs(h[hi, hi - 1]) * (1.0 + 0.5j)
-        else:
-            mu = _wilkinson_shift(h, hi)
-        b = h[lo : hi + 1, lo : hi + 1]
-        m = hi - lo + 1
-        b.flat[:: m + 1] -= mu
-        rotations = []
-        for k in range(m - 1):
-            f, g = b[k, k], b[k + 1, k]
-            d = np.hypot(abs(f), abs(g))
-            if d == 0.0:
-                c_, s_ = 1.0 + 0.0j, 0.0 + 0.0j
-            else:
-                c_, s_ = f / d, g / d
-            rotations.append((c_, s_))
-            top = b[k, k:].copy()
-            bot = b[k + 1, k:]
-            b[k, k:] = np.conj(c_) * top + np.conj(s_) * bot
-            b[k + 1, k:] = -s_ * top + c_ * bot
-        for k, (c_, s_) in enumerate(rotations):
-            colk = b[: k + 2, k].copy()
-            colk1 = b[: k + 2, k + 1]
-            b[: k + 2, k] = c_ * colk + s_ * colk1
-            b[: k + 2, k + 1] = -np.conj(s_) * colk + np.conj(c_) * colk1
-        b.flat[:: m + 1] += mu
-    return out
-
-
-def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
-    """All eigenvalues (with multiplicity), sorted by (real, imag)."""
-    a = as_matrix(a, square=True, name="A")
-    cfg = cfg or ToleranceConfig()
-    h, _ = hessenberg_reduce(a)
-    vals = _qr_hessenberg_eigvals(h, cfg)
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
 def _guarded_shift_solve(a: np.ndarray, shift: complex):
     with np.errstate(all="ignore"):
         m = a - shift * np.eye(a.shape[0], dtype=np.complex128)
-        lu, order, _ = _lu(m, mode="guard")
+        lu, order = _lu(m)
     return lambda b: _lu_solve(lu, order, b.reshape(-1, 1))[:, 0]
 
 

@@ -29,7 +29,7 @@ Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,6 +106,9 @@ class ChosenX:
 
 @dataclass(frozen=True)
 class LevelRecord:
+    """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on
+    the isotropic branches, the entry at Base) is in the input's units."""
+
     dim: int
     branch: str
     value: complex | None = None
@@ -284,7 +287,7 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfi
     return None
 
 
-def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, vscale: float) -> LevelPlan:
+def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first.  A candidate is
@@ -308,25 +311,25 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, vscale: f
             # representative (when the null space holds one) keeps the branch exact
             if ete > cfg.iso_tol:
                 pair = _isotropic_upgrade(c, pair, cfg) or pair
-            return _plan(c, pair, cfg, depth, vscale)
+            return _plan(c, pair, cfg, depth)
         iso = pair if ete <= cfg.iso_tol else _isotropic_upgrade(c, pair, cfg)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, iso, cfg, depth, vscale)
+            plan = None if in_gap else _plan(c, iso, cfg, depth)
             if plan is not None and plan.sound:
                 return plan
             if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
                 fallback_iso = (iso, plan)
             continue
         if ete >= _ETE_DANGER:
-            return _plan(c, pair, cfg, depth, vscale)
+            return _plan(c, pair, cfg, depth)
         if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
             fallback_ete = pair
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, iso, cfg, depth, vscale)
+        return plan if plan is not None else _plan(c, iso, cfg, depth)
     if fallback_ete is not None:
-        return _plan(c, fallback_ete, cfg, depth, vscale)
+        return _plan(c, fallback_ete, cfg, depth)
     raise eigen.ConvergenceError("inverse iteration stagnated for every eigenvalue candidate")
 
 
@@ -416,21 +419,17 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     return a_prime, c_prime, ct_prime, alpha
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int,
-          vscale: float = 1.0) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int) -> LevelPlan:
     """Decide the branch of one level for ``pair`` and build its congruence.
 
-    ``c`` is the working block, the caller's block divided by ``vscale``.
-    Records of the null split and of CaseI carry ``pair.value`` in the
-    caller's units; isotropic records carry the measured corner
-    lambda*alpha of the working block.
+    The record carries ``pair.value`` (on the isotropic branches, the
+    measured corner lambda*alpha) in the units of ``c``.
     """
     m = c.shape[0]
     b = np.zeros((m, m), dtype=np.complex128)
     e = pair.vector
     ete = complex(np.dot(e, e))
-    value = pair.value * vscale
-    if abs(value) <= _LAMBDA_ZERO_CUT * frobenius(c) * vscale:
+    if abs(pair.value) <= _LAMBDA_ZERO_CUT * frobenius(c):
         # null vector: the blocking identity w^T C e = lambda w^T e holds for
         # every w, so the unitary basis [sesquilinear complement | e] works
         # regardless of e^T e and keeps the transform perfectly conditioned
@@ -438,12 +437,12 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int
         ct = w.T @ c @ w
         b[m - 1, m - 1] = principal_sqrt(complex(e @ (c @ e)))
         branch = BRANCH_CASE_II_LAMBDA_ZERO if abs(ete) <= cfg.iso_tol else BRANCH_CASE_I
-        record = LevelRecord(dim=m, branch=branch, value=value, ete=ete, alpha=float(np.vdot(e, e).real))
+        record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete, alpha=float(np.vdot(e, e).real))
         return LevelPlan(record, np.hstack([w, e.reshape(-1, 1)]), 0.5 * (ct + ct.T), b)
     if abs(ete) > cfg.iso_tol:
         a, ct, mu = reduce_case_i(c, pair, cfg)
         b[m - 1, m - 1] = principal_sqrt(mu)
-        return LevelPlan(LevelRecord(dim=m, branch=BRANCH_CASE_I, value=value, ete=ete), a, ct, b)
+        return LevelPlan(LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete), a, ct, b)
     a_prime, c_prime, ct_prime, _ = reduce_case_ii(c, pair, cfg)
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
     iso = dict(dim=m, value=la, ete=0.0, alpha=1.0)
@@ -480,8 +479,9 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
     c = 0.5 * (c + c.T)
     levels: list = []
-    steps: list = []  # (A, B, vscale) of each planned level, top down
+    steps: list = []  # (A, B, |block|_F) of each planned level, top down
     block, depth = c, 0
+    units = 1.0  # the working block is the input's sub-block divided by this
     while True:
         m = block.shape[0]
         norm = frobenius(block)
@@ -491,27 +491,25 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             break
         if m == 1:
             value = complex(block[0, 0])
-            levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value))
+            levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value * units))
             v = np.array([[principal_sqrt(value)]], dtype=np.complex128)
             break
         # work at unit norm: the bordered transform of the isotropic branch uses
-        # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1
-        vscale = 1.0
-        if abs(np.log10(norm)) > 1.0:
-            block, vscale = block / norm, norm
-        plan = _first_sound_plan(block, cfg, depth, vscale)
-        levels.append(plan.record)
-        steps.append((plan.a, plan.b, vscale))
+        # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1, and an
+        # exactly unit-norm block makes every level the same for C and s*C
+        block = block / norm
+        units *= norm
+        plan = _first_sound_plan(block, cfg, depth)
+        levels.append(replace(plan.record, value=plan.record.value * units))
+        steps.append((plan.a, plan.b, norm))
         if plan.sub is None:
             v = None
             break
         block, depth = plan.sub, depth + 1
-    for a, b, vscale in reversed(steps):
+    for a, b, norm in reversed(steps):
         if v is not None:
             b[:-1, :-1] = v.T
-        v = solve_linear(a.T, b.T)
-        if vscale != 1.0:
-            v = v * np.sqrt(vscale)
+        v = solve_linear(a.T, b.T) * np.sqrt(norm)
     check = verify_factorization(c, v, cfg)
     return FactorizationResult(
         V=v,

@@ -2,9 +2,10 @@
 
 Everything else in the package is built on the operations here: the two
 inner products (bilinear u^T v and sesquilinear w2^* w1), reflector-based
-complement bases, row-pivoted LU solves and determinants, and the principal
-complex square root.  All public entry points validate shapes and reject
-non-finite input.
+complement bases, linear solves and determinants (LAPACK through numpy, with
+a conditioning check that keeps singular systems a typed error), the guarded
+LU of inverse iteration, and the principal complex square root.  All public
+entry points validate shapes and reject non-finite input.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class ToleranceConfig:
     iso_tol      threshold on |e^T e| deciding that a unit vector is isotropic
     det_tol      lower bound on the accepted |det D| in the isotropic branch
     verify_tol   relative Frobenius bound for factorization verification
-    max_qr_iters QR iterations allowed per eigenvalue before giving up
     seed         base seed for every internally drawn random vector
     """
 
@@ -40,7 +40,6 @@ class ToleranceConfig:
     iso_tol: float = 1e-8
     det_tol: float = 1e-10
     verify_tol: float = 1e-8
-    max_qr_iters: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0 and np.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
-        if not (isinstance(self.max_qr_iters, int) and self.max_qr_iters >= 1):
-            raise ValidationError(f"max_qr_iters must be an integer >= 1, got {self.max_qr_iters!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -168,13 +165,12 @@ def complement_basis_within(e, iso_tol: float = 1e-8) -> np.ndarray:
     return basis
 
 
-def _lu(a: np.ndarray, mode: str):
-    """Row-pivoted LU.  mode: 'solve' raises on tiny pivots, 'guard' replaces
-    them (inverse-iteration style), 'det' accepts exact breakdown."""
+def _lu(a: np.ndarray):
+    """Row-pivoted LU that replaces tiny pivots by tiny nonzero ones, so a
+    shift at (or next to) an eigenvalue stays solvable for inverse iteration."""
     lu = np.array(a, dtype=np.complex128)
     m = lu.shape[0]
     order = np.arange(m)
-    nswaps = 0
     scale = float(np.max(np.abs(lu))) if lu.size else 0.0
     tiny = m * _EPS * max(scale, np.finfo(np.float64).tiny)
     for k in range(m):
@@ -182,20 +178,14 @@ def _lu(a: np.ndarray, mode: str):
         if p != k:
             lu[[k, p]] = lu[[p, k]]
             order[[k, p]] = order[[p, k]]
-            nswaps += 1
         piv = lu[k, k]
         if abs(piv) <= tiny:
-            if mode == "solve":
-                raise SingularMatrixError(f"matrix is singular to working precision (column {k})")
-            if mode == "guard":
-                piv = tiny if piv == 0.0 else piv / abs(piv) * tiny
-                lu[k, k] = piv
-            elif piv == 0.0:  # det: the whole subcolumn is zero, nothing to eliminate
-                continue
+            piv = tiny if piv == 0.0 else piv / abs(piv) * tiny
+            lu[k, k] = piv
         if k + 1 < m:
             lu[k + 1 :, k] /= piv
             lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, order, nswaps
+    return lu, order
 
 
 def _lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,25 +201,35 @@ def _lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve A X = B by row-pivoted elimination; never forms an inverse."""
+    """Solve A X = B by LAPACK's pivoted LU; X is never formed from an inverse.
+
+    A is singular to working precision, and SingularMatrixError is raised,
+    when LAPACK meets an exact zero pivot or the 1-norm condition number
+    reaches 1/(m eps).  The 1-norm of A^{-1} comes from the same solve, with
+    the identity as extra right-hand sides.
+    """
     a = as_matrix(a, square=True, name="A")
     b_arr = np.asarray(b, dtype=np.complex128)
     vector_rhs = b_arr.ndim == 1
     b_arr = as_matrix(b_arr.reshape(-1, 1) if vector_rhs else b_arr, name="B")
-    if b_arr.shape[0] != a.shape[0]:
-        raise ValidationError(f"B has {b_arr.shape[0]} rows, expected {a.shape[0]}")
-    lu, order, _ = _lu(a, mode="solve")
-    x = _lu_solve(lu, order, b_arr)
-    return x[:, 0] if vector_rhs else x
+    m, k = a.shape[0], b_arr.shape[1]
+    if b_arr.shape[0] != m:
+        raise ValidationError(f"B has {b_arr.shape[0]} rows, expected {m}")
+    try:
+        x = np.linalg.solve(a, np.hstack([b_arr, np.eye(m, dtype=np.complex128)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is singular to working precision (zero pivot)") from exc
+    cond = float(np.abs(a).sum(axis=0).max() * np.abs(x[:, k:]).sum(axis=0).max())
+    if not cond * m * _EPS < 1.0:  # also catches an inf or nan inverse
+        raise SingularMatrixError(f"matrix is singular to working precision (condition {cond:.3g})")
+    return x[:, 0] if vector_rhs else x[:, :k]
 
 
 def determinant(a) -> complex:
-    """Determinant via the same pivoted elimination; exact for triangular input."""
+    """Determinant by LAPACK's LU; exact for triangular input."""
     a = as_matrix(a, square=True, name="A")
     lower = np.tril(a, -1)
     upper = np.triu(a, 1)
     if not lower.any() or not upper.any():
         return complex(np.prod(np.diag(a)))
-    lu, _, nswaps = _lu(a, mode="det")
-    det = complex(np.prod(np.diag(lu)))
-    return -det if nswaps % 2 else det
+    return complex(np.linalg.det(a))

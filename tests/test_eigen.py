@@ -1,17 +1,18 @@
 """Unit tests for the dense eigensolver."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from symfact.cli import EXIT_NUMERIC_FAILURE, main
 from symfact.eigen import (
     ConvergenceError,
     DefectiveOperatorError,
     biorthonormal_system,
     eigenpair,
     eigenvalues,
-    hessenberg_reduce,
 )
 from symfact.matcore import ToleranceConfig, ValidationError, frobenius
 
@@ -48,30 +49,6 @@ def _multiset_distance(xs, ys):
         d = max(abs(x - ys[j]) for x, j in zip(xs, perm))
         best = min(best, d)
     return best
-
-
-def test_hessenberg_diagonal_is_fixed_point():
-    a = np.diag([1.0, 2.0, 3.0])
-    h, q = hessenberg_reduce(a)
-    assert np.allclose(h, a)
-    assert np.allclose(q, np.eye(3))
-
-
-def test_hessenberg_2x2_unchanged():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    h, q = hessenberg_reduce(a)
-    assert np.allclose(h, a)
-    assert np.allclose(q, np.eye(2))
-
-
-def test_hessenberg_random_structure_and_unitarity():
-    rng = np.random.default_rng(21)
-    for n in (4, 6):
-        a = _random_complex(rng, n)
-        h, q = hessenberg_reduce(a)
-        assert frobenius(q.conj().T @ q - np.eye(n)) <= 1e-12
-        assert frobenius(q.conj().T @ a @ q - h) <= 1e-12 * frobenius(a)
-        assert np.max(np.abs(np.tril(h, -2))) == 0.0
 
 
 def test_eigenvalues_diagonal():
@@ -190,8 +167,14 @@ def test_adjoint_spectrum_is_conjugate():
             assert abs(x - y) <= 1e-8 * (1.0 + frobenius(h))
 
 
-def test_qr_non_convergence_budget_is_enforced():
-    rng = np.random.default_rng(27)
-    a = _random_complex(rng, 8)
+def test_lapack_non_convergence_is_a_convergence_error(tmp_path, monkeypatch, capsys):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(ConvergenceError):
-        eigenvalues(a, ToleranceConfig(max_qr_iters=1))
+        eigenvalues(np.eye(3))
+    path = tmp_path / "h.mat"
+    path.write_text("2 2\n1 0\n0 2\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_NUMERIC_FAILURE
+    assert json.loads(capsys.readouterr().out)["status"] == "error"

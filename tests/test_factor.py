@@ -276,7 +276,7 @@ def test_assemble_case_ii_direct_call():
 
     for seed in (2, 3):  # one degenerate-core and one bulk-enriched instance
         c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=seed, kind="IsotropicLambdaNonzero"))
-        plan = _first_sound_plan(c, CFG, 0, 1.0)
+        plan = _first_sound_plan(c, CFG, 0)
         assert plan.record.branch in (BRANCH_CASE_II_DEGENERATE, BRANCH_CASE_II_GENERAL)
         b = plan.b.copy()
         if plan.sub is not None:  # any factor of the next block completes B
@@ -380,6 +380,25 @@ def test_factor_is_scale_invariant():
         c = scale * base
         r = factor_symmetric(c, CFG)
         assert r.residual <= 1e-9 * frobenius(c)
+
+
+def test_trace_values_are_in_the_input_units():
+    for kind, dim, seed in (("IsotropicLambdaNonzero", 6, 11), ("DenseSymmetric", 5, 2)):
+        c = oracle.gen(oracle.GeneratorSpec(dim=dim, seed=seed, kind=kind))
+        plain = factor_symmetric(c, CFG).trace
+        scaled = factor_symmetric(1e5 * c, CFG).trace
+        assert scaled.branches() == plain.branches()
+        for lo, hi in zip(plain.levels, scaled.levels):
+            assert hi.value == pytest.approx(1e5 * lo.value, rel=1e-6)
+
+
+def test_nilpotent_blocks_factor_to_their_null_directions():
+    # nilpotent cores: inverse iteration must find their null direction at
+    # the near-zero probe shift, on the guarded LU, and not the perturbed
+    # ~5e-9 eigenvalues of the block
+    for seed in (299, 3611):
+        c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=seed, kind="IsotropicLambdaZero"))
+        assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
 
 
 def test_choose_x_magnitude_sweep_for_weak_coupling():

@@ -146,6 +146,15 @@ def test_solve_linear_singular_raises():
         solve_linear([[1, 2], [2, 4]], [1, 1])
 
 
+def test_solve_linear_rejects_rank_deficient_with_rounding_noise():
+    # rank 2 of 6, condition ~3e17: LAPACK meets no exact zero pivot and,
+    # unchecked, would return a solution with entries ~1e16
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    with pytest.raises(SingularMatrixError):
+        solve_linear(u @ u.T, np.ones(6))
+
+
 def test_determinant_examples():
     assert determinant(np.eye(3)) == pytest.approx(1)
     assert determinant([[1, 2], [3, 4]]) == pytest.approx(-2)
@@ -195,7 +204,5 @@ def test_principal_sqrt_squares_back_on_grid():
 def test_tolerance_config_validation():
     with pytest.raises(ValidationError):
         ToleranceConfig(iso_tol=-1.0)
-    with pytest.raises(ValidationError):
-        ToleranceConfig(max_qr_iters=0)
     cfg = ToleranceConfig()
     assert cfg.iso_tol == 1e-8
