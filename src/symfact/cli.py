@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import antisym, eigen, factor, oracle
-from .matcore import ToleranceConfig, ValidationError
+from .matcore import SingularMatrixError, ToleranceConfig, ValidationError
 
 EXIT_PASS = 0
 EXIT_INPUT_ERROR = 1
@@ -189,10 +189,10 @@ def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
     try:
         c = _load(path)
         result = factor.factor_symmetric(c, cfg)
-    except (ParseError, ValidationError, factor.NotSymmetricError,
-            eigen.ConvergenceError) as exc:
-        code = EXIT_NUMERIC_FAILURE if isinstance(exc, eigen.ConvergenceError) else EXIT_INPUT_ERROR
-        return _error_report("factor", digest, cfg, exc), code
+    except (ParseError, ValidationError, factor.NotSymmetricError) as exc:
+        return _error_report("factor", digest, cfg, exc), EXIT_INPUT_ERROR
+    except (eigen.ConvergenceError, SingularMatrixError) as exc:
+        return _error_report("factor", digest, cfg, exc), EXIT_NUMERIC_FAILURE
     passed = result.relative_residual <= cfg.verify_tol
     payload = {
         "dim": int(c.shape[0]),

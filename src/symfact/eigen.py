@@ -1,10 +1,13 @@
 """Dense complex eigensolver.
 
-The spectrum comes from LAPACK (``np.linalg.eigvals``).  On top of it:
-inverse iteration with Rayleigh refinement for individual eigenpairs, on a
-guarded LU that keeps near-singular shifts solvable, and assembly of a
-complete biorthonormal eigensystem {psi, phi} with Phi^* Psi = I for
-diagonalizable operators.
+Spectra and eigenvectors come from LAPACK (``np.linalg.eigvals`` and
+``np.linalg.eig``).  Eigenpairs are picked from one ``np.linalg.eig`` call:
+a simple eigenvalue away from zero takes LAPACK's eigenvector as it is; a
+near-zero or clustered one is converged by inverse iteration with Rayleigh
+refinement, on a guarded LU that keeps near-singular shifts solvable and
+makes the representative of a multi-dimensional eigenspace reproducible.
+On top of that: assembly of a complete biorthonormal eigensystem
+{psi, phi} with Phi^* Psi = I for diagonalizable operators.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ from .matcore import (
     _lu,
     _lu_solve,
 )
+
+
+#: candidates with |lambda| at most this multiple of |A|_F are near zero:
+#: inverse iteration probes them at an almost-zero shift first
+_NEAR_ZERO = 1e-6
+#: a candidate is simple when every other eigenvalue lies farther than this
+#: multiple of |A|_F; only then is LAPACK's eigenvector taken as it is
+_SIMPLE_GAP = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -102,19 +113,6 @@ def _guarded_shift_solve(a: np.ndarray, shift: complex):
     return lambda b: _lu_solve(lu, order, b.reshape(-1, 1))[:, 0]
 
 
-def _candidate_values(a: np.ndarray, cfg: ToleranceConfig) -> list:
-    """Distinct eigenvalue candidates, largest modulus first (ties by the
-    position in the (real, imag) sort)."""
-    scale = frobenius(a)
-    vals = eigenvalues(a, cfg)
-    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), i))
-    candidates = []
-    for i in order:
-        if all(abs(vals[i] - c) > 1e-12 * scale for c in candidates):
-            candidates.append(vals[i])
-    return candidates
-
-
 def _inverse_iterate(a: np.ndarray, cand: complex, cfg: ToleranceConfig, salt: int):
     """Converge one eigenpair near the candidate eigenvalue.
 
@@ -126,7 +124,7 @@ def _inverse_iterate(a: np.ndarray, cand: complex, cfg: ToleranceConfig, salt: i
     scale = frobenius(a)
     n = a.shape[0]
     shifts = []
-    if abs(cand) <= 1e-6 * scale:
+    if abs(cand) <= _NEAR_ZERO * scale:
         shifts.append(1e-14 * scale)  # probe an exactly-null direction first
     shifts.append(cand)
     shifts.append(cand + 1e-8 * scale * (0.6 + 0.8j))
@@ -163,21 +161,61 @@ def _inverse_iterate(a: np.ndarray, cand: complex, cfg: ToleranceConfig, salt: i
     return None
 
 
-def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
-    """One eigenpair by inverse iteration at the selected eigenvalue.
+def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig):
+    """Yield (pair, direct) for each distinct eigenvalue candidate.
 
-    Selection rule: the largest-modulus eigenvalue whose inverse iteration
-    converges, falling back to the next candidate on stagnation.
+    The candidates come from one ``np.linalg.eig`` call, deduplicated at
+    1e-12*|A|_F and ordered largest modulus first (ties by the position in
+    the (real, imag) sort).  A simple candidate away from zero yields
+    LAPACK's eigenvector with its Rayleigh quotient (``direct`` True) when
+    the residual meets eig_tol*|A|_F; every other candidate is converged by
+    inverse iteration, and skipped when that stagnates.  Pairs are computed
+    only as the caller asks for them.
+    """
+    scale = frobenius(a)
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    order = np.lexsort((vals.imag, vals.real))
+    order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
+    vals, vecs = vals[order], vecs[:, order]
+    dist = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(dist, np.inf)
+    simple = dist.min(axis=1) > _SIMPLE_GAP * scale
+    earlier = np.triu(dist <= 1e-12 * scale)  # earlier[j, i]: j < i lies within the dedupe cut
+    keep = np.ones(vals.size, dtype=bool)
+    for i in np.flatnonzero(earlier.any(axis=0)):
+        keep[i] = not np.any(earlier[:i, i] & keep[:i])
+    for ci, i in enumerate(np.flatnonzero(keep)):
+        cand = complex(vals[i])
+        if simple[i] and abs(cand) > _NEAR_ZERO * scale:
+            v = vecs[:, i] / np.linalg.norm(vecs[:, i])
+            av = a @ v
+            lam = complex(np.vdot(v, av))
+            res = float(np.linalg.norm(av - lam * v))
+            if res <= cfg.eig_tol * scale:
+                yield EigenPair(value=lam, vector=_phase_canonical(v), residual=res), True
+                continue
+        got = _inverse_iterate(a, cand, cfg, ci)
+        if got is not None:
+            res, lam, v = got
+            yield EigenPair(value=lam, vector=_phase_canonical(v), residual=res), False
+
+
+def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
+    """One eigenpair at the selected eigenvalue.
+
+    Selection rule: the largest-modulus eigenvalue whose eigenvector is
+    found (directly from LAPACK, or by inverse iteration that converges),
+    falling back to the next candidate on stagnation.
     """
     a = as_matrix(a, square=True, name="A")
     cfg = cfg or ToleranceConfig()
     if frobenius(a) == 0.0:
         raise ValidationError("eigenpair requires a nonzero matrix")
-    for ci, cand in enumerate(_candidate_values(a, cfg)):
-        got = _inverse_iterate(a, cand, cfg, ci)
-        if got is not None:
-            res, lam, v = got
-            return EigenPair(value=lam, vector=_phase_canonical(v), residual=res)
+    for pair, _ in _candidate_pairs(a, cfg):
+        return pair
     raise ConvergenceError("inverse iteration stagnated for every eigenvalue candidate")
 
 

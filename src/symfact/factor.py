@@ -294,25 +294,26 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> LevelP
     taken when it gives an exact route: a null vector (unitary split), an
     isotropic vector whose plan is sound, or a safely non-isotropic vector.
     Candidates in the ill-conditioned gaps are deferred; nearly nilpotent
-    blocks always hold a clean candidate further down the list.
+    blocks always hold a clean candidate further down the list.  A pair
+    taken directly from LAPACK belongs to a simple eigenvalue; as C is
+    symmetric, e^T is also its left eigenvector, so e^T e != 0 and the
+    one-dimensional eigenspace holds no isotropic direction to upgrade to.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
     scale = frobenius(c)
-    for ci, cand in enumerate(eigen._candidate_values(c, cfg)):
-        got = eigen._inverse_iterate(c, cand, cfg, ci)
-        if got is None:
-            continue
-        res, lam, v = got
-        pair = eigen.EigenPair(value=lam, vector=eigen._phase_canonical(v), residual=res)
+    for pair, direct in eigen._candidate_pairs(c, cfg):
         ete = abs(bilinear(pair.vector, pair.vector))
-        if abs(lam) <= _LAMBDA_ZERO_CUT * scale:
+        if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
             # null vector: the unitary split takes any e^T e, but an isotropic
             # representative (when the null space holds one) keeps the branch exact
             if ete > cfg.iso_tol:
                 pair = _isotropic_upgrade(c, pair, cfg) or pair
             return _plan(c, pair, cfg, depth)
-        iso = pair if ete <= cfg.iso_tol else _isotropic_upgrade(c, pair, cfg)
+        if ete <= cfg.iso_tol:
+            iso = pair
+        else:
+            iso = None if direct else _isotropic_upgrade(c, pair, cfg)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
             plan = None if in_gap else _plan(c, iso, cfg, depth)
@@ -495,8 +496,11 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             v = np.array([[principal_sqrt(value)]], dtype=np.complex128)
             break
         # work at unit norm: the bordered transform of the isotropic branch uses
-        # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1, and an
-        # exactly unit-norm block makes every level the same for C and s*C
+        # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1.  The
+        # unit-norm block is bit for bit the same for C and 4^k*C, so V scales by
+        # 2^k and every value by 4^k; other scales round it differently, which can
+        # pick another (equally valid) isotropic line in a multi-dimensional
+        # eigenspace and change the levels below
         block = block / norm
         units *= norm
         plan = _first_sound_plan(block, cfg, depth)

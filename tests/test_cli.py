@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from symfact import factor, oracle
 from symfact.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERIC_FAILURE,
@@ -14,6 +15,7 @@ from symfact.cli import (
     main,
     parse_matrix,
 )
+from symfact.matcore import SingularMatrixError
 
 
 def _write(tmp_path, name, text):
@@ -86,6 +88,21 @@ def test_factor_command_rejects_non_symmetric(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
     assert report["status"] == "error"
     assert "NotSymmetric" in report["result"]["error"]
+
+
+def test_factor_singular_assembly_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def singular(a, b):
+        raise SingularMatrixError("matrix is singular to working precision (zero pivot)")
+
+    monkeypatch.setattr(factor, "solve_linear", singular)
+    c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=0, kind="DenseSymmetric"))
+    path = tmp_path / "c.mat"
+    path.write_text(format_matrix(c), encoding="utf-8")
+    code = main(["factor", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NUMERIC_FAILURE
+    assert report["status"] == "error"
+    assert report["result"]["error"] == "SingularMatrixError"
 
 
 def test_factor_reports_are_byte_identical(tmp_path, capsys):

@@ -178,3 +178,16 @@ def test_lapack_non_convergence_is_a_convergence_error(tmp_path, monkeypatch, ca
     path.write_text("2 2\n1 0\n0 2\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == EXIT_NUMERIC_FAILURE
     assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
+def test_eigenvector_non_convergence_is_a_convergence_error(tmp_path, monkeypatch, capsys):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(ConvergenceError):
+        eigenpair(np.diag([1.0, 2.0]))
+    path = tmp_path / "c.mat"
+    path.write_text("2 2\n1 0,5\n0,5 2\n", encoding="utf-8")
+    assert main(["factor", str(path)]) == EXIT_NUMERIC_FAILURE
+    assert json.loads(capsys.readouterr().out)["result"]["error"] == "ConvergenceError"

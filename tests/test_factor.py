@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from symfact import oracle
+from symfact import eigen, factor, oracle
 from symfact.eigen import EigenPair, eigenpair
 from symfact.factor import (
     ALL_BRANCHES,
@@ -382,14 +382,34 @@ def test_factor_is_scale_invariant():
         assert r.residual <= 1e-9 * frobenius(c)
 
 
+def _scaled_values(trace, s):
+    return [None if lv.value is None else s * lv.value for lv in trace.levels]
+
+
 def test_trace_values_are_in_the_input_units():
-    for kind, dim, seed in (("IsotropicLambdaNonzero", 6, 11), ("DenseSymmetric", 5, 2)):
-        c = oracle.gen(oracle.GeneratorSpec(dim=dim, seed=seed, kind=kind))
-        plain = factor_symmetric(c, CFG).trace
-        scaled = factor_symmetric(1e5 * c, CFG).trace
-        assert scaled.branches() == plain.branches()
-        for lo, hi in zip(plain.levels, scaled.levels):
-            assert hi.value == pytest.approx(1e5 * lo.value, rel=1e-6)
+    # every level works at exactly unit norm, so a power-of-4 scale (exact in
+    # binary floating point) scales V by the power of 2 and every trace value
+    # by the power of 4, bit for bit, in every family
+    for kind in ("DenseSymmetric", "RankDeficient", "IsotropicLambdaZero", "IsotropicLambdaNonzero"):
+        for seed in range(8):
+            c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind))
+            plain = factor_symmetric(c, CFG)
+            for k in (-10, 12):
+                scaled = factor_symmetric(4.0**k * c, CFG)
+                assert np.array_equal(scaled.V, 2.0**k * plain.V)
+                assert [lv.value for lv in scaled.trace.levels] == _scaled_values(plain.trace, 4.0**k)
+    # any other scale rounds the unit-norm blocks differently; on the isotropic
+    # families that can pick another (equally valid) isotropic line, so only
+    # the families without isotropic levels keep their values to 1e-6
+    for kind in ("DenseSymmetric", "RankDeficient"):
+        for seed in range(8):
+            c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind))
+            plain = factor_symmetric(c, CFG).trace
+            scaled = factor_symmetric(1e5 * c, CFG).trace
+            assert scaled.branches() == plain.branches()
+            floor = 1e-6 * frobenius(1e5 * c)  # null levels record rounding-level values
+            for hi, want in zip(scaled.levels, _scaled_values(plain, 1e5)):
+                assert hi.value == pytest.approx(want, rel=1e-6, abs=floor)
 
 
 def test_nilpotent_blocks_factor_to_their_null_directions():
@@ -399,6 +419,69 @@ def test_nilpotent_blocks_factor_to_their_null_directions():
     for seed in (299, 3611):
         c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=seed, kind="IsotropicLambdaZero"))
         assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
+
+
+def _expm(a):
+    """Matrix exponential by scaling and squaring of a Taylor series."""
+    s = max(0, int(np.ceil(np.log2(max(np.linalg.norm(a, 1), 1e-300)))) + 1)
+    a = a / 2.0**s
+    term = np.eye(a.shape[0], dtype=np.complex128)
+    out = term.copy()
+    for j in range(1, 20):
+        term = term @ a / j
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _clustered(seed, gap, complex_q):
+    """C = Q diag(d) Q^T, n=10: five eigenvalue pairs (a, a + gap), Q real
+    orthogonal or complex orthogonal (expm of a complex skew-symmetric)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    d = np.concatenate([base, base + gap])
+    if complex_q:
+        k = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+        q = _expm(0.3 * (k - k.T))
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    c = q @ np.diag(d) @ q.T
+    return 0.5 * (c + c.T)
+
+
+def test_clustered_spectra_factor_within_verify_tol():
+    # pairs straddle the simple-eigenvalue gap (1e-6 |C|_F): the wide ones
+    # take LAPACK's eigenvectors, the close ones go through inverse iteration
+    for seed in range(6):
+        for gap in (1e-3, 1e-5, 1e-6, 3e-7, 1e-8, 1e-11, 0.0):
+            for complex_q in (False, True):
+                c = _clustered(seed, gap, complex_q)
+                assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_simple_eigenvalues_skip_inverse_iteration_and_the_upgrade(monkeypatch):
+    iterated = _count_calls(monkeypatch, eigen, "_inverse_iterate")
+    upgraded = _count_calls(monkeypatch, factor, "_isotropic_upgrade")
+    c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=1, kind="DenseSymmetric"))
+    assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
+    assert (iterated, upgraded) == ([], [])
+    # a nilpotent core has a near-zero, clustered candidate: inverse iteration
+    c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=299, kind="IsotropicLambdaZero"))
+    assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
+    assert iterated
 
 
 def test_choose_x_magnitude_sweep_for_weak_coupling():
