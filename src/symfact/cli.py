@@ -155,7 +155,6 @@ def _trace_dict(trace: factor.RecursionTrace) -> list:
         entry = {"dim": lv.dim, "branch": lv.branch}
         entry["lambda"] = _cnum(lv.value) if lv.value is not None else None
         entry["ete"] = _cnum(lv.ete) if lv.ete is not None else None
-        entry["alpha"] = lv.alpha
         entry["detD"] = _cnum(lv.det_d) if lv.det_d is not None else None
         entry["x_strategy"] = lv.x_strategy
         out.append(entry)

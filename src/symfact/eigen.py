@@ -3,9 +3,9 @@
 Spectra and eigenvectors come from LAPACK (``np.linalg.eigvals`` and
 ``np.linalg.eig``).  Eigenpairs are picked from one ``np.linalg.eig`` call:
 a simple eigenvalue away from zero takes LAPACK's eigenvector as it is; a
-near-zero or clustered one is converged by inverse iteration with Rayleigh
-refinement, on a guarded LU that keeps near-singular shifts solvable and
-makes the representative of a multi-dimensional eigenspace reproducible.
+near-zero or clustered one takes one SVD (of A, or of A - lambda*I), whose
+smallest right singular vectors give both the eigenvector and an
+orthonormal basis of the whole numerical eigenspace or null space.
 On top of that: assembly of a complete biorthonormal eigensystem
 {psi, phi} with Phi^* Psi = I for diagonalizable operators.
 """
@@ -23,13 +23,11 @@ from .matcore import (
     as_matrix,
     frobenius,
     solve_linear,
-    _lu,
-    _lu_solve,
 )
 
 
 #: candidates with |lambda| at most this multiple of |A|_F are near zero:
-#: inverse iteration probes them at an almost-zero shift first
+#: their SVD is of A itself, so the basis is the numerical null space
 _NEAR_ZERO = 1e-6
 #: a candidate is simple when every other eigenvalue lies farther than this
 #: multiple of |A|_F; only then is LAPACK's eigenvector taken as it is
@@ -37,7 +35,8 @@ _SIMPLE_GAP = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """The eigenvalue iteration or inverse iteration failed to converge."""
+    """LAPACK's eigenvalue or singular value iteration failed to converge, or
+    no eigenvalue candidate gave an eigenpair within eig_tol."""
 
 
 class DefectiveOperatorError(ValueError):
@@ -95,8 +94,9 @@ def _rng(seed: int, *streams: int) -> np.random.Generator:
 def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     """All eigenvalues (with multiplicity), sorted by (real, imag).
 
-    ``cfg`` is accepted for a uniform call signature; LAPACK's QR iteration
-    has no budget to set.  Its non-convergence raises ConvergenceError.
+    ``cfg`` is accepted for a uniform call signature (callers pass it);
+    LAPACK's QR iteration has no budget to set.  Its non-convergence raises
+    ConvergenceError.
     """
     a = as_matrix(a, square=True, name="A")
     try:
@@ -106,73 +106,31 @@ def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
-def _guarded_shift_solve(a: np.ndarray, shift: complex):
-    with np.errstate(all="ignore"):
-        m = a - shift * np.eye(a.shape[0], dtype=np.complex128)
-        lu, order = _lu(m)
-    return lambda b: _lu_solve(lu, order, b.reshape(-1, 1))[:, 0]
-
-
-def _inverse_iterate(a: np.ndarray, cand: complex, cfg: ToleranceConfig, salt: int):
-    """Converge one eigenpair near the candidate eigenvalue.
-
-    Inverse iteration with Rayleigh refinement; near-zero candidates get an
-    extra probe at an almost-zero shift, which pins down the genuine
-    eigendirection of nilpotent operators.  Returns (residual, value, vector)
-    or None on stagnation.
-    """
-    scale = frobenius(a)
-    n = a.shape[0]
-    shifts = []
-    if abs(cand) <= _NEAR_ZERO * scale:
-        shifts.append(1e-14 * scale)  # probe an exactly-null direction first
-    shifts.append(cand)
-    shifts.append(cand + 1e-8 * scale * (0.6 + 0.8j))
-    shifts.append(cand * (1.0 + 1e-7) + 1e-9 * scale)
-    best = None
-    for ai, shift in enumerate(shifts):
-        rng = _rng(cfg.seed, 0xE16, n, salt, ai)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        solve = _guarded_shift_solve(a, shift)
-        with np.errstate(all="ignore"):
-            for _ in range(8):
-                w = solve(v)
-                nw = np.linalg.norm(w)
-                if not np.isfinite(nw) or nw == 0.0:
-                    break
-                v = w / nw
-                if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-                    break
-                lam = complex(np.vdot(v, a @ v))
-                res = float(np.linalg.norm(a @ v - lam * v))
-                if abs(lam - cand) > 1e-3 * scale:
-                    break  # wandered to a different eigenvalue
-                if best is None or res < best[0]:
-                    best = (res, lam, v.copy())
-                if res <= 1e-14 * scale:
-                    break
-                if res > 1e-13 * scale:
-                    solve = _guarded_shift_solve(a, lam)
-        if best is not None and best[0] <= 1e-13 * scale:
-            break
-    if best is not None and best[0] <= cfg.eig_tol * scale:
-        return best
-    return None
+def _rayleigh_pair(a: np.ndarray, v: np.ndarray) -> EigenPair:
+    """Unit v with its Rayleigh quotient v^* A v and residual."""
+    av = a @ v
+    lam = complex(np.vdot(v, av))
+    return EigenPair(value=lam, vector=_phase_canonical(v), residual=float(np.linalg.norm(av - lam * v)))
 
 
 def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig):
-    """Yield (pair, direct) for each distinct eigenvalue candidate.
+    """Yield (pair, basis) for each distinct eigenvalue candidate.
 
     The candidates come from one ``np.linalg.eig`` call, deduplicated at
     1e-12*|A|_F and ordered largest modulus first (ties by the position in
     the (real, imag) sort).  A simple candidate away from zero yields
-    LAPACK's eigenvector with its Rayleigh quotient (``direct`` True) when
-    the residual meets eig_tol*|A|_F; every other candidate is converged by
-    inverse iteration, and skipped when that stagnates.  Pairs are computed
-    only as the caller asks for them.
+    LAPACK's eigenvector with its Rayleigh quotient and ``basis`` None, when
+    the residual meets eig_tol*|A|_F.  Every other candidate takes one SVD,
+    of A itself when the candidate is near zero and of A - cand*I otherwise.
+    Its pair is the smallest right singular vector with its Rayleigh
+    quotient, and ``basis`` (orthonormal columns) holds the right singular
+    vectors whose singular value is at most max(1e-11*|A|_F, 10*residual):
+    the numerical eigenspace, or null space.  A pair whose residual misses
+    eig_tol*|A|_F is skipped.  Pairs are computed only as the caller asks
+    for them.
     """
     scale = frobenius(a)
+    n = a.shape[0]
     try:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -187,28 +145,33 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig):
     keep = np.ones(vals.size, dtype=bool)
     for i in np.flatnonzero(earlier.any(axis=0)):
         keep[i] = not np.any(earlier[:i, i] & keep[:i])
-    for ci, i in enumerate(np.flatnonzero(keep)):
+    for i in np.flatnonzero(keep):
         cand = complex(vals[i])
-        if simple[i] and abs(cand) > _NEAR_ZERO * scale:
-            v = vecs[:, i] / np.linalg.norm(vecs[:, i])
-            av = a @ v
-            lam = complex(np.vdot(v, av))
-            res = float(np.linalg.norm(av - lam * v))
-            if res <= cfg.eig_tol * scale:
-                yield EigenPair(value=lam, vector=_phase_canonical(v), residual=res), True
+        near_zero = abs(cand) <= _NEAR_ZERO * scale
+        if simple[i] and not near_zero:
+            pair = _rayleigh_pair(a, vecs[:, i] / np.linalg.norm(vecs[:, i]))
+            if pair.residual <= cfg.eig_tol * scale:
+                yield pair, None
                 continue
-        got = _inverse_iterate(a, cand, cfg, ci)
-        if got is not None:
-            res, lam, v = got
-            yield EigenPair(value=lam, vector=_phase_canonical(v), residual=res), False
+        shifted = a if near_zero else a - cand * np.eye(n, dtype=np.complex128)
+        try:
+            _, sv, vh = np.linalg.svd(shifted)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
+        pair = _rayleigh_pair(a, vh[-1].conj())
+        if pair.residual <= cfg.eig_tol * scale:
+            # the smallest direction always belongs, also when the residual is
+            # far below its singular value
+            k = max(1, int(np.sum(sv <= max(1e-11 * scale, 10.0 * pair.residual))))
+            yield pair, vh[n - k :].conj().T
 
 
 def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
     """One eigenpair at the selected eigenvalue.
 
-    Selection rule: the largest-modulus eigenvalue whose eigenvector is
-    found (directly from LAPACK, or by inverse iteration that converges),
-    falling back to the next candidate on stagnation.
+    Selection rule: the largest-modulus eigenvalue whose eigenpair meets
+    eig_tol (directly from LAPACK, or from the SVD), falling back to
+    the next candidate otherwise.
     """
     a = as_matrix(a, square=True, name="A")
     cfg = cfg or ToleranceConfig()
@@ -216,7 +179,7 @@ def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
         raise ValidationError("eigenpair requires a nonzero matrix")
     for pair, _ in _candidate_pairs(a, cfg):
         return pair
-    raise ConvergenceError("inverse iteration stagnated for every eigenvalue candidate")
+    raise ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
 def _cluster(values, eps: float):

@@ -6,8 +6,9 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
 
 * ``CaseI``               non-isotropic e: congruence by [complement | e]
                           splits off a 1x1 corner, recurse on the rest.
-* ``CaseII_LambdaZero``   isotropic e with lambda = 0: the congruence is
-                          already block diagonal.
+* ``CaseII_LambdaZero``   lambda = 0: the null space leaves in one unitary
+                          split (a lone null vector with e^T e != 0 is
+                          recorded as ``CaseI``).
 * ``CaseII_General``      isotropic e, lambda != 0, coupling block nonzero:
                           an extra bordered transform D restores the CaseI
                           shape; the free entries of D are chosen so that
@@ -37,7 +38,6 @@ from . import eigen
 from .matcore import (
     ToleranceConfig,
     ValidationError,
-    _reflector,
     as_matrix,
     as_scalar,
     bilinear,
@@ -113,7 +113,6 @@ class LevelRecord:
     branch: str
     value: complex | None = None
     ete: complex | None = None
-    alpha: float | None = None
     det_d: complex | None = None
     x_strategy: str | None = None
 
@@ -123,12 +122,13 @@ class LevelPlan:
     """One level, decided but not yet assembled.
 
     The level's factor is V = solve(A^T, B^T).  ``b`` is B with its leading
-    (m-1)x(m-1) block left zero for the transposed factor of ``sub``, the
-    next block; ``sub`` is None when this level ends the chain.  ``sound``
-    is False only for a bordered transform that scored ill-conditioned: some
-    coupling blocks (a cross coupling with vanishing diagonal that is small
-    but not negligible, say) admit no well-conditioned transform at all, and
-    another eigenvalue candidate is then preferable.
+    r x r block left zero for the transposed factor of ``sub``, the next
+    block (r x r); ``sub`` is None when this level ends the chain.
+    ``sound`` is False only for a bordered transform that scored
+    ill-conditioned: some coupling blocks (a cross coupling with vanishing
+    diagonal that is small but not negligible, say) admit no
+    well-conditioned transform at all, and another eigenvalue candidate is
+    then preferable.
     """
 
     record: LevelRecord
@@ -260,60 +260,69 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None, de
     return best  # nonzero coupling: keep the best-conditioned draw
 
 
-def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig):
+def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray):
     """Isotropic eigenvector for pair.value when its eigenspace has one.
 
     A multi-dimensional eigenspace always contains isotropic directions
     (any nonzero quadratic form on C^k, k >= 2, has nontrivial zeros); one is
-    extracted from the numerical null space of C - value*I.  Returns an
-    upgraded EigenPair or None.
+    taken from ``basis``, the numerical eigenspace that came with the pair.
+    Returns an upgraded EigenPair or None.
     """
-    scale = frobenius(c)
-    m = c - pair.value * np.eye(c.shape[0], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
-    theta = max(1e-11 * scale, 10.0 * pair.residual)
-    k = int(np.sum(s <= theta))
-    if k < 2:
+    if basis.shape[1] < 2:
         return None
-    q = vh[c.shape[0] - k :, :].conj().T
-    z = _isotropic_in_subspace(q.T @ q)
+    z = _isotropic_in_subspace(basis.T @ basis)
     if z is None:
         return None
-    v = eigen._phase_canonical(q @ z / np.linalg.norm(q @ z))
+    v = eigen._phase_canonical(basis @ z / np.linalg.norm(basis @ z))
     lam = complex(np.vdot(v, c @ v))
     res = float(np.linalg.norm(c @ v - lam * v))
-    if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(bilinear(v, v)) <= 1e-12:
+    if res <= max(1e-10 * frobenius(c), 10.0 * pair.residual) and abs(bilinear(v, v)) <= 1e-12:
         return eigen.EigenPair(value=lam, vector=v, residual=res)
     return None
+
+
+def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: ToleranceConfig) -> LevelPlan:
+    """One unitary split A = [R | N] off the numerical null space N of C.
+
+    C N = 0 gives w^T C N = 0 for every w, so A^T C A = blockdiag(R^T C R, 0)
+    with R completing N unitarily; the level drops only C N, whose singular
+    values lie under the eigenspace cut.  A null space of two or more
+    dimensions holds isotropic directions; a lone null vector with e^T e != 0
+    is recorded as CaseI.
+    """
+    m, k = null.shape
+    r = np.linalg.qr(null, mode="complete")[0][:, k:]
+    ct = r.T @ c @ r
+    ete = complex(np.dot(pair.vector, pair.vector))
+    branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
+    record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete)
+    return LevelPlan(record, np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first.  A candidate is
-    taken when it gives an exact route: a null vector (unitary split), an
-    isotropic vector whose plan is sound, or a safely non-isotropic vector.
-    Candidates in the ill-conditioned gaps are deferred; nearly nilpotent
-    blocks always hold a clean candidate further down the list.  A pair
-    taken directly from LAPACK belongs to a simple eigenvalue; as C is
-    symmetric, e^T is also its left eigenvector, so e^T e != 0 and the
-    one-dimensional eigenspace holds no isotropic direction to upgrade to.
+    taken when it gives an exact route: the null space (one unitary split),
+    an isotropic vector whose plan is sound, or a safely non-isotropic
+    vector.  Candidates in the ill-conditioned gaps are deferred; nearly
+    nilpotent blocks always hold a clean candidate further down the list.  A
+    pair taken directly from LAPACK (no ``basis``) belongs to a simple
+    eigenvalue; as C is symmetric, e^T is also its left eigenvector, so
+    e^T e != 0 and the one-dimensional eigenspace holds no isotropic
+    direction to upgrade to.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
     scale = frobenius(c)
-    for pair, direct in eigen._candidate_pairs(c, cfg):
-        ete = abs(bilinear(pair.vector, pair.vector))
+    for pair, basis in eigen._candidate_pairs(c, cfg):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
-            # null vector: the unitary split takes any e^T e, but an isotropic
-            # representative (when the null space holds one) keeps the branch exact
-            if ete > cfg.iso_tol:
-                pair = _isotropic_upgrade(c, pair, cfg) or pair
-            return _plan(c, pair, cfg, depth)
+            return _null_split(c, pair, basis, cfg)
+        ete = abs(bilinear(pair.vector, pair.vector))
         if ete <= cfg.iso_tol:
             iso = pair
         else:
-            iso = None if direct else _isotropic_upgrade(c, pair, cfg)
+            iso = None if basis is None else _isotropic_upgrade(c, pair, basis)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
             plan = None if in_gap else _plan(c, iso, cfg, depth)
@@ -331,7 +340,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> LevelP
         return plan if plan is not None else _plan(c, iso, cfg, depth)
     if fallback_ete is not None:
         return _plan(c, fallback_ete, cfg, depth)
-    raise eigen.ConvergenceError("inverse iteration stagnated for every eigenvalue candidate")
+    raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
 def _isotropic_in_subspace(s: np.ndarray):
@@ -368,12 +377,6 @@ def _isotropic_in_subspace(s: np.ndarray):
     return None
 
 
-def dispatch_case(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None) -> str:
-    """Branch the factorization takes for the given eigenpair of C."""
-    c = as_matrix(c, square=True, name="C")
-    return _plan(c, pair, cfg or ToleranceConfig(), 0).record.branch
-
-
 def reduce_case_i(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
     """Congruence data for the non-isotropic branch.
 
@@ -399,7 +402,7 @@ def reduce_case_i(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
 def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
     """Congruence data for the isotropic branch.
 
-    Returns (A', C', c_tilde_prime, alpha) where A' = [basis of the joint
+    Returns (A', C', c_tilde_prime) where A' = [basis of the joint
     complement of {e, conj(e)} | conj(e) | e] is unitary, C' = A'^T C A' has
     its last row and column zero except the antidiagonal corner entries
     lambda*alpha, and c_tilde_prime is the leading symmetric block.
@@ -416,8 +419,7 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     c_prime = 0.5 * (c_prime + c_prime.T)
     m = c.shape[0]
     ct_prime = c_prime[: m - 1, : m - 1].copy()
-    alpha = float(np.vdot(e, e).real)
-    return a_prime, c_prime, ct_prime, alpha
+    return a_prime, c_prime, ct_prime
 
 
 def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int) -> LevelPlan:
@@ -428,25 +430,14 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int
     """
     m = c.shape[0]
     b = np.zeros((m, m), dtype=np.complex128)
-    e = pair.vector
-    ete = complex(np.dot(e, e))
-    if abs(pair.value) <= _LAMBDA_ZERO_CUT * frobenius(c):
-        # null vector: the blocking identity w^T C e = lambda w^T e holds for
-        # every w, so the unitary basis [sesquilinear complement | e] works
-        # regardless of e^T e and keeps the transform perfectly conditioned
-        w = _reflector(e)[:, 1:]
-        ct = w.T @ c @ w
-        b[m - 1, m - 1] = principal_sqrt(complex(e @ (c @ e)))
-        branch = BRANCH_CASE_II_LAMBDA_ZERO if abs(ete) <= cfg.iso_tol else BRANCH_CASE_I
-        record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete, alpha=float(np.vdot(e, e).real))
-        return LevelPlan(record, np.hstack([w, e.reshape(-1, 1)]), 0.5 * (ct + ct.T), b)
+    ete = complex(np.dot(pair.vector, pair.vector))
     if abs(ete) > cfg.iso_tol:
         a, ct, mu = reduce_case_i(c, pair, cfg)
         b[m - 1, m - 1] = principal_sqrt(mu)
         return LevelPlan(LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete), a, ct, b)
-    a_prime, c_prime, ct_prime, _ = reduce_case_ii(c, pair, cfg)
+    a_prime, c_prime, ct_prime = reduce_case_ii(c, pair, cfg)
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
-    iso = dict(dim=m, value=la, ete=0.0, alpha=1.0)
+    iso = dict(dim=m, value=la, ete=0.0)
     if abs(la) <= _LAMBDA_ZERO_CUT * frobenius(c):
         return LevelPlan(LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso), a_prime, ct_prime, b)
     chosen = choose_x(ct_prime, la, cfg, depth)
@@ -512,7 +503,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         block, depth = plan.sub, depth + 1
     for a, b, norm in reversed(steps):
         if v is not None:
-            b[:-1, :-1] = v.T
+            b[: len(v), : len(v)] = v.T
         v = solve_linear(a.T, b.T) * np.sqrt(norm)
     check = verify_factorization(c, v, cfg)
     return FactorizationResult(

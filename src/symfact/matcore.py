@@ -1,11 +1,10 @@
 """Dense complex linear-algebra substrate.
 
-Everything else in the package is built on the operations here: the two
-inner products (bilinear u^T v and sesquilinear w2^* w1), reflector-based
-complement bases, linear solves and determinants (LAPACK through numpy, with
-a conditioning check that keeps singular systems a typed error), the guarded
-LU of inverse iteration, and the principal complex square root.  All public
-entry points validate shapes and reject non-finite input.
+Everything else in the package is built on the operations here: the
+bilinear product u^T v, reflector-based complement bases, linear solves
+(LAPACK through numpy, with a conditioning check that keeps singular systems
+a typed error), and the principal complex square root.  All public entry
+points validate shapes and reject non-finite input.
 """
 
 from __future__ import annotations
@@ -94,15 +93,6 @@ def bilinear(u, v) -> complex:
     return complex(np.dot(u, v))
 
 
-def sesquilinear(w1, w2) -> complex:
-    """Euclidean inner product (w1, w2) = w2^* w1, conjugate-linear in w2."""
-    w1 = as_vector(w1, "w1")
-    w2 = as_vector(w2, "w2")
-    if w1.shape != w2.shape:
-        raise ValidationError(f"dimension mismatch: {w1.shape[0]} vs {w2.shape[0]}")
-    return complex(np.vdot(w2, w1))
-
-
 def principal_sqrt(z) -> complex:
     """Square root w of z with Re(w) >= 0; on the imaginary axis Im(w) >= 0."""
     value = as_scalar(z, "z")
@@ -165,41 +155,6 @@ def complement_basis_within(e, iso_tol: float = 1e-8) -> np.ndarray:
     return basis
 
 
-def _lu(a: np.ndarray):
-    """Row-pivoted LU that replaces tiny pivots by tiny nonzero ones, so a
-    shift at (or next to) an eigenvalue stays solvable for inverse iteration."""
-    lu = np.array(a, dtype=np.complex128)
-    m = lu.shape[0]
-    order = np.arange(m)
-    scale = float(np.max(np.abs(lu))) if lu.size else 0.0
-    tiny = m * _EPS * max(scale, np.finfo(np.float64).tiny)
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            order[[k, p]] = order[[p, k]]
-        piv = lu[k, k]
-        if abs(piv) <= tiny:
-            piv = tiny if piv == 0.0 else piv / abs(piv) * tiny
-            lu[k, k] = piv
-        if k + 1 < m:
-            lu[k + 1 :, k] /= piv
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, order
-
-
-def _lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.array(b[order], dtype=np.complex128)
-    m = lu.shape[0]
-    for k in range(m - 1):
-        y[k + 1 :] -= np.multiply.outer(lu[k + 1 :, k], y[k])
-    for k in range(m - 1, -1, -1):
-        if k + 1 < m:
-            y[k] -= lu[k, k + 1 :] @ y[k + 1 :]
-        y[k] /= lu[k, k]
-    return y
-
-
 def solve_linear(a, b) -> np.ndarray:
     """Solve A X = B by LAPACK's pivoted LU; X is never formed from an inverse.
 
@@ -223,13 +178,3 @@ def solve_linear(a, b) -> np.ndarray:
     if not cond * m * _EPS < 1.0:  # also catches an inf or nan inverse
         raise SingularMatrixError(f"matrix is singular to working precision (condition {cond:.3g})")
     return x[:, 0] if vector_rhs else x[:, :k]
-
-
-def determinant(a) -> complex:
-    """Determinant by LAPACK's LU; exact for triangular input."""
-    a = as_matrix(a, square=True, name="A")
-    lower = np.tril(a, -1)
-    upper = np.triu(a, 1)
-    if not lower.any() or not upper.any():
-        return complex(np.prod(np.diag(a)))
-    return complex(np.linalg.det(a))

@@ -10,10 +10,8 @@ from symfact.matcore import (
     bilinear,
     complement_basis,
     complement_basis_within,
-    determinant,
     frobenius,
     principal_sqrt,
-    sesquilinear,
     solve_linear,
 )
 
@@ -32,29 +30,13 @@ def test_bilinear_symmetric_property():
         assert bilinear(u, v) == pytest.approx(bilinear(v, u))
 
 
-def test_sesquilinear_examples():
-    assert sesquilinear([1, 1j], [1, 1j]) == pytest.approx(2)
-    assert sesquilinear([1, 0], [0, 1]) == 0
-    assert sesquilinear([1j, 0], [1, 0]) == pytest.approx(1j)
-
-
-def test_sesquilinear_conjugate_symmetry():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert sesquilinear(u, v) == pytest.approx(np.conj(sesquilinear(v, u)))
-
-
 def test_inner_products_reject_mismatch_and_nonfinite():
     with pytest.raises(ValidationError):
         bilinear([1, 2], [1, 2, 3])
     with pytest.raises(ValidationError):
-        sesquilinear([1, 2], [1, 2, 3])
-    with pytest.raises(ValidationError):
         bilinear([np.nan, 0], [1, 0])
     with pytest.raises(ValidationError):
-        sesquilinear([1, 0], [np.inf, 0])
+        bilinear([1, 0], [np.inf, 0])
 
 
 def test_complement_basis_axis():
@@ -89,7 +71,7 @@ def test_complement_basis_properties_random():
         assert np.allclose(w.conj().T @ w, np.eye(n - 1), atol=1e-13)
         assert np.max(np.abs(e @ w)) <= 1e-12 * np.linalg.norm(e)
         full = np.hstack([w, (e / np.linalg.norm(e)).reshape(-1, 1)])
-        assert abs(determinant(full)) > 1e-6
+        assert abs(np.linalg.det(full)) > 1e-6
 
 
 def test_complement_basis_rejects_zero():
@@ -153,33 +135,6 @@ def test_solve_linear_rejects_rank_deficient_with_rounding_noise():
     u = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     with pytest.raises(SingularMatrixError):
         solve_linear(u @ u.T, np.ones(6))
-
-
-def test_determinant_examples():
-    assert determinant(np.eye(3)) == pytest.approx(1)
-    assert determinant([[1, 2], [3, 4]]) == pytest.approx(-2)
-    assert determinant([[0, 1], [1, 0]]) == pytest.approx(-1)
-
-
-def test_determinant_exact_for_triangular():
-    t = np.array([[2.0, 5.0, 1.0], [0.0, 3.0, 7.0], [0.0, 0.0, 0.25]])
-    assert determinant(t) == 2.0 * 3.0 * 0.25  # exact product of the diagonal
-    assert determinant(t.T) == 2.0 * 3.0 * 0.25
-
-
-def test_determinant_product_rule():
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = determinant(a @ b)
-        rhs = determinant(a) * determinant(b)
-        assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
-
-
-def test_determinant_rejects_non_square():
-    with pytest.raises(ValidationError):
-        determinant(np.ones((2, 3)))
 
 
 def test_principal_sqrt_branch():
