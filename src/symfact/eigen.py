@@ -1,11 +1,13 @@
 """Dense complex eigensolver.
 
 Spectra and eigenvectors come from LAPACK (``np.linalg.eigvals`` and
-``np.linalg.eig``).  Eigenpairs are picked from one ``np.linalg.eig`` call:
-a simple eigenvalue away from zero takes LAPACK's eigenvector as it is; a
-near-zero or clustered one takes one SVD (of A, or of A - lambda*I), whose
-smallest right singular vectors give both the eigenvector and an
-orthonormal basis of the whole numerical eigenspace or null space.
+``np.linalg.eig``).  Eigenpair candidates are picked from a spectrum: one
+``np.linalg.eig`` call, or the eigenpairs that a complex-orthogonal
+factorization level carried down from the block above.  A simple eigenvalue
+away from zero takes its eigenvector as it is; a near-zero or clustered one
+takes one SVD (of A, or of A - lambda*I), whose smallest right singular
+vectors give both the eigenvector and an orthonormal basis of the whole
+numerical eigenspace or null space.
 On top of that: assembly of a complete biorthonormal eigensystem
 {psi, phi} with Phi^* Psi = I for diagonalizable operators.
 """
@@ -32,6 +34,10 @@ _NEAR_ZERO = 1e-6
 #: a candidate is simple when every other eigenvalue lies farther than this
 #: multiple of |A|_F; only then is LAPACK's eigenvector taken as it is
 _SIMPLE_GAP = 1e-6
+#: singular values at most this multiple of |A|_F span the numerical
+#: eigenspace (or null space); ``factor`` also treats a whole block this small,
+#: relative to the input, as zero
+_EIGENSPACE_CUT = 1e-11
 
 
 class ConvergenceError(RuntimeError):
@@ -113,46 +119,56 @@ def _rayleigh_pair(a: np.ndarray, v: np.ndarray) -> EigenPair:
     return EigenPair(value=lam, vector=_phase_canonical(v), residual=float(np.linalg.norm(av - lam * v)))
 
 
-def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig):
-    """Yield (pair, basis) for each distinct eigenvalue candidate.
+def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None):
+    """Yield (pair, basis, rest) for each distinct eigenvalue candidate.
 
-    The candidates come from one ``np.linalg.eig`` call, deduplicated at
-    1e-12*|A|_F and ordered largest modulus first (ties by the position in
-    the (real, imag) sort).  A simple candidate away from zero yields
-    LAPACK's eigenvector with its Rayleigh quotient and ``basis`` None, when
-    the residual meets eig_tol*|A|_F.  Every other candidate takes one SVD,
-    of A itself when the candidate is near zero and of A - cand*I otherwise.
-    Its pair is the smallest right singular vector with its Rayleigh
-    quotient, and ``basis`` (orthonormal columns) holds the right singular
-    vectors whose singular value is at most max(1e-11*|A|_F, 10*residual):
-    the numerical eigenspace, or null space.  A pair whose residual misses
-    eig_tol*|A|_F is skipped.  Pairs are computed only as the caller asks
-    for them.
+    The candidates are the eigenvalues of ``spectrum`` = (vals, vecs), the
+    eigenpairs of A carried down from the level above, or else of one
+    ``np.linalg.eig`` call; they are deduplicated at 1e-12*|A|_F and ordered
+    largest modulus first (ties by the position in the (real, imag) sort).
+    A simple candidate away from zero yields its eigenvector with its
+    Rayleigh quotient, ``basis`` None and ``rest`` the other eigenpairs
+    (vals, vecs), when the residual meets eig_tol*|A|_F.  When a carried
+    vector misses, the carried spectrum has drifted: the walk stops, and the
+    caller takes a fresh one.  Every other candidate takes one SVD, of A
+    itself when the candidate is near zero and of A - cand*I otherwise.  Its
+    pair is the smallest right singular vector with its Rayleigh quotient,
+    ``basis`` (orthonormal columns) holds the right singular vectors whose
+    singular value is at most max(_EIGENSPACE_CUT*|A|_F, 10*residual): the
+    numerical eigenspace, or null space; ``rest`` is None.  A pair whose
+    residual misses eig_tol*|A|_F is skipped.  Pairs are computed only as
+    the caller asks for them.
     """
     scale = frobenius(a)
     n = a.shape[0]
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
-    vals, vecs = vals[order], vecs[:, order]
+    carried = spectrum is not None
+    if carried:  # already in candidate order: a level removes one entry and rescales
+        vals, vecs = spectrum
+    else:
+        try:
+            vals, vecs = np.linalg.eig(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+        order = np.lexsort((vals.imag, vals.real))
+        order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
+        vals, vecs = vals[order], vecs[:, order]
     dist = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(dist, np.inf)
     simple = dist.min(axis=1) > _SIMPLE_GAP * scale
-    earlier = np.triu(dist <= 1e-12 * scale)  # earlier[j, i]: j < i lies within the dedupe cut
-    keep = np.ones(vals.size, dtype=bool)
-    for i in np.flatnonzero(earlier.any(axis=0)):
-        keep[i] = not np.any(earlier[:i, i] & keep[:i])
+    keep = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(~simple):  # an earlier kept one within 1e-12*|A|_F absorbs it
+        keep[i] = not np.any((dist[:i, i] <= 1e-12 * scale) & keep[:i])
     for i in np.flatnonzero(keep):
         cand = complex(vals[i])
         near_zero = abs(cand) <= _NEAR_ZERO * scale
         if simple[i] and not near_zero:
             pair = _rayleigh_pair(a, vecs[:, i] / np.linalg.norm(vecs[:, i]))
             if pair.residual <= cfg.eig_tol * scale:
-                yield pair, None
+                others = np.arange(n) != i
+                yield pair, None, (vals[others], vecs[:, others])
                 continue
+            if carried:
+                return
         shifted = a if near_zero else a - cand * np.eye(n, dtype=np.complex128)
         try:
             _, sv, vh = np.linalg.svd(shifted)
@@ -162,8 +178,8 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig):
         if pair.residual <= cfg.eig_tol * scale:
             # the smallest direction always belongs, also when the residual is
             # far below its singular value
-            k = max(1, int(np.sum(sv <= max(1e-11 * scale, 10.0 * pair.residual))))
-            yield pair, vh[n - k :].conj().T
+            k = max(1, int(np.sum(sv <= max(_EIGENSPACE_CUT * scale, 10.0 * pair.residual))))
+            yield pair, vh[n - k :].conj().T, None
 
 
 def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
@@ -177,7 +193,7 @@ def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
     cfg = cfg or ToleranceConfig()
     if frobenius(a) == 0.0:
         raise ValidationError("eigenpair requires a nonzero matrix")
-    for pair, _ in _candidate_pairs(a, cfg):
+    for pair, _, _ in _candidate_pairs(a, cfg):
         return pair
     raise ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 

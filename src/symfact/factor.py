@@ -4,8 +4,12 @@ The construction is an induction on the dimension.  Each level takes one
 eigenpair (lambda, e) of the current symmetric block C and branches on
 whether e is isotropic (e^T e = 0, possible only over the complex field):
 
-* ``CaseI``               non-isotropic e: congruence by [complement | e]
-                          splits off a 1x1 corner, recurse on the rest.
+* ``CaseI``               non-isotropic e: a congruence that maps e to the
+                          last axis splits off a 1x1 corner, recurse on the
+                          rest.  The congruence is a complex-orthogonal
+                          reflector when e came straight from a spectrum
+                          (also a similarity, so the other eigenpairs carry
+                          down), else the unitary [complement | e].
 * ``CaseII_LambdaZero``   lambda = 0: the null space leaves in one unitary
                           split (a lone null vector with e^T e != 0 is
                           recorded as ``CaseI``).
@@ -18,12 +22,14 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
                           factored in closed form.
 * ``Base`` / ``ZeroMatrix`` terminate the recursion.
 
-``_plan`` is the one place where a level's branch is decided.  It returns
-the level's congruence A, the next block, and the part of B (with
-B^T B = A^T C A) known at this level.  ``factor_symmetric`` walks the
-blocks down in a loop, keeping each level's A and B, then assembles
-V = solve(A^T, B^T) bottom-up, so the Python stack does not grow with the
-dimension.
+``_first_sound_plan`` is the one place where a level's branch is decided.
+Its plan holds the level's congruence A, the next block, and the part of B
+(with B^T B = A^T C A) known at this level.  ``factor_symmetric`` walks the
+blocks down in a loop, keeping each level's plan, then assembles
+V = A^-T B^T bottom-up, so the Python stack does not grow with the
+dimension.  A reflector level has A^-T = A and assembles by one rank-1
+update; the other levels solve with A^T.  A chain of reflector levels runs on
+the one eigendecomposition taken at its top.
 
 Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
 """
@@ -118,24 +124,47 @@ class LevelRecord:
 
 
 @dataclass(frozen=True)
+class Reflector:
+    """Complex-orthogonal Q = P H, held in factored form.
+
+    H = I - beta u u^T with beta = 2/(u^T u) has H = H^T = H^-1, and P swaps
+    coordinate ``perm[-1]`` with the last one, so Q^T Q = I: Q is a
+    congruence and a similarity at once, and Q^-T = Q.
+    """
+
+    perm: np.ndarray
+    u: np.ndarray
+    beta: complex
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Q x, by one rank-1 update and a row swap."""
+        return (x - self.beta * np.outer(self.u, self.u @ x))[self.perm]
+
+
+@dataclass(frozen=True)
 class LevelPlan:
     """One level, decided but not yet assembled.
 
-    The level's factor is V = solve(A^T, B^T).  ``b`` is B with its leading
-    r x r block left zero for the transposed factor of ``sub``, the next
-    block (r x r); ``sub`` is None when this level ends the chain.
-    ``sound`` is False only for a bordered transform that scored
-    ill-conditioned: some coupling blocks (a cross coupling with vanishing
-    diagonal that is small but not negligible, say) admit no
-    well-conditioned transform at all, and another eigenvalue candidate is
-    then preferable.
+    The level's factor is V = A^-T B^T: a ``Reflector`` A (a CaseI level on
+    an eigenpair taken straight from a spectrum) has A^-T = A, so V = A B^T;
+    any other congruence A solves with A^T.  ``b`` is B with its leading r x r block
+    left zero for the transposed factor of ``sub``, the next block (r x r);
+    ``sub`` is None when this level ends the chain.  ``spectrum`` holds the
+    eigenpairs (vals, vecs) of ``sub`` that a reflector level carries down,
+    in the units of this level's block; it is None when the next level takes
+    a fresh eigendecomposition.  ``sound`` is False only for a bordered
+    transform that scored ill-conditioned: some coupling blocks (a cross
+    coupling with vanishing diagonal that is small but not negligible, say)
+    admit no well-conditioned transform at all, and another eigenvalue
+    candidate is then preferable.
     """
 
     record: LevelRecord
-    a: np.ndarray
+    a: np.ndarray | Reflector
     sub: np.ndarray | None
     b: np.ndarray
     sound: bool = True
+    spectrum: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -299,26 +328,72 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
     return LevelPlan(record, np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
 
 
-def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> LevelPlan:
+def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple) -> LevelPlan:
+    """CaseI level by a complex-orthogonal reflector, for a simple eigenpair.
+
+    f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1) gives
+    H f = s*e_j with H = I - beta u u^T; after P swaps j with the last
+    coordinate, Q = P H maps the last axis to s*f and Q^T C Q =
+    blockdiag(C~, mu).  Q^T = Q^-1, so the other eigenpairs (vals, vecs) of C
+    carry down to C~ as (vals, (Q^T v)[:-1]), and the next level needs no
+    eigendecomposition of its own.  Each coordinate j takes the sign with
+    Re(s f_j) <= 0, as a Householder vector does: then |u_j| = |f_j - s| >= 1
+    never cancels (a coordinate eigenvector would give u = 0 with the other
+    sign), and j maximises |u_j|, so |beta| = 2/|u^T u| = 1/|u_j| <= 1 is
+    as small as it gets.
+    """
+    m = c.shape[0]
+    ete = complex(np.dot(pair.vector, pair.vector))
+    f = pair.vector / principal_sqrt(ete)
+    signs = np.where(f.real < 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(f - signs)))
+    perm = np.arange(m)
+    perm[j], perm[-1] = m - 1, j
+    u = f[perm]
+    u[-1] -= signs[j]
+    beta = 2.0 / complex(u @ u)
+    # H C_p H = C_p - (u z^T + z u^T), C_p = P^T C P, by one rank-2 update
+    cp = c[perm][:, perm]
+    w = cp @ u
+    z = beta * w - (0.5 * beta * beta * complex(u @ w)) * u
+    sub = cp[:-1, :-1] - (np.outer(u[:-1], z[:-1]) + np.outer(z[:-1], u[:-1]))
+    mu = complex(cp[-1, -1] - 2.0 * u[-1] * z[-1])
+    vals, vecs = rest
+    carried = vecs[perm]
+    carried -= beta * np.outer(u, u @ carried)
+    # B's last row also carries the rounding-level coupling g = (Q^T C Q)[:-1, -1]
+    # as g/sqrt(mu): then B^T B leaves out only g g^T/mu, not g
+    b = np.zeros((m, m), dtype=np.complex128)
+    b[m - 1, m - 1] = root = principal_sqrt(mu)
+    b[m - 1, :-1] = (cp[:-1, -1] - (u[:-1] * z[-1] + z[:-1] * u[-1])) / root
+    record = LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete)
+    return LevelPlan(record, Reflector(perm, u, beta), sub, b, spectrum=(vals, carried[:-1]))
+
+
+def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
-    Walks the eigenvalue candidates largest modulus first.  A candidate is
-    taken when it gives an exact route: the null space (one unitary split),
-    an isotropic vector whose plan is sound, or a safely non-isotropic
-    vector.  Candidates in the ill-conditioned gaps are deferred; nearly
-    nilpotent blocks always hold a clean candidate further down the list.  A
-    pair taken directly from LAPACK (no ``basis``) belongs to a simple
-    eigenvalue; as C is symmetric, e^T is also its left eigenvector, so
-    e^T e != 0 and the one-dimensional eigenspace holds no isotropic
-    direction to upgrade to.
+    Walks the eigenvalue candidates largest modulus first, from ``spectrum``
+    (eigenpairs carried down by a reflector level) or a fresh
+    eigendecomposition.  A candidate is taken when it gives an exact route:
+    the null space (one unitary split), an isotropic vector whose plan is
+    sound, or a safely non-isotropic vector.  Candidates in the
+    ill-conditioned gaps are deferred; nearly nilpotent blocks always hold a
+    clean candidate further down the list.  A pair taken directly from the
+    spectrum (no ``basis``) belongs to a simple eigenvalue; as C is
+    symmetric, e^T is also its left eigenvector, so e^T e != 0 and the
+    one-dimensional eigenspace holds no isotropic direction to upgrade to.
+    Such a pair, safely non-isotropic, takes a reflector level.  When the
+    carried spectrum gives no plan in the walk, the walk starts again on a
+    fresh eigendecomposition.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
     scale = frobenius(c)
-    for pair, basis in eigen._candidate_pairs(c, cfg):
+    for pair, basis, rest in eigen._candidate_pairs(c, cfg, spectrum):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
             return _null_split(c, pair, basis, cfg)
-        ete = abs(bilinear(pair.vector, pair.vector))
+        ete = abs(complex(np.dot(pair.vector, pair.vector)))
         if ete <= cfg.iso_tol:
             iso = pair
         else:
@@ -332,9 +407,11 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int) -> LevelP
                 fallback_iso = (iso, plan)
             continue
         if ete >= _ETE_DANGER:
-            return _plan(c, pair, cfg, depth)
+            return _plan(c, pair, cfg, depth) if rest is None else _reflector_plan(c, pair, rest)
         if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
             fallback_ete = pair
+    if spectrum is not None:
+        return _first_sound_plan(c, cfg, depth)
     if fallback_iso is not None:
         iso, plan = fallback_iso
         return plan if plan is not None else _plan(c, iso, cfg, depth)
@@ -472,12 +549,16 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     c = 0.5 * (c + c.T)
     levels: list = []
     steps: list = []  # (A, B, |block|_F) of each planned level, top down
-    block, depth = c, 0
+    block, depth, spectrum = c, 0, None
     units = 1.0  # the working block is the input's sub-block divided by this
     while True:
         m = block.shape[0]
         norm = frobenius(block)
-        if norm == 0.0:
+        # a block at the eigenspace cut of the input is rounding noise (the
+        # remainder of a rank-deficient input once its range has left): at
+        # unit norm it would have no null space, and would be walked down one
+        # level per dimension
+        if norm * units <= eigen._EIGENSPACE_CUT * norm_c:
             levels.append(LevelRecord(dim=m, branch=BRANCH_ZERO_MATRIX))
             v = np.zeros((m, m), dtype=np.complex128)
             break
@@ -494,17 +575,19 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         # eigenspace and change the levels below
         block = block / norm
         units *= norm
-        plan = _first_sound_plan(block, cfg, depth)
+        if spectrum is not None:
+            spectrum = (spectrum[0] / norm, spectrum[1])
+        plan = _first_sound_plan(block, cfg, depth, spectrum)
         levels.append(replace(plan.record, value=plan.record.value * units))
         steps.append((plan.a, plan.b, norm))
         if plan.sub is None:
             v = None
             break
-        block, depth = plan.sub, depth + 1
+        block, depth, spectrum = plan.sub, depth + 1, plan.spectrum
     for a, b, norm in reversed(steps):
         if v is not None:
             b[: len(v), : len(v)] = v.T
-        v = solve_linear(a.T, b.T) * np.sqrt(norm)
+        v = (a.apply(b.T) if isinstance(a, Reflector) else solve_linear(a.T, b.T)) * np.sqrt(norm)
     check = verify_factorization(c, v, cfg)
     return FactorizationResult(
         V=v,

@@ -94,8 +94,11 @@ def test_factor_singular_assembly_is_a_numeric_failure(tmp_path, capsys, monkeyp
     def singular(a, b):
         raise SingularMatrixError("matrix is singular to working precision (zero pivot)")
 
+    # the first level is a bordered transform, which assembles by a solve
+    # (a reflector level assembles by a product and never reaches one)
+    c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=463, kind="IsotropicLambdaNonzero"))
+    assert factor.factor_symmetric(c).trace.branches()[0] == factor.BRANCH_CASE_II_GENERAL
     monkeypatch.setattr(factor, "solve_linear", singular)
-    c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=0, kind="DenseSymmetric"))
     path = tmp_path / "c.mat"
     path.write_text(format_matrix(c), encoding="utf-8")
     code = main(["factor", str(path)])

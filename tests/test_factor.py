@@ -1,6 +1,8 @@
 """Unit tests for the V V^T factorization."""
 
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -531,3 +533,99 @@ def test_ldlt_agreement_when_it_succeeds():
             continue
         assert verify_factorization(c, alt, CFG).passed
         assert verify_factorization(c, factor_symmetric(c).V, CFG).passed
+
+
+@pytest.mark.parametrize("n", [10, 64])
+def test_a_dense_factorization_takes_one_eigendecomposition(monkeypatch, n):
+    # every level is a reflector level, which carries the spectrum down
+    eigs = _count_calls(monkeypatch, np.linalg, "eig")
+    c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=1, kind="DenseSymmetric"))
+    r = factor_symmetric(c, CFG)
+    assert r.relative_residual <= 1e-13
+    assert r.trace.branches() == [BRANCH_CASE_I] * (n - 1) + ["Base"]
+    assert len(eigs) == 1
+
+
+def test_reflector_level_is_a_similarity_and_a_congruence():
+    from symfact.factor import _reflector_plan
+
+    c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=3, kind="DenseSymmetric"))
+    c = c / frobenius(c)
+    pair, basis, rest = next(factor.eigen._candidate_pairs(c, CFG))
+    assert basis is None
+    plan = _reflector_plan(c, pair, rest)
+    q = plan.a.apply(np.eye(6, dtype=complex))
+    assert frobenius(q.T @ q - np.eye(6)) <= 1e-14
+    qcq = q.T @ c @ q
+    assert frobenius(qcq[:-1, :-1] - plan.sub) <= 1e-14
+    assert frobenius(qcq[:-1, -1]) <= 1e-14
+    vals, vecs = plan.spectrum
+    assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(plan.sub)), atol=1e-13)
+    assert frobenius(plan.sub @ vecs - vecs * vals) <= 1e-13 * frobenius(vecs)
+    b = plan.b.copy()
+    b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
+    v = plan.a.apply(b.T)  # V = Q B^T, no solve
+    assert frobenius(c - v @ v.T) <= 1e-14
+
+
+def test_rank_deficient_noise_tail_is_one_zero_matrix_level():
+    for seed in range(3600, 3612):
+        c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=seed, kind="RankDeficient"))
+        rank = np.linalg.matrix_rank(c, tol=1e-10 * frobenius(c))
+        r = factor_symmetric(c, CFG)
+        assert r.trace.branches() == [BRANCH_CASE_I] * rank + ["ZeroMatrix"]
+        assert r.relative_residual <= 1e-13
+
+
+def test_drifted_carried_spectrum_reanchors(monkeypatch):
+    # carried eigenvectors perturbed far beyond eig_tol: every level below a
+    # reflector level misses, takes a fresh eigendecomposition, and the
+    # factorization takes the same branches within verify_tol
+    c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=2, kind="DenseSymmetric"))
+    clean = factor_symmetric(c, CFG)
+    inner = factor._reflector_plan
+    rng = np.random.default_rng(0)
+
+    def drifted(block, pair, rest):
+        plan = inner(block, pair, rest)
+        vals, vecs = plan.spectrum
+        noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
+        return replace(plan, spectrum=(vals, vecs + 1e-6 * noise))
+
+    monkeypatch.setattr(factor, "_reflector_plan", drifted)
+    eigs = _count_calls(monkeypatch, np.linalg, "eig")
+    r = factor_symmetric(c, CFG)
+    assert len(eigs) == 9  # one per level of dimension >= 2
+    assert r.trace.branches() == clean.trace.branches()
+    assert r.relative_residual <= CFG.verify_tol
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        np.diag([2.0, 3.0]),
+        np.diag([3.0, -1.0, 2.0j, 0.5]),
+        np.diag([1.0, 2.0, 3.0])[::-1, ::-1],
+        np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    ],
+)
+def test_coordinate_eigenvectors_factor_without_warnings(c):
+    # u = f - s*e_j vanishes for a coordinate eigenvector f = e_j and the
+    # wrong sign; the reflector never takes that sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = factor_symmetric(c, CFG)
+    assert r.relative_residual <= 1e-15
+    assert set(r.trace.branches()) <= {BRANCH_CASE_I, "Base"}
+
+
+@pytest.mark.parametrize(
+    "kind, bound",
+    [("DenseSymmetric", 1e-13), ("RankDeficient", 1e-13), ("IsotropicLambdaZero", 1e-13),
+     ("IsotropicLambdaNonzero", 1e-10)],
+)
+def test_residual_stays_bounded_as_n_grows(kind, bound):
+    for n in (16, 32, 64):
+        for seed in range(4):
+            c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind=kind))
+            assert factor_symmetric(c, CFG).relative_residual <= bound, (n, seed)
