@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import BiorthonormalSystem, EigenLevel, biorthonormal_system
+from .eigen import BiorthonormalSystem, EigenLevel, _lapack, _phase_canonical_columns
 from .factor import factor_symmetric
 from .matcore import (
     ToleranceConfig,
@@ -115,7 +115,8 @@ def check_commutes(h, op, tol: float = 1e-8) -> float:
 
 
 def _condition(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
+    with _lapack("singular value decomposition"):
+        s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0.0:
         return np.inf
     return float(s[0] / s[-1])
@@ -136,7 +137,8 @@ def check_pseudo_hermitian(h, g, kind: str = "antilinear", tol: float = 1e-12) -
         raise ValidationError("G and H must have matching dimensions")
     if kind not in ("linear", "antilinear"):
         raise ValidationError(f"kind must be 'linear' or 'antilinear', got {kind!r}")
-    s = np.linalg.svd(g, compute_uv=False)
+    with _lapack("singular value decomposition"):
+        s = np.linalg.svd(g, compute_uv=False)
     if s[-1] <= tol * s[0]:
         raise ValidationError("G is singular to working precision")
     denom = max(frobenius(h) * frobenius(g), np.finfo(np.float64).tiny)
@@ -297,19 +299,17 @@ def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None,
                             herm_tol: float = 1e-10) -> AntilinearOp:
     """Canonical antilinear symmetry M = Psi Psi^T of a self-adjoint operator.
 
-    With an orthonormal eigenbasis Psi the operator is Hermitian, commutes
-    with H, satisfies the pseudo-Hermiticity identity, and squares to the
-    identity.
+    Psi is the unitary eigenvector matrix of ``np.linalg.eigh`` on the
+    symmetrized H, each column's phase fixed (largest-modulus entry real
+    positive).  With an orthonormal eigenbasis the operator is Hermitian,
+    commutes with H, satisfies the pseudo-Hermiticity identity, and squares
+    to the identity.  ``cfg`` is accepted for a uniform call signature.
     """
     h = as_matrix(h, square=True, name="H")
-    cfg = cfg or ToleranceConfig()
     scale = max(frobenius(h), np.finfo(np.float64).tiny)
     if frobenius(h - h.conj().T) > herm_tol * scale:
         raise ValidationError("H is not self-adjoint within tolerance")
-    h = 0.5 * (h + h.conj().T)
-    system = biorthonormal_system(h, cfg)
-    n = system.dim
-    m = np.zeros((n, n), dtype=np.complex128)
-    for lv in system.levels:
-        m += lv.psi @ lv.psi.T
-    return AntilinearOp(matrix=m)
+    with _lapack("eigenvalue iteration"):
+        _, psi = np.linalg.eigh(0.5 * (h + h.conj().T))
+    _phase_canonical_columns(psi)
+    return AntilinearOp(matrix=psi @ psi.T)

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,36 @@ def _tokens(line: str):
         col += len(tok)
 
 
+def _row_floats(line: str, cols: int) -> list:
+    """Interleaved re, im floats of one data row; ValueError if it is malformed.
+
+    Every token gives two or more floats, so with ``cols`` tokens exactly
+    2*cols floats means every token was "re" or "re,im".
+    """
+    toks = line.split()
+    vals = [float(x) for tok in toks for x in (tok.split(",") if "," in tok else (tok, "0"))]
+    if len(toks) != cols or len(vals) != 2 * cols:
+        raise ValueError("malformed row")
+    return vals
+
+
+def _row_error(line: str, lineno: int, cols: int) -> ParseError:
+    """The error of a row that ``_row_floats`` rejected: its first bad token
+    with its column, else its entry count."""
+    count = 0
+    for tok, col in _tokens(line):
+        parts = tok.split(",")
+        try:
+            if len(parts) > 2:
+                raise ValueError(tok)
+            for part in parts:
+                float(part)
+        except ValueError:
+            return ParseError(f"bad token {tok!r}", lineno, col)
+        count += 1
+    return ParseError(f"expected {cols} entries in row, found {count}", lineno, 1)
+
+
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the matrix text format; raises ParseError with line/column info."""
     rows = cols = None
@@ -74,35 +105,29 @@ def parse_matrix(text: str) -> np.ndarray:
             continue
         if len(data) == rows:
             raise ParseError(f"expected {rows} data rows, found more", lineno, 1)
-        entries = []
-        for tok, col in _tokens(line):
-            parts = tok.split(",")
-            if len(parts) not in (1, 2):
-                raise ParseError(f"bad token {tok!r}", lineno, col)
-            try:
-                re = float(parts[0])
-                im = float(parts[1]) if len(parts) == 2 else 0.0
-            except ValueError:
-                raise ParseError(f"bad token {tok!r}", lineno, col) from None
-            entries.append(complex(re, im))
-        if len(entries) != cols:
-            raise ParseError(f"expected {cols} entries in row, found {len(entries)}", lineno, 1)
-        data.append(entries)
+        try:
+            data.append(_row_floats(line, cols))
+        except ValueError:
+            raise _row_error(line, lineno, cols) from None
         data_lines += 1
     if data_lines == 0:
         raise ParseError("empty file (no header)", 1, 1)
     if len(data) != rows:
         raise ParseError(f"expected {rows} data rows, found {len(data)}", last_line, 1)
-    return np.array(data, dtype=np.complex128)
+    return np.array(data, dtype=np.float64).view(np.complex128)
+
+
+def _interleaved(mat) -> tuple:
+    """(re, im, re, im, ...) of a complex matrix, row by row, as Python floats."""
+    return tuple(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).ravel().tolist())
 
 
 def format_matrix(mat: np.ndarray) -> str:
     """Emit a matrix in the same text format (always re,im tokens)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-    lines = [f"{mat.shape[0]} {mat.shape[1]}"]
-    for row in mat:
-        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = mat.shape
+    row = " ".join(["%.17g,%.17g"] * cols)
+    return ("\n".join([f"{rows} {cols}"] + [row] * rows) + "\n") % _interleaved(mat)
 
 
 def _json_scalar(value) -> str:
@@ -115,8 +140,14 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
+class _RawJson(str):
+    """JSON text rendered ahead; ``_dump_json`` emits it as it is."""
+
+
 def _dump_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    if isinstance(obj, _RawJson):
+        return obj
     if isinstance(obj, dict):
         items = sorted(obj.items())
         return "{" + ",".join(f"{json.dumps(str(k))}:{_dump_json(v)}" for k, v in items) + "}"
@@ -130,8 +161,16 @@ def _cnum(z) -> list:
     return [z.real, z.imag]
 
 
-def _cmatrix(mat) -> list:
-    return [[_cnum(z) for z in row] for row in np.atleast_2d(mat)]
+def _cmatrix(mat) -> _RawJson:
+    """A complex matrix as rows of [re, im] pairs, rendered by one template;
+    non-finite entries are quoted strings, as ``_json_scalar`` writes them."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
+    rows, cols = mat.shape
+    row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
+    text = ("[" + ",".join([row] * rows) + "]") % _interleaved(mat)
+    if not np.isfinite(mat).all():
+        text = re.sub(r"-?inf|nan", r'"\g<0>"', text)
+    return _RawJson(text)
 
 
 def _sha256_file(path: str) -> str:
@@ -251,21 +290,21 @@ def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
     digest = _sha256_file(path)
     try:
         h = _load(path)
-        values = eigen.eigenvalues(h, cfg)
+        try:
+            system = eigen.biorthonormal_system(h, cfg)
+        except eigen.DefectiveOperatorError:
+            system = None
+            values = eigen.eigenvalues(h, cfg)
     except (ParseError, ValidationError) as exc:
         return _error_report("analyze", digest, cfg, exc), EXIT_INPUT_ERROR
     except eigen.ConvergenceError as exc:
         return _error_report("analyze", digest, cfg, exc), EXIT_NUMERIC_FAILURE
     payload: dict = {"dim": int(h.shape[0])}
-    try:
-        system = eigen.biorthonormal_system(h, cfg)
-    except eigen.DefectiveOperatorError:
-        system = None
     payload["diagonalizable"] = system is not None
     if system is None:
         clustered = eigen._cluster(values, 1e-8 * max(1.0, float(np.linalg.norm(h))))
         payload["eigenvalues"] = [
-            {"value": _cnum(v), "multiplicity": m} for v, m in clustered
+            {"value": _cnum(v), "multiplicity": len(members)} for v, members in clustered
         ]
         report = {
             "command": "analyze",
@@ -312,6 +351,7 @@ def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
         else:
             system = eigen.biorthonormal_system(h, cfg)
             op = antisym.build_T(system, antisym.CoefficientSet.identity_for(system))
+        pseudo_hermiticity = antisym.check_pseudo_hermitian(h, op, kind="antilinear")
     except (ParseError, ValidationError, eigen.DefectiveOperatorError) as exc:
         return _error_report("canonical", digest, cfg, exc), EXIT_INPUT_ERROR
     except eigen.ConvergenceError as exc:
@@ -321,7 +361,7 @@ def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
     payload = {
         "dim": int(h.shape[0]),
         "M": _cmatrix(m),
-        "pseudo_hermiticity_residual": antisym.check_pseudo_hermitian(h, op, kind="antilinear"),
+        "pseudo_hermiticity_residual": pseudo_hermiticity,
         "hermiticity_residual": float(np.linalg.norm(m - m.T)) / scale,
     }
     if args.selfadjoint:

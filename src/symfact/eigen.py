@@ -9,11 +9,14 @@ takes one SVD (of A, or of A - lambda*I), whose smallest right singular
 vectors give both the eigenvector and an orthonormal basis of the whole
 numerical eigenspace or null space.
 On top of that: assembly of a complete biorthonormal eigensystem
-{psi, phi} with Phi^* Psi = I for diagonalizable operators.
+{psi, phi} with Phi^* Psi = I for diagonalizable operators, from one
+``np.linalg.eig`` call; only a repeated eigenvalue takes an SVD of its own.
+LAPACK's non-convergence is a ConvergenceError throughout.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,15 @@ class ConvergenceError(RuntimeError):
 
 class DefectiveOperatorError(ValueError):
     """The operator is not diagonalizable to working precision."""
+
+
+@contextmanager
+def _lapack(what: str):
+    """Re-raise LAPACK's non-convergence (LinAlgError) as a ConvergenceError."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{what} did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,13 @@ def _phase_canonical(v: np.ndarray) -> np.ndarray:
     return v * (abs(a) / a)
 
 
+def _phase_canonical_columns(m: np.ndarray) -> np.ndarray:
+    """``_phase_canonical`` of every (nonzero) column of m, in place."""
+    peak = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    m *= np.abs(peak) / peak
+    return m
+
+
 def _rng(seed: int, *streams: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) & 0xFFFFFFFF for s in streams]))
 
@@ -105,10 +124,8 @@ def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     ConvergenceError.
     """
     a = as_matrix(a, square=True, name="A")
-    try:
+    with _lapack("eigenvalue iteration"):
         vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
@@ -119,7 +136,7 @@ def _rayleigh_pair(a: np.ndarray, v: np.ndarray) -> EigenPair:
     return EigenPair(value=lam, vector=_phase_canonical(v), residual=float(np.linalg.norm(av - lam * v)))
 
 
-def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None):
+def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None):
     """Yield (pair, basis, rest) for each distinct eigenvalue candidate.
 
     The candidates are the eigenvalues of ``spectrum`` = (vals, vecs), the
@@ -137,18 +154,16 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None):
     singular value is at most max(_EIGENSPACE_CUT*|A|_F, 10*residual): the
     numerical eigenspace, or null space; ``rest`` is None.  A pair whose
     residual misses eig_tol*|A|_F is skipped.  Pairs are computed only as
-    the caller asks for them.
+    the caller asks for them.  ``scale`` is |A|_F when the caller has it.
     """
-    scale = frobenius(a)
+    scale = frobenius(a) if scale is None else scale
     n = a.shape[0]
     carried = spectrum is not None
     if carried:  # already in candidate order: a level removes one entry and rescales
         vals, vecs = spectrum
     else:
-        try:
+        with _lapack("eigenvalue iteration"):
             vals, vecs = np.linalg.eig(a)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
         order = np.lexsort((vals.imag, vals.real))
         order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
         vals, vecs = vals[order], vecs[:, order]
@@ -170,10 +185,8 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None):
             if carried:
                 return
         shifted = a if near_zero else a - cand * np.eye(n, dtype=np.complex128)
-        try:
+        with _lapack("singular value decomposition"):
             _, sv, vh = np.linalg.svd(shifted)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
         pair = _rayleigh_pair(a, vh[-1].conj())
         if pair.residual <= cfg.eig_tol * scale:
             # the smallest direction always belongs, also when the residual is
@@ -191,15 +204,20 @@ def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
     """
     a = as_matrix(a, square=True, name="A")
     cfg = cfg or ToleranceConfig()
-    if frobenius(a) == 0.0:
+    scale = frobenius(a)
+    if scale == 0.0:
         raise ValidationError("eigenpair requires a nonzero matrix")
-    for pair, _, _ in _candidate_pairs(a, cfg):
+    for pair, _, _ in _candidate_pairs(a, cfg, scale=scale):
         return pair
     raise ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
 def _cluster(values, eps: float):
-    """Group eigenvalues closer than eps into levels (connected components)."""
+    """Group eigenvalues closer than eps into levels (connected components).
+
+    Returns (mean, members) per level, sorted by the mean's (real, imag);
+    ``members`` are indices into ``values``, ascending.
+    """
     n = len(values)
     parent = list(range(n))
 
@@ -209,17 +227,16 @@ def _cluster(values, eps: float):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= eps:
-                parent[find(i)] = find(j)
+    vals = np.asarray(values, dtype=np.complex128)
+    for i, j in zip(*np.nonzero(np.triu(np.abs(vals[:, None] - vals[None, :]) <= eps, 1))):
+        parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     levels = []
     for members in groups.values():
         mean = sum(values[i] for i in members) / len(members)
-        levels.append((complex(mean), len(members)))
+        levels.append((complex(mean), members))
     levels.sort(key=lambda t: (t[0].real, t[0].imag))
     return levels
 
@@ -227,37 +244,49 @@ def _cluster(values, eps: float):
 def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> BiorthonormalSystem:
     """Complete biorthonormal eigensystem of a diagonalizable operator.
 
-    Eigenvalues are clustered into distinct levels; each level's psi block is
-    an orthonormal null-space basis of (H - E I).  The dual blocks are the
-    columns of (Psi^{-1})^*, so Phi^* Psi = I holds globally.  Raises
-    DefectiveOperatorError when some eigenspace is smaller than the
-    eigenvalue's multiplicity or the eigenvector matrix is too ill-conditioned.
+    One ``np.linalg.eig`` call gives the spectrum and the eigenvectors; its
+    eigenvalues closer than 1e-8*|H|_F are clustered into distinct levels.  A
+    level of multiplicity 1 takes its unit eigenvector from that call.  A
+    repeated level takes one SVD of (H - E I): its psi block is an
+    orthonormal basis of the null space, and the level is defective when
+    fewer singular values than the multiplicity lie under 1e-8*|H|_F.  Every
+    psi column has its phase fixed (largest-modulus entry real positive).
+    The dual blocks are the columns of (Psi^{-1})^*, so Phi^* Psi = I holds
+    globally.  Raises DefectiveOperatorError when some eigenspace is smaller
+    than the eigenvalue's multiplicity, the eigenvector matrix is too
+    ill-conditioned or fails to reproduce the action of H, and
+    ConvergenceError when a LAPACK iteration does not converge.
     """
     h = as_matrix(h, square=True, name="H")
     cfg = cfg or ToleranceConfig()
     n = h.shape[0]
     norm_h = frobenius(h)
-    vals = eigenvalues(h, cfg)
-    eps_cluster = 1e-8 * norm_h
-    levels_meta = _cluster(vals, eps_cluster)
+    with _lapack("eigenvalue iteration"):
+        vals, vecs = np.linalg.eig(h)
+    levels_meta = _cluster(vals, 1e-8 * norm_h)
     theta = 1e-8 * max(norm_h, np.finfo(np.float64).tiny)
-    psi_blocks = []
-    for value, mult in levels_meta:
-        m = h - value * np.eye(n, dtype=np.complex128)
-        _, s, vh = np.linalg.svd(m)
-        null_dim = int(np.sum(s <= theta))
-        if null_dim < mult:
-            raise DefectiveOperatorError(
-                f"eigenvalue {value:.6g} has multiplicity {mult} but eigenspace dimension {null_dim}"
-            )
-        block = vh[n - mult :, :].conj().T[:, ::-1]  # smallest singular directions first
-        block = np.column_stack([_phase_canonical(block[:, j]) for j in range(mult)])
-        psi_blocks.append(block)
-    psi = np.hstack(psi_blocks)
-    cond = float(np.linalg.cond(psi))
+    psi = vecs[:, [i for _, members in levels_meta for i in members]]
+    psi /= np.linalg.norm(psi, axis=0)
+    col = 0
+    for value, members in levels_meta:
+        mult = len(members)
+        if mult > 1:
+            with _lapack("singular value decomposition"):
+                _, s, vh = np.linalg.svd(h - value * np.eye(n, dtype=np.complex128))
+            null_dim = int(np.sum(s <= theta))
+            if null_dim < mult:
+                raise DefectiveOperatorError(
+                    f"eigenvalue {value:.6g} has multiplicity {mult} but eigenspace dimension {null_dim}"
+                )
+            # smallest singular directions first
+            psi[:, col : col + mult] = vh[n - mult :, :].conj().T[:, ::-1]
+        col += mult
+    _phase_canonical_columns(psi)
+    with _lapack("singular value decomposition"):
+        cond = float(np.linalg.cond(psi))
     if not np.isfinite(cond) or cond > 1e8:
         raise DefectiveOperatorError(f"eigenvector matrix condition {cond:.3g} exceeds 1e8")
-    diag = np.concatenate([[value] * mult for value, mult in levels_meta])
+    diag = np.concatenate([[value] * len(members) for value, members in levels_meta])
     if frobenius(h @ psi - psi * diag) > 1e-8 * max(norm_h, np.finfo(np.float64).tiny):
         raise DefectiveOperatorError("assembled eigenvectors do not reproduce the operator action")
     try:
@@ -266,7 +295,8 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
         raise DefectiveOperatorError("eigenvector matrix is numerically singular") from exc
     levels = []
     col = 0
-    for value, mult in levels_meta:
+    for value, members in levels_meta:
+        mult = len(members)
         levels.append(
             EigenLevel(
                 value=value,

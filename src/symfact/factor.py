@@ -370,7 +370,8 @@ def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple) -> LevelP
     return LevelPlan(record, Reflector(perm, u, beta), sub, b, spectrum=(vals, carried[:-1]))
 
 
-def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None) -> LevelPlan:
+def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None,
+                      scale: float | None = None) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first, from ``spectrum``
@@ -385,12 +386,12 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
     one-dimensional eigenspace holds no isotropic direction to upgrade to.
     Such a pair, safely non-isotropic, takes a reflector level.  When the
     carried spectrum gives no plan in the walk, the walk starts again on a
-    fresh eigendecomposition.
+    fresh eigendecomposition.  ``scale`` is |C|_F when the caller has it.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
-    scale = frobenius(c)
-    for pair, basis, rest in eigen._candidate_pairs(c, cfg, spectrum):
+    scale = frobenius(c) if scale is None else scale
+    for pair, basis, rest in eigen._candidate_pairs(c, cfg, spectrum, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
             return _null_split(c, pair, basis, cfg)
         ete = abs(complex(np.dot(pair.vector, pair.vector)))
@@ -411,7 +412,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
         if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
             fallback_ete = pair
     if spectrum is not None:
-        return _first_sound_plan(c, cfg, depth)
+        return _first_sound_plan(c, cfg, depth, scale=scale)
     if fallback_iso is not None:
         iso, plan = fallback_iso
         return plan if plan is not None else _plan(c, iso, cfg, depth)
@@ -577,7 +578,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         units *= norm
         if spectrum is not None:
             spectrum = (spectrum[0] / norm, spectrum[1])
-        plan = _first_sound_plan(block, cfg, depth, spectrum)
+        plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block))
         levels.append(replace(plan.record, value=plan.record.value * units))
         steps.append((plan.a, plan.b, norm))
         if plan.sub is None:

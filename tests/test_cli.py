@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from symfact import factor, oracle
+from symfact import cli, factor, oracle
 from symfact.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERIC_FAILURE,
@@ -275,3 +275,152 @@ def test_oracle_flag(tmp_path, capsys):
     main(["factor", anti, "--oracle"])
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["oracle"]["breakdown"] is True
+
+
+# ---------------------------------------------------------------- text and JSON I/O, byte for byte
+
+def _reference_float(x: float) -> str:
+    """One float as the report writes it, entry by entry: 17 significant
+    digits, non-finite values as quoted strings."""
+    if x != x or x in (float("inf"), float("-inf")):
+        return json.dumps(str(x))
+    return f"{x:.17g}"
+
+
+def _reference_json(obj) -> str:
+    """Per-entry deterministic JSON renderer (sorted keys, 17-digit floats)."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_reference_json(v)}" for k, v in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_json(v) for v in obj) + "]"
+    if isinstance(obj, float):
+        return _reference_float(obj)
+    return json.dumps(obj)
+
+
+def _reference_pairs(mat) -> list:
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in np.atleast_2d(mat)]
+
+
+def _reference_matrix_text(mat) -> str:
+    """Per-entry writer of the matrix text format."""
+    lines = [f"{mat.shape[0]} {mat.shape[1]}"]
+    for row in mat:
+        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+            0.1, 1.0 / 3.0, -1e22, 1e16, 1e17, 123456789.125, float("inf"), float("-inf"), float("nan")]
+
+
+def _io_matrices():
+    rng = np.random.default_rng(71)
+    yield rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    yield np.exp(rng.uniform(-700, 700, (6, 6))) * rng.choice([-1.0, 1.0], (6, 6)) + 0j
+    # raw bit patterns: normals, subnormals, infinities and NaNs of any sign
+    yield rng.integers(0, 2**64, size=(8, 16), dtype=np.uint64).view(np.complex128)
+    special = np.zeros((len(_SPECIAL), len(_SPECIAL)), dtype=np.complex128)
+    special.real = np.array(_SPECIAL)[:, None]
+    special.imag = np.array(_SPECIAL)[None, ::-1]
+    yield special
+    yield np.array([[1.5]])
+
+
+def test_format_matrix_matches_per_entry_reference():
+    for mat in _io_matrices():
+        assert format_matrix(mat) == _reference_matrix_text(mat)
+
+
+def test_report_matrices_match_per_entry_reference():
+    for mat in _io_matrices():
+        got = cli._dump_json({"M": cli._cmatrix(mat), "x": [1.0, None]})
+        assert got == _reference_json({"M": _reference_pairs(mat), "x": [1.0, None]})
+    assert cli._dump_json(cli._cmatrix(np.array([[np.nan, -np.inf + 1j]]))) == \
+        '[[["nan",0],["-inf",1]]]'
+
+
+def test_factor_report_matches_per_entry_reference(tmp_path, capsys):
+    c = oracle.gen(oracle.GeneratorSpec(dim=7, seed=5, kind="DenseSymmetric"))
+    path = tmp_path / "c.mat"
+    path.write_text(_reference_matrix_text(c), encoding="utf-8")
+    assert main(["factor", str(path), "--oracle"]) == EXIT_PASS
+    out = capsys.readouterr().out
+    v = factor.factor_symmetric(parse_matrix(path.read_text(encoding="utf-8"))).V
+    assert '"V":' + _reference_json(_reference_pairs(v)) + "," in out
+    # 17 significant digits round-trip, so re-rendering the parsed report
+    # entry by entry must reproduce it exactly
+    assert out == _reference_json(json.loads(out)) + "\n"
+
+
+def _reference_parse(text: str) -> np.ndarray:
+    """Per-entry parse of well-formed matrix text."""
+    lines = [ln.split("#", 1)[0].split() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    out = []
+    for toks in lines[1:]:
+        row = []
+        for tok in toks:
+            parts = tok.split(",")
+            row.append(complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0))
+        out.append(row)
+    return np.array(out, dtype=np.complex128)
+
+
+def test_parse_matrix_matches_per_entry_reference():
+    for mat in _io_matrices():
+        text = format_matrix(mat)
+        got, ref = parse_matrix(text), _reference_parse(text)
+        assert got.dtype == np.complex128 and got.shape == mat.shape
+        # bit for bit, including the sign of zero and NaN payloads
+        assert got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+    text = "# mixed tokens\n2 3\n1 -0 2.5e-3,-1\n-inf,nan 0,-0.0 7 # tail\n"
+    assert parse_matrix(text).tobytes() == _reference_parse(text).tobytes()
+
+
+@pytest.mark.parametrize(
+    "row, column, message",
+    [
+        ("1,2,3", 1, "bad token '1,2,3'"),
+        ("2 1,2,3", 3, "bad token '1,2,3'"),
+        ("1, 2", 1, "bad token '1,'"),
+        ("2 ,1", 3, "bad token ',1'"),
+        ("1 x", 3, "bad token 'x'"),
+        ("1 2 x", 5, "bad token 'x'"),  # a bad token is reported before the count
+        ("  7  1,2,3 x", 4, "bad token '1,2,3'"),  # columns of the stripped line
+        ("1", 1, "expected 2 entries in row, found 1"),
+        ("1 2 3", 1, "expected 2 entries in row, found 3"),
+    ],
+)
+def test_parse_matrix_row_errors_keep_line_and_column(row, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_matrix("# comment\n1 2\n" + row + "\n")
+    assert (err.value.line, err.value.column) == (3, column)
+    assert str(err.value) == f"3:{column}: {message}"
+
+
+# ---------------------------------------------------------------- LAPACK failures are typed
+
+@pytest.mark.parametrize(
+    "patched, argv, text",
+    [
+        ("eig", ["analyze"], "2 2\n1 0\n0 2\n"),
+        ("eig", ["canonical"], "2 2\n1 0\n0 2\n"),
+        ("svd", ["analyze"], "3 3\n1 0 0\n0 1 0\n0 0 2\n"),  # the repeated level's SVD
+        ("svd", ["canonical"], "3 3\n1 0 0\n0 1 0\n0 0 2\n"),
+        ("svd", ["canonical"], "2 2\n1 0\n0 2\n"),  # coefficient and pseudo-Hermiticity checks
+        ("eigh", ["canonical", "--selfadjoint"], "2 2\n1 0\n0 2\n"),
+        ("svd", ["canonical", "--selfadjoint"], "2 2\n1 0\n0 2\n"),
+    ],
+)
+def test_lapack_failure_is_a_numeric_failure_report(tmp_path, capsys, monkeypatch, patched, argv, text):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{patched} did not converge")
+
+    monkeypatch.setattr(np.linalg, patched, fail)
+    path = _write(tmp_path, "h.mat", text)
+    code = main(argv + [path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NUMERIC_FAILURE
+    assert report["status"] == "error"
+    assert report["result"]["error"] == "ConvergenceError"

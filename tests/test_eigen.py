@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from symfact.cli import EXIT_NUMERIC_FAILURE, main
+from symfact import oracle
+from symfact.cli import EXIT_NUMERIC_FAILURE, format_matrix, main
 from symfact.eigen import (
     ConvergenceError,
     DefectiveOperatorError,
+    _phase_canonical,
     biorthonormal_system,
     eigenpair,
     eigenvalues,
@@ -175,6 +177,9 @@ def test_lapack_non_convergence_is_a_convergence_error(tmp_path, monkeypatch, ca
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(ConvergenceError):
         eigenvalues(np.eye(3))
+    # analyze takes its spectrum from the eigensystem's one eig call, and
+    # calls eigvals only for a defective operator
+    monkeypatch.setattr(np.linalg, "eig", fail)
     path = tmp_path / "h.mat"
     path.write_text("2 2\n1 0\n0 2\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == EXIT_NUMERIC_FAILURE
@@ -192,3 +197,113 @@ def test_eigenvector_non_convergence_is_a_convergence_error(tmp_path, monkeypatc
     path.write_text("2 2\n1 0,5\n0,5 2\n", encoding="utf-8")
     assert main(["factor", str(path)]) == EXIT_NUMERIC_FAILURE
     assert json.loads(capsys.readouterr().out)["result"]["error"] == "ConvergenceError"
+
+
+# ---------------------------------------------------------------- eigensystem paths
+
+def _count_lapack(monkeypatch):
+    """Count np.linalg calls by name; an SVD counts only when it returns
+    singular vectors (cond(Psi) and the invertibility checks take values only)."""
+    counts = {"eig": 0, "eigvals": 0, "eigh": 0, "svd": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            if _name != "svd" or kwargs.get("compute_uv", True):
+                counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def _write_matrix(tmp_path, name, h):
+    path = tmp_path / name
+    path.write_text(format_matrix(h), encoding="utf-8")
+    return str(path)
+
+
+def test_simple_spectrum_takes_one_eig_and_no_eigenvector_svd(tmp_path, monkeypatch, capsys):
+    h = oracle.gen(oracle.GeneratorSpec(dim=6, seed=3, kind="PairedSpectrum"))
+    path = _write_matrix(tmp_path, "h.mat", h)
+    counts = _count_lapack(monkeypatch)
+    system = biorthonormal_system(h)
+    assert [lv.multiplicity for lv in system.levels] == [1] * 6
+    assert counts == {"eig": 1, "eigvals": 0, "eigh": 0, "svd": 0}
+    for argv in (["analyze", path], ["canonical", path]):
+        for name in counts:
+            counts[name] = 0
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert counts == {"eig": 1, "eigvals": 0, "eigh": 0, "svd": 0}, argv
+
+
+def test_simple_levels_take_the_phase_fixed_lapack_eigenvector():
+    h = oracle.gen(oracle.GeneratorSpec(dim=6, seed=3, kind="PairedSpectrum"))
+    vals, vecs = np.linalg.eig(h)
+    for lv in biorthonormal_system(h).levels:
+        i = int(np.argmin(np.abs(vals - lv.value)))
+        assert lv.value == vals[i]
+        expected = _phase_canonical(vecs[:, i] / np.linalg.norm(vecs[:, i]))
+        assert np.allclose(lv.psi[:, 0], expected, rtol=0.0, atol=1e-15)
+        k = int(np.argmax(np.abs(lv.psi[:, 0])))
+        assert lv.psi[k, 0].imag == 0.0 and lv.psi[k, 0].real > 0.0
+
+
+def _check_system(h, system):
+    n = h.shape[0]
+    psi, phi, d = system.psi_matrix(), system.phi_matrix(), system.eigenvalue_matrix()
+    assert frobenius(phi.conj().T @ psi - np.eye(n)) <= 1e-10
+    assert frobenius(h @ psi - psi @ d) <= 1e-10 * frobenius(h)
+    for lv in system.levels:  # every repeated level's block is orthonormal
+        assert frobenius(lv.psi.conj().T @ lv.psi - np.eye(lv.multiplicity)) <= 1e-12
+
+
+def test_repeated_levels_take_one_svd_each(tmp_path, monkeypatch, capsys):
+    h_diag = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    h_paired = oracle.gen(oracle.GeneratorSpec(dim=6, seed=0, kind="PairedSpectrum"))
+    counts = _count_lapack(monkeypatch)
+    system = biorthonormal_system(h_diag)
+    assert [(lv.value, lv.multiplicity) for lv in system.levels] == [(1.0, 2), (2.0, 1)]
+    assert counts["eig"] == 1 and counts["svd"] == 1
+    _check_system(h_diag, system)
+    counts["eig"] = counts["svd"] = 0
+    system = biorthonormal_system(h_paired)
+    repeated = [lv for lv in system.levels if lv.multiplicity > 1]
+    assert len(repeated) == 1 and repeated[0].multiplicity == 2 and abs(repeated[0].value.imag) < 1e-12
+    assert counts["eig"] == 1 and counts["svd"] == 1
+    _check_system(h_paired, system)
+    path = _write_matrix(tmp_path, "h.mat", h_paired)
+    assert main(["analyze", path]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["diagonalizable"] and result["pairing"]["paired"]
+    assert sorted(e["multiplicity"] for e in result["eigenvalues"]) == [1, 1, 1, 1, 2]
+
+
+def test_jordan_blocks_stay_defective(tmp_path, capsys):
+    for h in ([[0, 1], [0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 2]], [[0, 1], [1e-20, 0]]):
+        with pytest.raises(DefectiveOperatorError):
+            biorthonormal_system(np.array(h, dtype=complex))
+    path = _write_matrix(tmp_path, "j.mat", np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=complex))
+    assert main(["analyze", path]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["diagonalizable"] is False
+    assert result["eigenvalues"] == [{"multiplicity": 2, "value": [1, 0]}, {"multiplicity": 1, "value": [2, 0]}]
+
+
+def test_canonical_selfadjoint_is_an_involution_to_rounding(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(27)
+    q, _ = np.linalg.qr(_random_complex(rng, 3))
+    inputs = [q @ np.diag([1.0, 1.0, 2.0]) @ q.conj().T]
+    inputs += [oracle.gen(oracle.GeneratorSpec(dim=n, seed=s, kind="HermitianDense"))
+               for n in (16, 32) for s in range(3)]
+    counts = _count_lapack(monkeypatch)
+    for k, h in enumerate(inputs):
+        path = _write_matrix(tmp_path, f"h{k}.mat", h)
+        counts["eig"] = counts["eigh"] = 0
+        assert main(["canonical", "--selfadjoint", path]) == 0
+        assert (counts["eig"], counts["eigh"]) == (0, 1)
+        result = json.loads(capsys.readouterr().out)["result"]
+        # |M conj(M) - I|_F per unit of |I|_F = sqrt(n), as the benchmark checks it
+        assert result["involution_residual"] / np.sqrt(h.shape[0]) <= 1e-14, (k, result["involution_residual"])
+        assert result["hermiticity_residual"] <= 1e-14
