@@ -180,6 +180,17 @@ def build_T(system: BiorthonormalSystem, coeffs: CoefficientSet) -> AntilinearOp
     return AntilinearOp(matrix=m)
 
 
+def canonical_T(system: BiorthonormalSystem) -> AntilinearOp:
+    """The operator of identity coefficient blocks, M = Phi Phi^T.
+
+    This is ``build_T`` with ``CoefficientSet.identity_for(system)``, as one
+    product over all levels and without validating blocks that are known
+    to be symmetric and invertible.
+    """
+    phi = system.phi_matrix()
+    return AntilinearOp(matrix=phi @ phi.T)
+
+
 def transform_basis(system: BiorthonormalSystem, v_set) -> BiorthonormalSystem:
     """Change basis per level: Phi_n -> Phi_n v^(n), Psi_n -> Psi_n (v^(n))^{-*}."""
     v_set = [as_matrix(v, square=True, name="v block") for v in v_set]
@@ -232,8 +243,7 @@ def canonicalize(system: BiorthonormalSystem, coeffs: CoefficientSet,
             raise ValidationError("factor of an invertible coefficient block came out singular")
         v_set.append(v)
     new_system = transform_basis(system, v_set)
-    op = build_T(new_system, CoefficientSet.identity_for(new_system))
-    return new_system, op
+    return new_system, canonical_T(new_system)
 
 
 def spectrum_pairing(levels, tol: float = 1e-8):

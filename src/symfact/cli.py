@@ -131,8 +131,14 @@ def format_matrix(mat: np.ndarray) -> str:
 
 
 def _json_scalar(value) -> str:
-    if isinstance(value, bool) or value is None or isinstance(value, int):
-        return json.dumps(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             return json.dumps(str(value))
@@ -145,12 +151,15 @@ class _RawJson(str):
 
 
 def _dump_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    Keys are written between quotes as they are: every report key is one of
+    this module's plain ASCII names, which JSON needs no escape for.
+    """
     if isinstance(obj, _RawJson):
         return obj
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_dump_json(v)}" for k, v in items) + "}"
+        return "{" + ",".join(f'"{k}":{_dump_json(v)}' for k, v in sorted(obj.items())) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_dump_json(v) for v in obj) + "]"
     return _json_scalar(obj)
@@ -171,11 +180,6 @@ def _cmatrix(mat) -> _RawJson:
     if not np.isfinite(mat).all():
         text = re.sub(r"-?inf|nan", r'"\g<0>"', text)
     return _RawJson(text)
-
-
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _config_dict(cfg: ToleranceConfig) -> dict:
@@ -200,16 +204,26 @@ def _trace_dict(trace: factor.RecursionTrace) -> list:
     return out
 
 
-def _load(path: str) -> np.ndarray:
+def _read(path: str) -> tuple[str, bytes]:
+    """SHA-256 hex digest and bytes of an input file, read once; OSError if
+    it cannot be read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return hashlib.sha256(data).hexdigest(), data
+
+
+def _parse(path: str, data: bytes) -> np.ndarray:
+    """The matrix in an input file's bytes; ParseError, naming the file, if
+    they are not UTF-8 text in the matrix format."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", 1, 1) from None
-    try:
-        return parse_matrix(text)
+        return parse_matrix(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        message = f"{line}:{column}: not UTF-8 text ({exc.reason})"
     except ParseError as exc:
-        raise ParseError(f"{path}:{exc.args[0]}", exc.line, exc.column) from None
+        line, column, message = exc.line, exc.column, exc.args[0]
+    raise ParseError(f"{path}:{message}", line, column)
 
 
 def _error_report(command: str, digests, cfg: ToleranceConfig, exc: Exception) -> dict:
@@ -223,11 +237,12 @@ def _error_report(command: str, digests, cfg: ToleranceConfig, exc: Exception) -
 
 
 def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
-    digest = _sha256_file(path)
+    digest = None
     try:
-        c = _load(path)
+        digest, data = _read(path)
+        c = _parse(path, data)
         result = factor.factor_symmetric(c, cfg)
-    except (ParseError, ValidationError, factor.NotSymmetricError) as exc:
+    except (OSError, ParseError, ValidationError, factor.NotSymmetricError) as exc:
         return _error_report("factor", digest, cfg, exc), EXIT_INPUT_ERROR
     except (eigen.ConvergenceError, SingularMatrixError) as exc:
         return _error_report("factor", digest, cfg, exc), EXIT_NUMERIC_FAILURE
@@ -252,8 +267,11 @@ def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
                 "agreement": bool(alt_check.passed),
             }
     if args.out_v:
-        with open(args.out_v, "w", encoding="utf-8") as fh:
-            fh.write(format_matrix(result.V))
+        try:
+            with open(args.out_v, "w", encoding="utf-8") as fh:
+                fh.write(format_matrix(result.V))
+        except OSError as exc:
+            return _error_report("factor", digest, cfg, exc), EXIT_INPUT_ERROR
     report = {
         "command": "factor",
         "input_sha256": digest,
@@ -265,12 +283,12 @@ def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
 
 
 def _cmd_verify(path_c: str, path_v: str, cfg: ToleranceConfig) -> tuple[dict, int]:
-    digests = {"C": _sha256_file(path_c), "V": _sha256_file(path_v)}
+    digests = {"C": None, "V": None}
     try:
-        c = _load(path_c)
-        v = _load(path_v)
-        check = factor.verify_factorization(c, v, cfg)
-    except (ParseError, ValidationError) as exc:
+        digests["C"], data_c = _read(path_c)
+        digests["V"], data_v = _read(path_v)
+        check = factor.verify_factorization(_parse(path_c, data_c), _parse(path_v, data_v), cfg)
+    except (OSError, ParseError, ValidationError) as exc:
         return _error_report("verify", digests, cfg, exc), EXIT_INPUT_ERROR
     report = {
         "command": "verify",
@@ -287,15 +305,16 @@ def _cmd_verify(path_c: str, path_v: str, cfg: ToleranceConfig) -> tuple[dict, i
 
 
 def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
-    digest = _sha256_file(path)
+    digest = None
     try:
-        h = _load(path)
+        digest, data = _read(path)
+        h = _parse(path, data)
         try:
             system = eigen.biorthonormal_system(h, cfg)
         except eigen.DefectiveOperatorError:
             system = None
             values = eigen.eigenvalues(h, cfg)
-    except (ParseError, ValidationError) as exc:
+    except (OSError, ParseError, ValidationError) as exc:
         return _error_report("analyze", digest, cfg, exc), EXIT_INPUT_ERROR
     except eigen.ConvergenceError as exc:
         return _error_report("analyze", digest, cfg, exc), EXIT_NUMERIC_FAILURE
@@ -343,16 +362,16 @@ def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
 
 
 def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
-    digest = _sha256_file(path)
+    digest = None
     try:
-        h = _load(path)
+        digest, data = _read(path)
+        h = _parse(path, data)
         if args.selfadjoint:
             op = antisym.canonical_T_selfadjoint(h, cfg)
         else:
-            system = eigen.biorthonormal_system(h, cfg)
-            op = antisym.build_T(system, antisym.CoefficientSet.identity_for(system))
+            op = antisym.canonical_T(eigen.biorthonormal_system(h, cfg))
         pseudo_hermiticity = antisym.check_pseudo_hermitian(h, op, kind="antilinear")
-    except (ParseError, ValidationError, eigen.DefectiveOperatorError) as exc:
+    except (OSError, ParseError, ValidationError, eigen.DefectiveOperatorError) as exc:
         return _error_report("canonical", digest, cfg, exc), EXIT_INPUT_ERROR
     except eigen.ConvergenceError as exc:
         return _error_report("canonical", digest, cfg, exc), EXIT_NUMERIC_FAILURE
@@ -390,49 +409,64 @@ def _text_summary(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_arguments(p, command: str) -> None:
+    if command == "verify":
+        p.add_argument("path_c", metavar="C")
+        p.add_argument("path_v", metavar="V")
+    else:
+        p.add_argument("paths", nargs="+", metavar="MATRIX")
+    if command == "factor":
+        p.add_argument("--oracle", action="store_true",
+                       help="also run the diagonal-pivot factorizer and report agreement")
+        p.add_argument("--out-v", default=None, metavar="PATH",
+                       help="write the factor V as a matrix file (single input only)")
+    if command == "canonical":
+        p.add_argument("--selfadjoint", action="store_true",
+                       help="require H self-adjoint and additionally check T^2 = I")
+    p.add_argument("--tol", type=float, default=None, help="verification tolerance (verify_tol)")
+    p.add_argument("--iso-tol", type=float, default=None, help="isotropy threshold on |e^T e|")
+    p.add_argument("--det-tol", type=float, default=None, help="lower bound for accepted |det D|")
+    p.add_argument("--seed", type=int, default=None, help="seed (default $SYMFACT_SEED or 0)")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+
+
+_COMMANDS = {
+    "factor": "factor symmetric matrix files",
+    "verify": "verify C = V V^T for a file pair",
+    "analyze": "spectrum, pairing and antilinear symmetry",
+    "canonical": "canonical antilinear operator",
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``symfact`` parser with every command registered.
+
+    When ``command`` names one, only its sub-parser gets arguments (-h
+    included): argparse hands everything after the command to that
+    sub-parser alone. Otherwise every sub-parser gets them, so ``symfact
+    -h`` and usage errors read as they do with a full build.
+    """
     parser = argparse.ArgumentParser(
         prog="symfact",
         description="Factor complex symmetric matrices as V V^T and analyze antilinear symmetries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--tol", type=float, default=None, help="verification tolerance (verify_tol)")
-        p.add_argument("--iso-tol", type=float, default=None, help="isotropy threshold on |e^T e|")
-        p.add_argument("--det-tol", type=float, default=None, help="lower bound for accepted |det D|")
-        p.add_argument("--seed", type=int, default=None, help="seed (default $SYMFACT_SEED or 0)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p_factor = sub.add_parser("factor", help="factor symmetric matrix files")
-    p_factor.add_argument("paths", nargs="+", metavar="MATRIX")
-    p_factor.add_argument("--oracle", action="store_true",
-                          help="also run the diagonal-pivot factorizer and report agreement")
-    p_factor.add_argument("--out-v", default=None, metavar="PATH",
-                          help="write the factor V as a matrix file (single input only)")
-    add_common(p_factor)
-
-    p_verify = sub.add_parser("verify", help="verify C = V V^T for a file pair")
-    p_verify.add_argument("path_c", metavar="C")
-    p_verify.add_argument("path_v", metavar="V")
-    add_common(p_verify)
-
-    p_analyze = sub.add_parser("analyze", help="spectrum, pairing and antilinear symmetry")
-    p_analyze.add_argument("paths", nargs="+", metavar="MATRIX")
-    add_common(p_analyze)
-
-    p_canonical = sub.add_parser("canonical", help="canonical antilinear operator")
-    p_canonical.add_argument("paths", nargs="+", metavar="MATRIX")
-    p_canonical.add_argument("--selfadjoint", action="store_true",
-                             help="require H self-adjoint and additionally check T^2 = I")
-    add_common(p_canonical)
+    for name, help_text in _COMMANDS.items():
+        build = command not in _COMMANDS or name == command
+        p = sub.add_parser(name, help=help_text, add_help=build)
+        if build:
+            _add_arguments(p, name)
     return parser
 
 
 def _make_config(args) -> ToleranceConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("SYMFACT_SEED", "0"))
+        raw = os.environ.get("SYMFACT_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"SYMFACT_SEED must be an integer, got {raw!r}") from None
     base = ToleranceConfig()
     return ToleranceConfig(
         eig_tol=base.eig_tol,
@@ -444,8 +478,9 @@ def _make_config(args) -> ToleranceConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _make_config(args)
     except ValidationError as exc:

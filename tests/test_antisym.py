@@ -12,6 +12,7 @@ from symfact.antisym import (
     apply,
     build_T,
     build_antilinear_symmetry,
+    canonical_T,
     canonical_T_selfadjoint,
     canonicalize,
     check_commutes,
@@ -85,6 +86,33 @@ def test_build_T_identity_coefficients():
     system = biorthonormal_system(np.diag([1.0, 2.0]), CFG)
     op = build_T(system, CoefficientSet.identity_for(system))
     assert np.allclose(op.matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("kind, dim, seed", [("PairedSpectrum", 16, 1), ("PairedSpectrum", 6, 0),
+                                             ("DenseSymmetric", 9, 4)])
+def test_canonical_T_is_build_T_with_identity_blocks(kind, dim, seed):
+    # PairedSpectrum n=6 seed 0 has a repeated real level
+    system = biorthonormal_system(oracle.gen(oracle.GeneratorSpec(dim=dim, seed=seed, kind=kind)), CFG)
+    reference = build_T(system, CoefficientSet.identity_for(system)).matrix  # one product per level
+    m = canonical_T(system).matrix
+    phi = system.phi_matrix()
+    # summed in another order: rounding of n products of |phi|-sized terms
+    tol = 4 * dim * np.finfo(np.float64).eps * frobenius(phi) ** 2
+    assert frobenius(m - reference) <= tol
+    assert frobenius(m - m.T) <= tol
+
+
+def test_canonical_T_does_not_validate_its_own_blocks(monkeypatch):
+    import symfact.antisym as antisym
+
+    def refuse(system, coeffs):
+        raise AssertionError("identity blocks validated")
+
+    monkeypatch.setattr(antisym, "_validate_coeffs", refuse)
+    system = biorthonormal_system(np.diag([1.0, 2.0, 2.0]), CFG)
+    assert np.allclose(canonical_T(system).matrix, np.eye(3))
+    with pytest.raises(AssertionError):
+        build_T(system, CoefficientSet.identity_for(system))  # caller's blocks are still checked
 
 
 def test_build_T_swap_coefficients_on_degenerate_level():

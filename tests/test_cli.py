@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +240,47 @@ def test_out_v_requires_single_input(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_unwritable_out_v_is_an_error_report(tmp_path, capsys):
+    good = _write(tmp_path, "good.mat", "1 1\n4\n")
+    code = main(["factor", good, "--out-v", str(tmp_path / "nodir" / "v.mat")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INPUT_ERROR
+    assert report["status"] == "error"
+    assert report["result"]["error"] == "FileNotFoundError"
+    assert len(report["input_sha256"]) == 64
+
+
+def _unreadable_input(tmp_path, case):
+    """(path, digest or None, error name) of an input file that cannot be read or decoded."""
+    if case == "missing":
+        return str(tmp_path / "missing.mat"), None, "FileNotFoundError"
+    if case == "directory":
+        return str(tmp_path), None, "IsADirectoryError"
+    data = b"# caf\xe9\n1 1\n4\n"  # Latin-1, not UTF-8
+    (tmp_path / "latin1.mat").write_bytes(data)
+    return str(tmp_path / "latin1.mat"), hashlib.sha256(data).hexdigest(), "ParseError"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["factor", "verify", "analyze", "canonical"])
+def test_unreadable_input_is_an_error_report(tmp_path, capsys, command, case):
+    path, digest, error = _unreadable_input(tmp_path, case)
+    good = _write(tmp_path, "good.mat", "1 1\n4\n")
+    code = main([command, good, path] if command == "verify" else [command, path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INPUT_ERROR
+    assert report["status"] == "error"
+    assert report["result"]["error"] == error
+    if command == "verify":
+        assert report["input_sha256"]["V"] == digest
+        assert len(report["input_sha256"]["C"]) == 64
+    else:
+        assert report["input_sha256"] == digest
+    if case == "not-utf8":
+        # the bad byte's line and column, counted in bytes
+        assert report["result"]["message"].startswith(f"1:6: {path}:1:6: not UTF-8 text")
+
+
 def test_text_format(tmp_path, capsys):
     path = _write(tmp_path, "c.mat", "1 1\n4\n")
     code = main(["factor", path, "--format", "text"])
@@ -253,6 +296,56 @@ def test_seed_environment_default(tmp_path, capsys, monkeypatch):
     main(["factor", path])
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["seed"] == 123
+
+
+def test_seed_environment_not_an_integer(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "c.mat", "1 1\n4\n")
+    monkeypatch.setenv("SYMFACT_SEED", "abc")
+    code = main(["factor", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == "symfact: SYMFACT_SEED must be an integer, got 'abc'\n"
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "c.mat", "1 1\n4\n")
+    monkeypatch.setattr(sys, "argv", ["symfact", "factor", path, "--format", "text"])
+    assert main() == EXIT_PASS
+    assert "branches: Base" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- the parser of one command
+
+def _exit_output(capsys, parse) -> tuple:
+    """(exit code, stdout, stderr) of an argparse call that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["factor", "verify", "analyze", "canonical"])
+def test_command_help_matches_the_full_parser(capsys, command):
+    full = _exit_output(capsys, lambda: cli._build_parser().parse_args([command, "--help"]))
+    assert full[0] == 0 and f"usage: symfact {command}" in full[1]
+    assert _exit_output(capsys, lambda: main([command, "--help"])) == full
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_top_level_help_lists_every_command(capsys, argv):
+    code, out, _ = _exit_output(capsys, lambda: main(argv))
+    assert code == 0
+    assert "{factor,verify,analyze,canonical}" in out
+    for command in ("factor", "verify", "analyze", "canonical"):
+        assert f"    {command} " in out
+
+
+@pytest.mark.parametrize("argv", [["frobnicate", "c.mat"], [], ["--seed", "1", "factor"]])
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert full[0] == 2 and full[2].startswith("usage: symfact ")
+    assert _exit_output(capsys, lambda: main(argv)) == full
 
 
 def test_tolerance_flags_are_echoed(tmp_path, capsys):
@@ -334,8 +427,9 @@ def test_format_matrix_matches_per_entry_reference():
 
 def test_report_matrices_match_per_entry_reference():
     for mat in _io_matrices():
-        got = cli._dump_json({"M": cli._cmatrix(mat), "x": [1.0, None]})
-        assert got == _reference_json({"M": _reference_pairs(mat), "x": [1.0, None]})
+        scalars = {"x": [1.0, None], "n": [0, 16, -3, 2**70], "flags": [True, False], "s": "a\"é"}
+        got = cli._dump_json({"M": cli._cmatrix(mat), **scalars})
+        assert got == _reference_json({"M": _reference_pairs(mat), **scalars})
     assert cli._dump_json(cli._cmatrix(np.array([[np.nan, -np.inf + 1j]]))) == \
         '[[["nan",0],["-inf",1]]]'
 
