@@ -289,7 +289,9 @@ def build_antilinear_symmetry(system: BiorthonormalSystem, pairing: SpectrumPair
     """Antilinear symmetry N = sum_n Psi_{nu(n)} Phi_n^T (satisfies H N = N conj(H)).
 
     The paired levels must carry conjugate eigenvalues with equal
-    multiplicities; degeneracy labels are matched in stored order.
+    multiplicities; degeneracy labels are matched in stored order.  The sum
+    is one product: the Psi columns of the levels nu(n), in level order,
+    times Phi^T.
     """
     if len(pairing.mapping) != len(system.levels):
         raise ValidationError("pairing does not match the number of levels")
@@ -299,10 +301,8 @@ def build_antilinear_symmetry(system: BiorthonormalSystem, pairing: SpectrumPair
             raise ValidationError("pairing is not an involution on the levels")
         if system.levels[j].multiplicity != system.levels[i].multiplicity:
             raise ValidationError("paired levels have mismatched multiplicities")
-    m = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    for i, lv in enumerate(system.levels):
-        m += system.levels[pairing.mapping[i]].psi @ lv.phi.T
-    return AntilinearOp(matrix=m)
+    psi = np.hstack([system.levels[j].psi for j in pairing.mapping])
+    return AntilinearOp(matrix=psi @ system.phi_matrix().T)
 
 
 def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None,

@@ -36,8 +36,12 @@ EXIT_NUMERIC_FAILURE = 2
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    """Matrix text rejected at ``line``:``column``, of the file ``path`` when given."""
+
+    def __init__(self, message: str, line: int, column: int, path: str | None = None):
+        where = f"{line}:{column}" if path is None else f"{path}:{line}:{column}"
+        super().__init__(f"{where}: {message}")
+        self.reason = message
         self.line = line
         self.column = column
 
@@ -220,10 +224,10 @@ def _parse(path: str, data: bytes) -> np.ndarray:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         column = exc.start - data.rfind(b"\n", 0, exc.start)
-        message = f"{line}:{column}: not UTF-8 text ({exc.reason})"
+        reason = f"not UTF-8 text ({exc.reason})"
     except ParseError as exc:
-        line, column, message = exc.line, exc.column, exc.args[0]
-    raise ParseError(f"{path}:{message}", line, column)
+        line, column, reason = exc.line, exc.column, exc.reason
+    raise ParseError(reason, line, column, path)
 
 
 def _error_report(command: str, digests, cfg: ToleranceConfig, exc: Exception) -> dict:

@@ -4,12 +4,11 @@ The construction is an induction on the dimension.  Each level takes one
 eigenpair (lambda, e) of the current symmetric block C and branches on
 whether e is isotropic (e^T e = 0, possible only over the complex field):
 
-* ``CaseI``               non-isotropic e: a congruence that maps e to the
-                          last axis splits off a 1x1 corner, recurse on the
-                          rest.  The congruence is a complex-orthogonal
-                          reflector when e came straight from a spectrum
-                          (also a similarity, so the other eigenpairs carry
-                          down), else the unitary [complement | e].
+* ``CaseI``               non-isotropic e: a complex-orthogonal reflector
+                          maps e/sqrt(e^T e) to the last axis and splits off
+                          a 1x1 corner, recurse on the rest.  The reflector
+                          is also a similarity, so when e came straight from
+                          a spectrum the other eigenpairs carry down.
 * ``CaseII_LambdaZero``   lambda = 0: the null space leaves in one unitary
                           split (a lone null vector with e^T e != 0 is
                           recorded as ``CaseI``).
@@ -27,9 +26,9 @@ Its plan holds the level's congruence A, the next block, and the part of B
 (with B^T B = A^T C A) known at this level.  ``factor_symmetric`` walks the
 blocks down in a loop, keeping each level's plan, then assembles
 V = A^-T B^T bottom-up, so the Python stack does not grow with the
-dimension.  A reflector level has A^-T = A and assembles by one rank-1
-update; the other levels solve with A^T.  A chain of reflector levels runs on
-the one eigendecomposition taken at its top.
+dimension.  A CaseI level's reflector has A^-T = A and assembles by one
+rank-1 update; the other levels solve with A^T.  A chain of CaseI levels on
+simple eigenpairs runs on the one eigendecomposition taken at its top.
 
 Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
 """
@@ -47,7 +46,6 @@ from .matcore import (
     as_matrix,
     as_scalar,
     bilinear,
-    complement_basis,
     complement_basis_within,
     frobenius,
     principal_sqrt,
@@ -145,9 +143,9 @@ class Reflector:
 class LevelPlan:
     """One level, decided but not yet assembled.
 
-    The level's factor is V = A^-T B^T: a ``Reflector`` A (a CaseI level on
-    an eigenpair taken straight from a spectrum) has A^-T = A, so V = A B^T;
-    any other congruence A solves with A^T.  ``b`` is B with its leading r x r block
+    The level's factor is V = A^-T B^T: a ``Reflector`` A (every CaseI level
+    but a lone null vector's split) has A^-T = A, so V = A B^T; any other
+    congruence A solves with A^T.  ``b`` is B with its leading r x r block
     left zero for the transposed factor of ``sub``, the next block (r x r);
     ``sub`` is None when this level ends the chain.  ``spectrum`` holds the
     eigenpairs (vals, vecs) of ``sub`` that a reflector level carries down,
@@ -328,19 +326,20 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
     return LevelPlan(record, np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
 
 
-def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple) -> LevelPlan:
-    """CaseI level by a complex-orthogonal reflector, for a simple eigenpair.
+def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None) -> LevelPlan:
+    """CaseI level by a complex-orthogonal reflector, for a non-isotropic e.
 
     f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1) gives
     H f = s*e_j with H = I - beta u u^T; after P swaps j with the last
     coordinate, Q = P H maps the last axis to s*f and Q^T C Q =
-    blockdiag(C~, mu).  Q^T = Q^-1, so the other eigenpairs (vals, vecs) of C
-    carry down to C~ as (vals, (Q^T v)[:-1]), and the next level needs no
-    eigendecomposition of its own.  Each coordinate j takes the sign with
-    Re(s f_j) <= 0, as a Householder vector does: then |u_j| = |f_j - s| >= 1
-    never cancels (a coordinate eigenvector would give u = 0 with the other
-    sign), and j maximises |u_j|, so |beta| = 2/|u^T u| = 1/|u_j| <= 1 is
-    as small as it gets.
+    blockdiag(C~, mu).  Q^T = Q^-1, so the other eigenpairs ``rest`` =
+    (vals, vecs) of C carry down to C~ as (vals, (Q^T v)[:-1]), and the next
+    level needs no eigendecomposition of its own; with ``rest`` None it takes
+    a fresh one.  Each coordinate j takes the sign with Re(s f_j) <= 0, as a
+    Householder vector does: then |u_j| = |f_j - s| >= 1 never cancels (a
+    coordinate eigenvector would give u = 0 with the other sign), and j
+    maximises |u_j|, so |beta| = 2/|u^T u| = 1/|u_j| <= 1 is as small as it
+    gets.
     """
     m = c.shape[0]
     ete = complex(np.dot(pair.vector, pair.vector))
@@ -358,16 +357,18 @@ def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple) -> LevelP
     z = beta * w - (0.5 * beta * beta * complex(u @ w)) * u
     sub = cp[:-1, :-1] - (np.outer(u[:-1], z[:-1]) + np.outer(z[:-1], u[:-1]))
     mu = complex(cp[-1, -1] - 2.0 * u[-1] * z[-1])
-    vals, vecs = rest
-    carried = vecs[perm]
-    carried -= beta * np.outer(u, u @ carried)
+    spectrum = None
+    if rest is not None:
+        carried = rest[1][perm]
+        carried -= beta * np.outer(u, u @ carried)
+        spectrum = (rest[0], carried[:-1])
     # B's last row also carries the rounding-level coupling g = (Q^T C Q)[:-1, -1]
     # as g/sqrt(mu): then B^T B leaves out only g g^T/mu, not g
     b = np.zeros((m, m), dtype=np.complex128)
     b[m - 1, m - 1] = root = principal_sqrt(mu)
     b[m - 1, :-1] = (cp[:-1, -1] - (u[:-1] * z[-1] + z[:-1] * u[-1])) / root
     record = LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete)
-    return LevelPlan(record, Reflector(perm, u, beta), sub, b, spectrum=(vals, carried[:-1]))
+    return LevelPlan(record, Reflector(perm, u, beta), sub, b, spectrum=spectrum)
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None,
@@ -378,15 +379,18 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
     (eigenpairs carried down by a reflector level) or a fresh
     eigendecomposition.  A candidate is taken when it gives an exact route:
     the null space (one unitary split), an isotropic vector whose plan is
-    sound, or a safely non-isotropic vector.  Candidates in the
-    ill-conditioned gaps are deferred; nearly nilpotent blocks always hold a
-    clean candidate further down the list.  A pair taken directly from the
-    spectrum (no ``basis``) belongs to a simple eigenvalue; as C is
-    symmetric, e^T is also its left eigenvector, so e^T e != 0 and the
-    one-dimensional eigenspace holds no isotropic direction to upgrade to.
-    Such a pair, safely non-isotropic, takes a reflector level.  When the
+    sound, or a safely non-isotropic vector, which takes a reflector level.
+    Candidates in the ill-conditioned gaps are deferred; nearly nilpotent
+    blocks always hold a clean candidate further down the list.  A pair
+    taken directly from the spectrum (no ``basis``) belongs to a simple
+    eigenvalue; as C is symmetric, e^T is also its left eigenvector, so
+    e^T e != 0, its eigenspace holds no isotropic direction to upgrade to,
+    and its reflector level carries the other eigenpairs down.  When the
     carried spectrum gives no plan in the walk, the walk starts again on a
-    fresh eigendecomposition.  ``scale`` is |C|_F when the caller has it.
+    fresh eigendecomposition.  The last resort, the non-isotropic pair with
+    the largest e^T e in the ill-conditioned gap, takes a reflector level
+    that carries no eigenpairs (its reflector has condition ~ 1/|e^T e|).
+    ``scale`` is |C|_F when the caller has it.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
@@ -408,7 +412,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
                 fallback_iso = (iso, plan)
             continue
         if ete >= _ETE_DANGER:
-            return _plan(c, pair, cfg, depth) if rest is None else _reflector_plan(c, pair, rest)
+            return _reflector_plan(c, pair, rest)
         if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
             fallback_ete = pair
     if spectrum is not None:
@@ -417,7 +421,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
         iso, plan = fallback_iso
         return plan if plan is not None else _plan(c, iso, cfg, depth)
     if fallback_ete is not None:
-        return _plan(c, fallback_ete, cfg, depth)
+        return _reflector_plan(c, fallback_ete, None)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
@@ -455,28 +459,6 @@ def _isotropic_in_subspace(s: np.ndarray):
     return None
 
 
-def reduce_case_i(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
-    """Congruence data for the non-isotropic branch.
-
-    Returns (A, c_tilde, mu) with A = [complement columns | e/sqrt(e^T e)],
-    A^T C A = blockdiag(c_tilde, mu) up to rounding, and mu the measured
-    corner entry e^T C e after the rescale.
-    """
-    c = as_matrix(c, square=True, name="C")
-    cfg = cfg or ToleranceConfig()
-    e = eigen._phase_canonical(np.asarray(pair.vector, dtype=np.complex128))
-    ete = complex(np.dot(e, e))
-    if ete == 0.0:
-        raise ValidationError("eigenvector is isotropic; wrong branch")
-    e1 = e / principal_sqrt(ete)
-    w = complement_basis(e)
-    a = np.hstack([w, e1.reshape(-1, 1)])
-    ct = w.T @ c @ w
-    ct = 0.5 * (ct + ct.T)
-    mu = complex(e1 @ (c @ e1))
-    return a, ct, mu
-
-
 def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
     """Congruence data for the isotropic branch.
 
@@ -495,24 +477,17 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     a_prime = np.hstack([vprime, e.conj().reshape(-1, 1), e.reshape(-1, 1)])
     c_prime = a_prime.T @ c @ a_prime
     c_prime = 0.5 * (c_prime + c_prime.T)
-    m = c.shape[0]
-    ct_prime = c_prime[: m - 1, : m - 1].copy()
-    return a_prime, c_prime, ct_prime
+    return a_prime, c_prime, c_prime[:-1, :-1].copy()
 
 
 def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int) -> LevelPlan:
-    """Decide the branch of one level for ``pair`` and build its congruence.
+    """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
-    The record carries ``pair.value`` (on the isotropic branches, the
-    measured corner lambda*alpha) in the units of ``c``.
+    The record carries the measured corner lambda*alpha in the units of
+    ``c``; a corner under the lambda = 0 cut is a ``CaseII_LambdaZero`` level.
     """
     m = c.shape[0]
     b = np.zeros((m, m), dtype=np.complex128)
-    ete = complex(np.dot(pair.vector, pair.vector))
-    if abs(ete) > cfg.iso_tol:
-        a, ct, mu = reduce_case_i(c, pair, cfg)
-        b[m - 1, m - 1] = principal_sqrt(mu)
-        return LevelPlan(LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete), a, ct, b)
     a_prime, c_prime, ct_prime = reduce_case_ii(c, pair, cfg)
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
     iso = dict(dim=m, value=la, ete=0.0)

@@ -114,21 +114,6 @@ def _reflector(x: np.ndarray) -> np.ndarray:
     return np.eye(m, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
 
 
-def complement_basis(e) -> np.ndarray:
-    """Orthonormal basis (columns) of {w : w^* conj(e) = 0} = {w : e^T w = 0}.
-
-    Built by unitary completion of conj(e), so the returned columns are
-    exactly orthonormal and each satisfies bilinear(e, w) = 0 to rounding.
-    """
-    e = as_vector(e, "e")
-    if np.linalg.norm(e) == 0.0:
-        raise ValidationError("cannot build a complement basis for the zero vector")
-    if e.shape[0] == 1:
-        return np.zeros((1, 0), dtype=np.complex128)
-    p = _reflector(e.conj())
-    return p[:, 1:].copy()
-
-
 def complement_basis_within(e, iso_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of {w : w^* conj(e) = 0 and w^* e = 0}.
 

@@ -278,7 +278,14 @@ def test_unreadable_input_is_an_error_report(tmp_path, capsys, command, case):
         assert report["input_sha256"] == digest
     if case == "not-utf8":
         # the bad byte's line and column, counted in bytes
-        assert report["result"]["message"].startswith(f"1:6: {path}:1:6: not UTF-8 text")
+        assert report["result"]["message"].startswith(f"{path}:1:6: not UTF-8 text")
+
+
+def test_a_file_parse_error_names_its_location_once(tmp_path, capsys):
+    path = _write(tmp_path, "c.mat", "2 2\n1 2\n3\n")
+    assert main(["factor", path]) == EXIT_INPUT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["message"] == f"{path}:3:1: expected 2 entries in row, found 1"
 
 
 def test_text_format(tmp_path, capsys):

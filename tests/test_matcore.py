@@ -8,7 +8,6 @@ from symfact.matcore import (
     ToleranceConfig,
     ValidationError,
     bilinear,
-    complement_basis,
     complement_basis_within,
     frobenius,
     principal_sqrt,
@@ -37,46 +36,6 @@ def test_inner_products_reject_mismatch_and_nonfinite():
         bilinear([np.nan, 0], [1, 0])
     with pytest.raises(ValidationError):
         bilinear([1, 0], [np.inf, 0])
-
-
-def test_complement_basis_axis():
-    w = complement_basis([1, 0])
-    assert w.shape == (2, 1)
-    assert abs(w[0, 0]) < 1e-15 and abs(abs(w[1, 0]) - 1) < 1e-15
-
-
-def test_complement_basis_of_isotropic_direction():
-    w = complement_basis(np.array([1, 1j]) / np.sqrt(2))
-    assert w.shape == (2, 1)
-    # the complement of (1, i) under the bilinear pairing is spanned by (-i, 1)/sqrt(2)
-    v = w[:, 0]
-    target = np.array([-1j, 1]) / np.sqrt(2)
-    overlap = abs(np.vdot(target, v))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_complement_basis_last_axis_three_dim():
-    w = complement_basis([0, 0, 1])
-    assert w.shape == (3, 2)
-    assert np.allclose(w.conj().T @ w, np.eye(2), atol=1e-14)
-    assert np.allclose(np.array([0, 0, 1]) @ w, 0, atol=1e-14)
-
-
-def test_complement_basis_properties_random():
-    rng = np.random.default_rng(13)
-    for n in (2, 3, 5, 8):
-        e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = complement_basis(e)
-        assert w.shape == (n, n - 1)
-        assert np.allclose(w.conj().T @ w, np.eye(n - 1), atol=1e-13)
-        assert np.max(np.abs(e @ w)) <= 1e-12 * np.linalg.norm(e)
-        full = np.hstack([w, (e / np.linalg.norm(e)).reshape(-1, 1)])
-        assert abs(np.linalg.det(full)) > 1e-6
-
-
-def test_complement_basis_rejects_zero():
-    with pytest.raises(ValidationError):
-        complement_basis([0, 0])
 
 
 def test_complement_basis_within_small_cases():
