@@ -141,8 +141,12 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
 
     The candidates are the eigenvalues of ``spectrum`` = (vals, vecs), the
     eigenpairs of A carried down from the level above, or else of one
-    ``np.linalg.eig`` call; they are deduplicated at 1e-12*|A|_F and ordered
-    largest modulus first (ties by the position in the (real, imag) sort).
+    ``np.linalg.eig`` call, ordered largest modulus first (ties by the
+    position in the (real, imag) sort).  Each candidate's gap test is one
+    row |vals - vals[i]|, built when the walk reaches it: the candidate is
+    simple when every other eigenvalue lies farther than _SIMPLE_GAP*|A|_F,
+    and a candidate that is not simple is absorbed (skipped) when it lies
+    within 1e-12*|A|_F of an earlier candidate that was not absorbed.
     A simple candidate away from zero yields its eigenvector with its
     Rayleigh quotient, ``basis`` None and ``rest`` the other eigenpairs
     (vals, vecs), when the residual meets eig_tol*|A|_F.  When a carried
@@ -167,20 +171,21 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
         order = np.lexsort((vals.imag, vals.real))
         order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
         vals, vecs = vals[order], vecs[:, order]
-    dist = np.abs(vals[:, None] - vals[None, :])
-    np.fill_diagonal(dist, np.inf)
-    simple = dist.min(axis=1) > _SIMPLE_GAP * scale
-    keep = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(~simple):  # an earlier kept one within 1e-12*|A|_F absorbs it
-        keep[i] = not np.any((dist[:i, i] <= 1e-12 * scale) & keep[:i])
-    for i in np.flatnonzero(keep):
+    kept = []  # the candidates visited so far; absorbed ones are not
+    for i in range(n):
+        gap = np.abs(vals - vals[i])
+        gap[i] = np.inf
+        simple = gap.min() > _SIMPLE_GAP * scale
+        if not simple and (gap[kept] <= 1e-12 * scale).any():  # absorbed by an earlier kept one
+            continue
+        kept.append(i)
         cand = complex(vals[i])
         near_zero = abs(cand) <= _NEAR_ZERO * scale
-        if simple[i] and not near_zero:
+        if simple and not near_zero:
             pair = _rayleigh_pair(a, vecs[:, i] / np.linalg.norm(vecs[:, i]))
             if pair.residual <= cfg.eig_tol * scale:
-                others = np.arange(n) != i
-                yield pair, None, (vals[others], vecs[:, others])
+                rest = (vals[1:], vecs[:, 1:]) if i == 0 else (np.delete(vals, i), np.delete(vecs, i, axis=1))
+                yield pair, None, rest
                 continue
             if carried:
                 return

@@ -24,18 +24,20 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
 ``_first_sound_plan`` is the one place where a level's branch is decided.
 Its plan holds the level's congruence A, the next block, and the part of B
 (with B^T B = A^T C A) known at this level.  ``factor_symmetric`` walks the
-blocks down in a loop, keeping each level's plan, then assembles
-V = A^-T B^T bottom-up, so the Python stack does not grow with the
+blocks down in a loop, keeping each level's A and known part of B, then
+assembles V = A^-T B^T bottom-up, so the Python stack does not grow with the
 dimension.  A CaseI level's reflector has A^-T = A and assembles by one
-rank-1 update; the other levels solve with A^T.  A chain of CaseI levels on
-simple eigenpairs runs on the one eigendecomposition taken at its top.
+rank-1 update; the other levels solve with A^T.  A reflector level keeps
+its reflector vector and B's last row only, so a chain of them keeps O(n^2)
+numbers in all.  A chain of CaseI levels on simple eigenpairs runs on the
+one eigendecomposition taken at its top.
 
 Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from . import eigen
 from .matcore import (
     ToleranceConfig,
     ValidationError,
+    _principal_sqrt,
     as_matrix,
     as_scalar,
     bilinear,
@@ -136,7 +139,7 @@ class Reflector:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Q x, by one rank-1 update and a row swap."""
-        return (x - self.beta * np.outer(self.u, self.u @ x))[self.perm]
+        return (x - self.beta * (self.u[:, None] * (self.u @ x)[None, :]))[self.perm]
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,19 @@ class LevelPlan:
 
     The level's factor is V = A^-T B^T: a ``Reflector`` A (every CaseI level
     but a lone null vector's split) has A^-T = A, so V = A B^T; any other
-    congruence A solves with A^T.  ``b`` is B with its leading r x r block
-    left zero for the transposed factor of ``sub``, the next block (r x r);
-    ``sub`` is None when this level ends the chain.  ``spectrum`` holds the
-    eigenpairs (vals, vecs) of ``sub`` that a reflector level carries down,
-    in the units of this level's block; it is None when the next level takes
-    a fresh eigendecomposition.  ``sound`` is False only for a bordered
-    transform that scored ill-conditioned: some coupling blocks (a cross
-    coupling with vanishing diagonal that is small but not negligible, say)
-    admit no well-conditioned transform at all, and another eigenvalue
-    candidate is then preferable.
+    congruence A solves with A^T.  For a ``Reflector`` level, ``b`` is B's
+    last row (g/sqrt(mu), sqrt(mu)): B's other rows are the transposed
+    factor of ``sub`` and a zero column.  For any other level ``b`` is B
+    (m x m) with its leading r x r block left zero for the transposed factor
+    of ``sub``, the next block (r x r).  ``sub`` is None when this level
+    ends the chain.  ``spectrum`` holds the eigenpairs (vals, vecs) of
+    ``sub`` that a reflector level carries down, in the units of this
+    level's block; it is None when the next level takes a fresh
+    eigendecomposition.  ``sound`` is False only for a bordered transform
+    that scored ill-conditioned: some coupling blocks (a cross coupling with
+    vanishing diagonal that is small but not negligible, say) admit no
+    well-conditioned transform at all, and another eigenvalue candidate is
+    then preferable.
     """
 
     record: LevelRecord
@@ -308,7 +314,8 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray):
     return None
 
 
-def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: ToleranceConfig) -> LevelPlan:
+def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: ToleranceConfig,
+                units: float = 1.0) -> LevelPlan:
     """One unitary split A = [R | N] off the numerical null space N of C.
 
     C N = 0 gives w^T C N = 0 for every w, so A^T C A = blockdiag(R^T C R, 0)
@@ -322,11 +329,11 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
     ct = r.T @ c @ r
     ete = complex(np.dot(pair.vector, pair.vector))
     branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
-    record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete)
+    record = LevelRecord(dim=m, branch=branch, value=pair.value * units, ete=ete)
     return LevelPlan(record, np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
 
 
-def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None) -> LevelPlan:
+def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None, units: float = 1.0) -> LevelPlan:
     """CaseI level by a complex-orthogonal reflector, for a non-isotropic e.
 
     f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1) gives
@@ -343,7 +350,7 @@ def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None) ->
     """
     m = c.shape[0]
     ete = complex(np.dot(pair.vector, pair.vector))
-    f = pair.vector / principal_sqrt(ete)
+    f = pair.vector / _principal_sqrt(ete)
     signs = np.where(f.real < 0.0, 1.0, -1.0)
     j = int(np.argmax(np.abs(f - signs)))
     perm = np.arange(m)
@@ -351,28 +358,29 @@ def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None) ->
     u = f[perm]
     u[-1] -= signs[j]
     beta = 2.0 / complex(u @ u)
-    # H C_p H = C_p - (u z^T + z u^T), C_p = P^T C P, by one rank-2 update
+    # H C_p H = C_p - (u z^T + z u^T), C_p = P^T C P, by one rank-2 update;
+    # u[:, None] * z[None, :] is np.outer(u, z), the same product without the call
     cp = c[perm][:, perm]
     w = cp @ u
     z = beta * w - (0.5 * beta * beta * complex(u @ w)) * u
-    sub = cp[:-1, :-1] - (np.outer(u[:-1], z[:-1]) + np.outer(z[:-1], u[:-1]))
+    sub = cp[:-1, :-1] - (u[:-1, None] * z[None, :-1] + z[:-1, None] * u[None, :-1])
     mu = complex(cp[-1, -1] - 2.0 * u[-1] * z[-1])
     spectrum = None
     if rest is not None:
         carried = rest[1][perm]
-        carried -= beta * np.outer(u, u @ carried)
+        carried -= beta * (u[:, None] * (u @ carried)[None, :])
         spectrum = (rest[0], carried[:-1])
     # B's last row also carries the rounding-level coupling g = (Q^T C Q)[:-1, -1]
     # as g/sqrt(mu): then B^T B leaves out only g g^T/mu, not g
-    b = np.zeros((m, m), dtype=np.complex128)
-    b[m - 1, m - 1] = root = principal_sqrt(mu)
-    b[m - 1, :-1] = (cp[:-1, -1] - (u[:-1] * z[-1] + z[:-1] * u[-1])) / root
-    record = LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value, ete=ete)
+    b = np.empty(m, dtype=np.complex128)
+    b[-1] = root = _principal_sqrt(mu)
+    b[:-1] = (cp[:-1, -1] - (u[:-1] * z[-1] + z[:-1] * u[-1])) / root
+    record = LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value * units, ete=ete)
     return LevelPlan(record, Reflector(perm, u, beta), sub, b, spectrum=spectrum)
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None,
-                      scale: float | None = None) -> LevelPlan:
+                      scale: float | None = None, units: float = 1.0) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first, from ``spectrum``
@@ -390,14 +398,15 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
     fresh eigendecomposition.  The last resort, the non-isotropic pair with
     the largest e^T e in the ill-conditioned gap, takes a reflector level
     that carries no eigenpairs (its reflector has condition ~ 1/|e^T e|).
-    ``scale`` is |C|_F when the caller has it.
+    ``scale`` is |C|_F when the caller has it; C is the input's block divided
+    by ``units``, and the plan's record is in the input's units.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
     scale = frobenius(c) if scale is None else scale
     for pair, basis, rest in eigen._candidate_pairs(c, cfg, spectrum, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
-            return _null_split(c, pair, basis, cfg)
+            return _null_split(c, pair, basis, cfg, units)
         ete = abs(complex(np.dot(pair.vector, pair.vector)))
         if ete <= cfg.iso_tol:
             iso = pair
@@ -405,23 +414,23 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
             iso = None if basis is None else _isotropic_upgrade(c, pair, basis)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, iso, cfg, depth)
+            plan = None if in_gap else _plan(c, iso, cfg, depth, units)
             if plan is not None and plan.sound:
                 return plan
             if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
                 fallback_iso = (iso, plan)
             continue
         if ete >= _ETE_DANGER:
-            return _reflector_plan(c, pair, rest)
+            return _reflector_plan(c, pair, rest, units)
         if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
             fallback_ete = pair
     if spectrum is not None:
-        return _first_sound_plan(c, cfg, depth, scale=scale)
+        return _first_sound_plan(c, cfg, depth, scale=scale, units=units)
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, iso, cfg, depth)
+        return plan if plan is not None else _plan(c, iso, cfg, depth, units)
     if fallback_ete is not None:
-        return _reflector_plan(c, fallback_ete, None)
+        return _reflector_plan(c, fallback_ete, None, units)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
@@ -480,17 +489,19 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     return a_prime, c_prime, c_prime[:-1, :-1].copy()
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int,
+          units: float = 1.0) -> LevelPlan:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
     The record carries the measured corner lambda*alpha in the units of
-    ``c``; a corner under the lambda = 0 cut is a ``CaseII_LambdaZero`` level.
+    ``c`` times ``units``; a corner under the lambda = 0 cut is a
+    ``CaseII_LambdaZero`` level.
     """
     m = c.shape[0]
     b = np.zeros((m, m), dtype=np.complex128)
     a_prime, c_prime, ct_prime = reduce_case_ii(c, pair, cfg)
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
-    iso = dict(dim=m, value=la, ete=0.0)
+    iso = dict(dim=m, value=la * units, ete=0.0)
     if abs(la) <= _LAMBDA_ZERO_CUT * frobenius(c):
         return LevelPlan(LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso), a_prime, ct_prime, b)
     chosen = choose_x(ct_prime, la, cfg, depth)
@@ -553,21 +564,24 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         units *= norm
         if spectrum is not None:
             spectrum = (spectrum[0] / norm, spectrum[1])
-        plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block))
-        levels.append(replace(plan.record, value=plan.record.value * units))
+        plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block), units)
+        levels.append(plan.record)
         steps.append((plan.a, plan.b, norm))
         if plan.sub is None:
             v = None
             break
         block, depth, spectrum = plan.sub, depth + 1, plan.spectrum
     for a, b, norm in reversed(steps):
+        if isinstance(a, Reflector):  # b is B's last row: B = [[v^T, 0], [b]]
+            row, b = b, np.zeros((len(b), len(b)), dtype=np.complex128)
+            b[-1] = row
         if v is not None:
             b[: len(v), : len(v)] = v.T
         v = (a.apply(b.T) if isinstance(a, Reflector) else solve_linear(a.T, b.T)) * np.sqrt(norm)
-    check = verify_factorization(c, v, cfg)
+    residual = frobenius(c - v @ v.T)
     return FactorizationResult(
         V=v,
-        residual=check.residual,
-        relative_residual=check.relative_residual,
+        residual=residual,
+        relative_residual=residual / max(frobenius(c), 1.0),
         trace=RecursionTrace(levels=tuple(levels)),
     )

@@ -95,7 +95,11 @@ def bilinear(u, v) -> complex:
 
 def principal_sqrt(z) -> complex:
     """Square root w of z with Re(w) >= 0; on the imaginary axis Im(w) >= 0."""
-    value = as_scalar(z, "z")
+    return _principal_sqrt(as_scalar(z, "z"))
+
+
+def _principal_sqrt(value: complex) -> complex:
+    """``principal_sqrt`` of a Python complex, without the finiteness check."""
     w = complex(np.sqrt(np.complex128(value)))
     if w.real < 0.0 or (w.real == 0.0 and w.imag < 0.0):
         w = -w

@@ -1,6 +1,7 @@
 """Unit tests for the V V^T factorization."""
 
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -271,6 +272,20 @@ def test_factor_stack_depth_does_not_grow_with_dimension():
     assert len(r.trace.levels) == 40
 
 
+def test_factor_memory_is_quadratic_in_the_dimension():
+    # a reflector level keeps B's last row, not an m x m B: the peak is a few
+    # n x n arrays (0.25 MiB each here), not the sum of m^2 over the levels
+    c = oracle.gen(oracle.GeneratorSpec(dim=128, seed=1, kind="DenseSymmetric"))
+    tracemalloc.start()
+    try:
+        r = factor_symmetric(c, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.relative_residual <= 1e-13
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_orthogonal_gauge_identity_and_permutation():
     v = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.allclose(orthogonal_gauge(v, np.eye(2)), v)
@@ -428,6 +443,76 @@ def test_clustered_spectra_factor_within_verify_tol():
                 assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
 
 
+def _reference_visits(vals, scale):
+    """Candidates the walk visits, by the whole-spectrum rule: an m x m gap
+    matrix and a keep mask, where a candidate that is not simple is dropped
+    when an earlier kept one lies within 1e-12*scale.  A near-zero candidate
+    is None (its SVD is of the matrix itself, whichever candidate it is)."""
+    dist = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(dist, np.inf)
+    simple = dist.min(axis=1) > factor.eigen._SIMPLE_GAP * scale
+    keep = np.ones(len(vals), dtype=bool)
+    for i in np.flatnonzero(~simple):
+        keep[i] = not np.any((dist[:i, i] <= 1e-12 * scale) & keep[:i])
+    return [None if abs(vals[i]) <= factor.eigen._NEAR_ZERO * scale else int(i) for i in np.flatnonzero(keep)]
+
+
+class _WalkSpy:
+    """Candidates ``_candidate_pairs`` visits on diag(vals) with the carried
+    spectrum (vals, I), read off the work it does: the Rayleigh pair of the
+    unit vector e_i for a simple candidate i, else one SVD, of
+    diag(vals - vals[i]) (exactly zero at i and its exact repeats) or, near
+    zero, of the matrix itself."""
+
+    def __init__(self, monkeypatch):
+        self.svd, self.rayleigh = np.linalg.svd, factor.eigen._rayleigh_pair
+        monkeypatch.setattr(np.linalg, "svd", self._svd)
+        monkeypatch.setattr(factor.eigen, "_rayleigh_pair", self._rayleigh)
+
+    def visits(self, vals, scale):
+        self.matrix, self.seen, self.after_svd = np.diag(vals), [], False
+        for _ in factor.eigen._candidate_pairs(self.matrix, CFG, (vals, np.eye(len(vals), dtype=complex)), scale):
+            pass
+        return self.seen
+
+    def _svd(self, m, *args, **kwargs):
+        self.seen.append(None if m is self.matrix else int(np.flatnonzero(np.diag(m) == 0)[0]))
+        self.after_svd = True
+        return self.svd(m, *args, **kwargs)
+
+    def _rayleigh(self, m, v):
+        if not self.after_svd:  # an SVD's pair belongs to the visit recorded with the SVD
+            self.seen.append(int(np.argmax(np.abs(v))))
+        self.after_svd = False
+        return self.rayleigh(m, v)
+
+
+def _candidate_spectra():
+    """(label, vals in candidate order) around every cut of the walk, at |A|_F = 1."""
+    for d in (1e-13, 6e-13, 1e-12, 1e-11):  # chains of pairs around the 1e-12 dedupe cut
+        vals = np.array([3.0, 2.0, 2.0 + d, 2.0 + 2 * d, 1.0j, 1.0j + d, 1.0j + d * 1j, 0.5, 0.5 + 3 * d])
+        yield f"cut {d:g}", vals.astype(complex)
+    vals = np.array([2.0, 1.5, 1.5, 1.5, -1.0, -1.0, 1e-7, 1e-7, 0.0, 0.0], dtype=complex)
+    yield "exact repeats", vals
+    spectra = [(f"clustered {seed} {gap:g} {cq}", _clustered(seed, gap, cq))
+               for seed in range(4) for gap in (1e-3, 1e-5, 1e-6, 3e-7, 1e-8, 1e-11, 0.0) for cq in (False, True)]
+    spectra += [(f"{kind} {seed}", oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind)))
+                for kind in ("IsotropicLambdaZero", "IsotropicLambdaNonzero") for seed in range(40)]
+    for label, c in spectra:
+        c = c / frobenius(c)
+        vals = np.linalg.eigvals(c)
+        yield label, vals[np.argsort(-np.abs(vals), kind="stable")]
+
+
+def test_candidate_walk_visits_the_candidates_of_the_whole_spectrum_rule(monkeypatch):
+    # the walk builds one gap row per candidate as it reaches it; it must
+    # visit and absorb the candidates that the whole gap matrix picked
+    spectra = list(_candidate_spectra())
+    spy = _WalkSpy(monkeypatch)
+    for label, vals in spectra:
+        assert spy.visits(vals, 1.0) == _reference_visits(vals, 1.0), label
+
+
 def _boosted(n, t, seed):
     """C = Q diag(d) Q^T, n even, with Q = R blockdiag(G, G, ...), R real
     orthogonal and G = [[cosh t, i sinh t], [-i sinh t, cosh t]] complex
@@ -458,6 +543,16 @@ def test_boosted_inputs_factor_within_verify_tol(n, t, seed):
     assert factor_symmetric(_boosted(n, t, seed), CFG).relative_residual <= CFG.verify_tol
 
 
+def _reflector_b(plan):
+    """B of a reflector level: a factor of the next block over the plan's last row."""
+    m = plan.b.shape[0]
+    assert plan.b.shape == (m,) and plan.sub.shape == (m - 1, m - 1)
+    b = np.zeros((m, m), dtype=complex)
+    b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
+    b[-1] = plan.b
+    return b
+
+
 def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
     from symfact.factor import Reflector, _first_sound_plan
 
@@ -469,9 +564,7 @@ def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
     assert plan.record.branch == BRANCH_CASE_I
     assert isinstance(plan.a, Reflector)
     assert plan.spectrum is None
-    b = plan.b.copy()
-    b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
-    v = plan.a.apply(b.T)
+    v = plan.a.apply(_reflector_b(plan).T)
     assert verify_factorization(c, v, CFG).passed
 
 
@@ -574,9 +667,7 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     vals, vecs = plan.spectrum
     assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(plan.sub)), atol=1e-13)
     assert frobenius(plan.sub @ vecs - vecs * vals) <= 1e-13 * frobenius(vecs)
-    b = plan.b.copy()
-    b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
-    v = plan.a.apply(b.T)  # V = Q B^T, no solve
+    v = plan.a.apply(_reflector_b(plan).T)  # V = Q B^T, no solve
     assert frobenius(c - v @ v.T) <= 1e-14
 
 
@@ -598,8 +689,8 @@ def test_drifted_carried_spectrum_reanchors(monkeypatch):
     inner = factor._reflector_plan
     rng = np.random.default_rng(0)
 
-    def drifted(block, pair, rest):
-        plan = inner(block, pair, rest)
+    def drifted(block, pair, rest, *args):
+        plan = inner(block, pair, rest, *args)
         vals, vecs = plan.spectrum
         noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
         return replace(plan, spectrum=(vals, vecs + 1e-6 * noise))
