@@ -133,7 +133,7 @@ def _rayleigh_pair(a: np.ndarray, v: np.ndarray) -> EigenPair:
     """Unit v with its Rayleigh quotient v^* A v and residual."""
     av = a @ v
     lam = complex(np.vdot(v, av))
-    return EigenPair(value=lam, vector=_phase_canonical(v), residual=float(np.linalg.norm(av - lam * v)))
+    return EigenPair(value=lam, vector=_phase_canonical(v), residual=frobenius(av - lam * v))
 
 
 def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None):
@@ -182,7 +182,7 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
         cand = complex(vals[i])
         near_zero = abs(cand) <= _NEAR_ZERO * scale
         if simple and not near_zero:
-            pair = _rayleigh_pair(a, vecs[:, i] / np.linalg.norm(vecs[:, i]))
+            pair = _rayleigh_pair(a, vecs[:, i] / frobenius(vecs[:, i]))
             if pair.residual <= cfg.eig_tol * scale:
                 rest = (vals[1:], vecs[:, 1:]) if i == 0 else (np.delete(vals, i), np.delete(vecs, i, axis=1))
                 yield pair, None, rest

@@ -27,7 +27,10 @@ Its plan holds the level's congruence A, the next block, and the part of B
 blocks down in a loop, keeping each level's A and known part of B, then
 assembles V = A^-T B^T bottom-up, so the Python stack does not grow with the
 dimension.  A CaseI level's reflector has A^-T = A and assembles by one
-rank-1 update; the other levels solve with A^T.  A reflector level keeps
+rank-1 update.  A null split [R | N] is unitary, and an isotropic level's
+A' = [V' | conj(e) | e] is unitary but for the Gram entry <conj(e), e> =
+e^T e, so both assemble by a product with conj(A) as well; only a bordered
+transform A' D solves with A^T.  A reflector level keeps
 its reflector vector and B's last row only, so a chain of them keeps O(n^2)
 numbers in all.  A chain of CaseI levels on simple eigenpairs runs on the
 one eigendecomposition taken at its top.
@@ -45,11 +48,10 @@ from . import eigen
 from .matcore import (
     ToleranceConfig,
     ValidationError,
+    _complement_basis_within,
     _principal_sqrt,
     as_matrix,
     as_scalar,
-    bilinear,
-    complement_basis_within,
     frobenius,
     principal_sqrt,
     solve_linear,
@@ -147,12 +149,18 @@ class LevelPlan:
     """One level, decided but not yet assembled.
 
     The level's factor is V = A^-T B^T: a ``Reflector`` A (every CaseI level
-    but a lone null vector's split) has A^-T = A, so V = A B^T; any other
-    congruence A solves with A^T.  For a ``Reflector`` level, ``b`` is B's
-    last row (g/sqrt(mu), sqrt(mu)): B's other rows are the transposed
-    factor of ``sub`` and a zero column.  For any other level ``b`` is B
-    (m x m) with its leading r x r block left zero for the transposed factor
-    of ``sub``, the next block (r x r).  ``sub`` is None when this level
+    but a lone null vector's split) has A^-T = A, so V = A B^T.  When
+    ``overlap`` is set, A^H A = blockdiag(I, G) with G = [[1, overlap],
+    [conj(overlap), 1]], so A^-T = conj(A) blockdiag(I, G^-T) and V is a
+    product too: ``overlap`` is 0 for a null split [R | N] and e^T e for an
+    isotropic congruence [V' | conj(e) | e].  Only a bordered transform
+    A' D has no closed-form inverse (``overlap`` None) and solves with A^T.
+
+    For a ``Reflector`` level, ``b`` is B's last row (g/sqrt(mu), sqrt(mu)):
+    B's other rows are the transposed factor of ``sub`` and a zero column.
+    For any other level ``b`` is B (m x m) with its leading r x r block left
+    zero for the transposed factor of ``sub``, the next block (r x r).
+    ``sub`` is None when this level
     ends the chain.  ``spectrum`` holds the eigenpairs (vals, vecs) of
     ``sub`` that a reflector level carries down, in the units of this
     level's block; it is None when the next level takes a fresh
@@ -169,6 +177,7 @@ class LevelPlan:
     b: np.ndarray
     sound: bool = True
     spectrum: tuple | None = None
+    overlap: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -247,45 +256,32 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None, de
     deterministic ladder (zero, unit vectors, seeded random draws) until
     |det D| clears det_tol at the natural scale.  Returns AllZeroSignal when
     the coupling block vanishes, which routes to the closed-form branch.
+    The ladder is built only as far as it is walked.
     """
-    ct = as_matrix(c_tilde_prime, square=True, name="c_tilde_prime")
+    ct = np.asarray(c_tilde_prime, dtype=np.complex128)
+    if ct.ndim != 2 or ct.size == 0 or ct.shape[0] != ct.shape[1]:
+        raise ValidationError(f"c_tilde_prime must be a nonempty square 2-D array, got shape {ct.shape}")
     la = as_scalar(lambda_alpha, "lambda_alpha")
     cfg = cfg or ToleranceConfig()
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
     n = ct.shape[0]
-    if float(np.max(np.abs(ct))) <= _ALLZERO_CUT * abs(la):
+    # the all-zero test's one scan is also the finiteness check: NaN or Inf makes it non-finite
+    peak = float(np.max(np.abs(ct)))
+    if not np.isfinite(peak):
+        raise ValidationError("c_tilde_prime contains NaN or Inf entries")
+    if peak <= _ALLZERO_CUT * abs(la):
         return AllZeroSignal()
     xn = -1.0 / la
     threshold = cfg.det_tol * max(1.0, frobenius(ct) / abs(la) ** 2)
 
-    def evaluate(x_free: np.ndarray):
+    best = None
+    for label, x_free in _ladder(n, cfg, depth):
         x = np.concatenate([x_free, [xn]])
         y = ct @ x
         det_d = -complex(x @ y)
         # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
-        score = abs(det_d) / (1.0 + float(np.linalg.norm(x) * np.linalg.norm(y)))
-        return x, det_d, score
-
-    directions = []
-    for i in range(n - 1):
-        unit = np.zeros(n - 1, dtype=np.complex128)
-        unit[i] = 1.0
-        directions.append((f"unit:{i}", unit))
-    if n > 1:
-        rng = eigen._rng(cfg.seed, 0xD37, depth)
-        for j in range(16):
-            draw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            directions.append((f"random:{j}", draw))
-    candidates = [("zero", np.zeros(n - 1, dtype=np.complex128))] + directions
-    # when the coupling block is weak relative to lambda*alpha, only amplified
-    # free components give a well-conditioned transform, so sweep magnitudes
-    for magnitude in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-        for label, d in directions[: min(len(directions), n + 3)]:
-            candidates.append((f"{label}*{magnitude:g}", magnitude * d))
-    best = None
-    for label, x_free in candidates:
-        x, det_d, score = evaluate(x_free)
+        score = abs(det_d) / (1.0 + frobenius(x) * frobenius(y))
         if abs(det_d) >= threshold and score >= 1e-3:
             return ChosenX(x=x, det_d=det_d, strategy=label, score=score)
         if best is None or score > best.score:
@@ -293,7 +289,35 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None, de
     return best  # nonzero coupling: keep the best-conditioned draw
 
 
-def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray):
+def _ladder(n: int, cfg: ToleranceConfig, depth: int):
+    """Yield choose_x's (label, free components) in order, each built when reached.
+
+    Zero, the unit vectors, 16 seeded complex draws, then the first n + 3 of
+    those directions swept through magnitudes 1e1 ... 1e8.  The draws come
+    from one stream per (seed, depth), so a walk that stops early sees the
+    same candidates as the whole ladder.
+    """
+    yield "zero", np.zeros(n - 1, dtype=np.complex128)
+    directions = []
+    for i in range(n - 1):
+        unit = np.zeros(n - 1, dtype=np.complex128)
+        unit[i] = 1.0
+        directions.append((f"unit:{i}", unit))
+        yield directions[-1]
+    if n > 1:
+        rng = eigen._rng(cfg.seed, 0xD37, depth)
+        for j in range(16):
+            draw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            directions.append((f"random:{j}", draw))
+            yield directions[-1]
+    # when the coupling block is weak relative to lambda*alpha, only amplified
+    # free components give a well-conditioned transform, so sweep magnitudes
+    for magnitude in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        for label, d in directions[: n + 3]:
+            yield f"{label}*{magnitude:g}", magnitude * d
+
+
+def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, scale: float):
     """Isotropic eigenvector for pair.value when its eigenspace has one.
 
     A multi-dimensional eigenspace always contains isotropic directions
@@ -306,10 +330,10 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray):
     z = _isotropic_in_subspace(basis.T @ basis)
     if z is None:
         return None
-    v = eigen._phase_canonical(basis @ z / np.linalg.norm(basis @ z))
+    v = eigen._phase_canonical(basis @ z / frobenius(basis @ z))
     lam = complex(np.vdot(v, c @ v))
-    res = float(np.linalg.norm(c @ v - lam * v))
-    if res <= max(1e-10 * frobenius(c), 10.0 * pair.residual) and abs(bilinear(v, v)) <= 1e-12:
+    res = frobenius(c @ v - lam * v)
+    if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(complex(np.dot(v, v))) <= 1e-12:
         return eigen.EigenPair(value=lam, vector=v, residual=res)
     return None
 
@@ -330,10 +354,12 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
     ete = complex(np.dot(pair.vector, pair.vector))
     branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
     record = LevelRecord(dim=m, branch=branch, value=pair.value * units, ete=ete)
-    return LevelPlan(record, np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
+    return LevelPlan(record, np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128),
+                     overlap=0.0)
 
 
-def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None, units: float = 1.0) -> LevelPlan:
+def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None,
+                    units: float = 1.0) -> LevelPlan:
     """CaseI level by a complex-orthogonal reflector, for a non-isotropic e.
 
     f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1) gives
@@ -346,10 +372,9 @@ def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, rest: tuple | None, un
     Householder vector does: then |u_j| = |f_j - s| >= 1 never cancels (a
     coordinate eigenvector would give u = 0 with the other sign), and j
     maximises |u_j|, so |beta| = 2/|u^T u| = 1/|u_j| <= 1 is as small as it
-    gets.
+    gets.  ``ete`` is e^T e.
     """
     m = c.shape[0]
-    ete = complex(np.dot(pair.vector, pair.vector))
     f = pair.vector / _principal_sqrt(ete)
     signs = np.where(f.real < 0.0, 1.0, -1.0)
     j = int(np.argmax(np.abs(f - signs)))
@@ -402,35 +427,35 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
     by ``units``, and the plan's record is in the input's units.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
-    fallback_ete = None  # non-isotropic vector with e^T e in the ill-conditioned gap
+    fallback_ete = None  # (non-isotropic pair with e^T e in the ill-conditioned gap, e^T e)
     scale = frobenius(c) if scale is None else scale
     for pair, basis, rest in eigen._candidate_pairs(c, cfg, spectrum, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
             return _null_split(c, pair, basis, cfg, units)
-        ete = abs(complex(np.dot(pair.vector, pair.vector)))
-        if ete <= cfg.iso_tol:
+        ete = complex(np.dot(pair.vector, pair.vector))
+        if abs(ete) <= cfg.iso_tol:
             iso = pair
         else:
-            iso = None if basis is None else _isotropic_upgrade(c, pair, basis)
+            iso = None if basis is None else _isotropic_upgrade(c, pair, basis, scale)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, iso, cfg, depth, units)
+            plan = None if in_gap else _plan(c, iso, cfg, depth, scale, units)
             if plan is not None and plan.sound:
                 return plan
             if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
                 fallback_iso = (iso, plan)
             continue
-        if ete >= _ETE_DANGER:
-            return _reflector_plan(c, pair, rest, units)
-        if fallback_ete is None or ete > abs(bilinear(fallback_ete.vector, fallback_ete.vector)):
-            fallback_ete = pair
+        if abs(ete) >= _ETE_DANGER:
+            return _reflector_plan(c, pair, ete, rest, units)
+        if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
+            fallback_ete = (pair, ete)
     if spectrum is not None:
         return _first_sound_plan(c, cfg, depth, scale=scale, units=units)
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, iso, cfg, depth, units)
+        return plan if plan is not None else _plan(c, iso, cfg, depth, scale, units)
     if fallback_ete is not None:
-        return _reflector_plan(c, fallback_ete, None, units)
+        return _reflector_plan(c, *fallback_ete, None, units)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
@@ -464,7 +489,7 @@ def _isotropic_in_subspace(s: np.ndarray):
         z[:] = 0.0
         z[i0] = 1.0
         z[i1] = t
-        return z / np.linalg.norm(z)
+        return z / frobenius(z)
     return None
 
 
@@ -476,41 +501,46 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     its last row and column zero except the antidiagonal corner entries
     lambda*alpha, and c_tilde_prime is the leading symmetric block.
     """
-    c = as_matrix(c, square=True, name="C")
-    cfg = cfg or ToleranceConfig()
+    return _reduce_case_ii(as_matrix(c, square=True, name="C"), pair, cfg or ToleranceConfig())[:3]
+
+
+def _reduce_case_ii(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig):
+    """``reduce_case_ii`` of a validated C, with e^T e of the unit e as a fourth entry."""
     e = eigen._phase_canonical(np.asarray(pair.vector, dtype=np.complex128))
-    e = e / np.linalg.norm(e)
-    if abs(complex(np.dot(e, e))) > cfg.iso_tol:
+    e = e / frobenius(e)
+    ete = complex(np.dot(e, e))
+    if abs(ete) > cfg.iso_tol:
         raise ValidationError("eigenvector is not isotropic; wrong branch")
-    vprime = complement_basis_within(e, iso_tol=cfg.iso_tol)
+    vprime = _complement_basis_within(e)
     a_prime = np.hstack([vprime, e.conj().reshape(-1, 1), e.reshape(-1, 1)])
     c_prime = a_prime.T @ c @ a_prime
     c_prime = 0.5 * (c_prime + c_prime.T)
-    return a_prime, c_prime, c_prime[:-1, :-1].copy()
+    return a_prime, c_prime, c_prime[:-1, :-1].copy(), ete
 
 
 def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int,
-          units: float = 1.0) -> LevelPlan:
+          scale: float | None = None, units: float = 1.0) -> LevelPlan:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
     The record carries the measured corner lambda*alpha in the units of
     ``c`` times ``units``; a corner under the lambda = 0 cut is a
-    ``CaseII_LambdaZero`` level.
+    ``CaseII_LambdaZero`` level.  ``scale`` is |C|_F when the caller has it.
     """
     m = c.shape[0]
+    scale = frobenius(c) if scale is None else scale
     b = np.zeros((m, m), dtype=np.complex128)
-    a_prime, c_prime, ct_prime = reduce_case_ii(c, pair, cfg)
+    a_prime, c_prime, ct_prime, ete = _reduce_case_ii(c, pair, cfg)
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
     iso = dict(dim=m, value=la * units, ete=0.0)
-    if abs(la) <= _LAMBDA_ZERO_CUT * frobenius(c):
-        return LevelPlan(LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso), a_prime, ct_prime, b)
+    if abs(la) <= _LAMBDA_ZERO_CUT * scale:
+        return LevelPlan(LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso), a_prime, ct_prime, b, overlap=ete)
     chosen = choose_x(ct_prime, la, cfg, depth)
     allzero = isinstance(chosen, AllZeroSignal)
-    if allzero or frobenius(ct_prime) <= _DROP_CUT * frobenius(c):
+    if allzero or frobenius(ct_prime) <= _DROP_CUT * scale:
         b[m - 2 :, m - 2 :] = factor_antidiagonal(la)
         record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
                              **iso)
-        return LevelPlan(record, a_prime, None, b)
+        return LevelPlan(record, a_prime, None, b, overlap=ete)
     x = chosen.x
     y = ct_prime @ x
     u = np.zeros(m - 1, dtype=np.complex128)
@@ -519,6 +549,21 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int
     b[m - 1, m - 1] = principal_sqrt(complex(x @ y))  # lambda'^2 = sum x_i y_i = -det D
     record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
     return LevelPlan(record, a_prime @ build_D(x, y), 0.5 * (ct + ct.T), b, sound=chosen.score >= 1e-3)
+
+
+def _unitary_assembly(a: np.ndarray, b: np.ndarray, overlap: complex) -> np.ndarray:
+    """A^-T B^T for A^H A = blockdiag(I, G), G = [[1, overlap], [conj(overlap), 1]].
+
+    A^-1 = blockdiag(I, G^-1) A^H, so A^-T = conj(A) blockdiag(I, G^-T): a
+    product once G^-T has corrected the last two rows of B^T (the last two
+    columns of B, in place).  A unitary A has ``overlap`` 0 and no correction.
+    """
+    if overlap:
+        det = 1.0 - abs(overlap) ** 2
+        first = b[:, -2].copy()
+        b[:, -2] = (first - overlap.conjugate() * b[:, -1]) / det
+        b[:, -1] = (b[:, -1] - overlap * first) / det
+    return a.conj() @ b.T
 
 
 def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResult:
@@ -566,18 +611,24 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             spectrum = (spectrum[0] / norm, spectrum[1])
         plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block), units)
         levels.append(plan.record)
-        steps.append((plan.a, plan.b, norm))
+        steps.append((plan.a, plan.b, plan.overlap, norm))
         if plan.sub is None:
             v = None
             break
         block, depth, spectrum = plan.sub, depth + 1, plan.spectrum
-    for a, b, norm in reversed(steps):
+    for a, b, overlap, norm in reversed(steps):
         if isinstance(a, Reflector):  # b is B's last row: B = [[v^T, 0], [b]]
             row, b = b, np.zeros((len(b), len(b)), dtype=np.complex128)
             b[-1] = row
         if v is not None:
             b[: len(v), : len(v)] = v.T
-        v = (a.apply(b.T) if isinstance(a, Reflector) else solve_linear(a.T, b.T)) * np.sqrt(norm)
+        if isinstance(a, Reflector):
+            v = a.apply(b.T)
+        elif overlap is None:
+            v = solve_linear(a.T, b.T)
+        else:
+            v = _unitary_assembly(a, b, overlap)
+        v = v * np.sqrt(norm)
     residual = frobenius(c - v @ v.T)
     return FactorizationResult(
         V=v,

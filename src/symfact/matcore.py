@@ -9,6 +9,7 @@ points validate shapes and reject non-finite input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,15 @@ def as_scalar(z, name: str = "scalar") -> complex:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128).ravel()))
+    """|a|_F by the formula of ``np.linalg.norm(a)``, bit for bit, without its dispatch."""
+    x = np.asarray(a)
+    if x.dtype.kind not in "fc":
+        x = x.astype(np.float64)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def bilinear(u, v) -> complex:
@@ -109,11 +118,11 @@ def _principal_sqrt(value: complex) -> complex:
 def _reflector(x: np.ndarray) -> np.ndarray:
     """Unitary Householder matrix whose first column is a unit multiple of x."""
     m = x.shape[0]
-    x = x / np.linalg.norm(x)
+    x = x / frobenius(x)
     phase = x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0 + 0.0j
     v = x.copy()
     v[0] += phase  # v = x - alpha*e1 with alpha = -phase, so |v| is never small
-    v /= np.linalg.norm(v)
+    v /= frobenius(v)
     # first column comes out as -conj(phase)*x, still a unit multiple of x
     return np.eye(m, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
 
@@ -126,22 +135,25 @@ def complement_basis_within(e, iso_tol: float = 1e-8) -> np.ndarray:
     completion steps commute cleanly.
     """
     e = as_vector(e, "e")
-    norm_e = np.linalg.norm(e)
+    norm_e = frobenius(e)
     if norm_e == 0.0:
         raise ValidationError("cannot build a complement basis for the zero vector")
     if abs(complex(np.dot(e, e))) > iso_tol * norm_e**2:
         raise ValidationError("input vector is not isotropic within iso_tol")
-    m = e.shape[0]
-    if m < 2:
+    if e.shape[0] < 2:
         raise ValidationError("an isotropic vector needs dimension >= 2")
-    u = e / norm_e
+    return _complement_basis_within(e)
+
+
+def _complement_basis_within(e: np.ndarray) -> np.ndarray:
+    """``complement_basis_within`` of a nonzero complex128 vector, unchecked."""
+    u = e / frobenius(e)
     p1 = _reflector(u.conj())
     z = p1.conj().T @ u  # coordinates of u in the completed basis; z[0] ~ e^T e = 0
     z = z[1:]
-    z /= np.linalg.norm(z)
+    z /= frobenius(z)
     p2 = _reflector(z)
-    basis = p1[:, 1:] @ p2[:, 1:]
-    return basis
+    return p1[:, 1:] @ p2[:, 1:]
 
 
 def solve_linear(a, b) -> np.ndarray:

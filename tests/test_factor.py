@@ -658,7 +658,7 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     c = c / frobenius(c)
     pair, basis, rest = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is None
-    plan = _reflector_plan(c, pair, rest)
+    plan = _reflector_plan(c, pair, complex(np.dot(pair.vector, pair.vector)), rest)
     q = plan.a.apply(np.eye(6, dtype=complex))
     assert frobenius(q.T @ q - np.eye(6)) <= 1e-14
     qcq = q.T @ c @ q
@@ -732,3 +732,173 @@ def test_residual_stays_bounded_as_n_grows(kind, bound):
         for seed in range(4):
             c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind=kind))
             assert factor_symmetric(c, CFG).relative_residual <= bound, (n, seed)
+
+
+def _eager_ladder(n, cfg, depth):
+    """choose_x's whole ladder as one list, built before the first candidate is scored."""
+    directions = []
+    for i in range(n - 1):
+        unit = np.zeros(n - 1, dtype=np.complex128)
+        unit[i] = 1.0
+        directions.append((f"unit:{i}", unit))
+    if n > 1:
+        rng = factor.eigen._rng(cfg.seed, 0xD37, depth)
+        for j in range(16):
+            draw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            directions.append((f"random:{j}", draw))
+    candidates = [("zero", np.zeros(n - 1, dtype=np.complex128))] + directions
+    for magnitude in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        for label, d in directions[: min(len(directions), n + 3)]:
+            candidates.append((f"{label}*{magnitude:g}", magnitude * d))
+    return candidates
+
+
+def _eager_choose_x(ct, la, cfg, depth):
+    """choose_x walking the eager ladder."""
+    if float(np.max(np.abs(ct))) <= factor._ALLZERO_CUT * abs(la):
+        return AllZeroSignal()
+    xn = -1.0 / la
+    threshold = cfg.det_tol * max(1.0, frobenius(ct) / abs(la) ** 2)
+    best = None
+    for label, x_free in _eager_ladder(ct.shape[0], cfg, depth):
+        x = np.concatenate([x_free, [xn]])
+        y = ct @ x
+        det_d = -complex(x @ y)
+        score = abs(det_d) / (1.0 + float(np.linalg.norm(x) * np.linalg.norm(y)))
+        if abs(det_d) >= threshold and score >= 1e-3:
+            return factor.ChosenX(x=x, det_d=det_d, strategy=label, score=score)
+        if best is None or score > best.score:
+            best = factor.ChosenX(x=x, det_d=det_d, strategy=f"fallback:{label}", score=score)
+    return best
+
+
+def _coupling(n, entries):
+    ct = np.zeros((n, n), dtype=complex)
+    for (i, j), value in entries.items():
+        ct[i, j] = ct[j, i] = value
+    return ct
+
+
+def test_lazy_ladder_chooses_what_the_whole_ladder_chooses():
+    rng = np.random.default_rng(8)
+    generic = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    routes = {
+        "zero": (generic + generic.T, 0.7 - 0.2j),
+        "unit:0": (_coupling(3, {(0, 0): 1.0, (0, 2): 0.3}), 1.0),
+        "unit:1": (_coupling(3, {(1, 1): 1.0}), 1.0),
+        "random:": (_coupling(3, {(0, 1): 1.0}), 1.0),  # every unit vector gives det D = 0
+        "*": (_coupling(3, {(0, 0): 1e-9, (1, 1): 2e-9}), 1.0),
+        "fallback:": (_coupling(2, {(0, 1): 1e-9}), 1.0),  # no rung scores 1e-3
+        "allzero": (np.zeros((3, 3), dtype=complex), 1.0),
+    }
+    for route, (ct, la) in routes.items():
+        for seed, depth in ((0, 0), (3, 5)):
+            cfg = ToleranceConfig(seed=seed)
+            got, want = choose_x(ct, la, cfg, depth), _eager_choose_x(ct, la, cfg, depth)
+            if route == "allzero":
+                assert isinstance(got, AllZeroSignal) and isinstance(want, AllZeroSignal)
+                continue
+            assert route in want.strategy and (route != "zero" or want.strategy == "zero")
+            assert got.x.tobytes() == want.x.tobytes()
+            assert (got.det_d, got.strategy, got.score) == (want.det_d, want.strategy, want.score)
+    for n in (1, 2, 3, 9):  # the whole ladder, rung for rung
+        for seed, depth in ((0, 0), (3, 5)):
+            cfg = ToleranceConfig(seed=seed)
+            lazy = [(label, x.tobytes()) for label, x in factor._ladder(n, cfg, depth)]
+            assert lazy == [(label, x.tobytes()) for label, x in _eager_ladder(n, cfg, depth)]
+
+
+def test_choose_x_still_rejects_non_finite_and_non_square_blocks():
+    for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(ValidationError):
+            choose_x(bad, 1.0, CFG)
+
+
+def _near_isotropic(seed, n, ete):
+    """Unit e with e^T e close to -ete: (q0 + i(1 + ete) q1)/|.| for orthonormal real q0, q1."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 2)))
+    return _unit(q[:, 0] + 1j * (1.0 + ete) * q[:, 1])
+
+
+def _random_b(plan):
+    """The level's B, completed by an arbitrary factor of the next block."""
+    b = plan.b.copy()
+    if plan.sub is not None:
+        r = len(plan.sub)
+        b[:r, :r] = np.random.default_rng(r).standard_normal((r, r))
+    return b
+
+
+def _product_and_solve(plan, overlap=None):
+    """The level's V = A^-T B^T by the product (with ``overlap``, else the plan's) and by a solve."""
+    b = _random_b(plan)
+    overlap = plan.overlap if overlap is None else overlap
+    return factor._unitary_assembly(plan.a, b.copy(), overlap), solve_linear(plan.a.T, b.T)
+
+
+def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
+    from symfact.factor import _first_sound_plan, _plan
+
+    c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=1, kind="IsotropicLambdaZero"))
+    plans = [_first_sound_plan(c / frobenius(c), CFG, 0)]  # null splits, then a lone null vector
+    eye = np.eye(4, dtype=complex)
+    for d, null in (([0.0, 3.0, 0.0, 2.0], eye[:, [0, 2]]), ([3.0, 2.0, 1.0, 0.0], eye[:, [3]])):
+        pair = EigenPair(value=0.0, vector=null[:, 0], residual=0.0)
+        plans.append(factor._null_split(np.diag(d).astype(complex), pair, null, CFG))
+    e, lam, c = _isotropic_core(6, 6)
+    plans.append(_plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG, 0))  # CaseII_Degenerate
+    w = complement_basis_within(e)
+    s = np.random.default_rng(6).standard_normal((4, 4))
+    plans.append(_plan(w @ (s + s.T) @ w.T, EigenPair(value=0.0, vector=e, residual=0.0), CFG, 0))
+    # near-isotropic e: A' is unitary but for e^T e, which G^-T corrects
+    e = _near_isotropic(9, 6, 1e-9)
+    c = lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e))
+    plans.append(_plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG, 0))
+    kinds = [(p.record.branch, p.sub is None) for p in plans]
+    assert kinds == [(BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_LAMBDA_ZERO, False),
+                     (BRANCH_CASE_I, False), (BRANCH_CASE_II_DEGENERATE, True),
+                     (BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_DEGENERATE, True)]
+    assert [p.overlap for p in plans[:3]] == [0.0] * 3
+    assert 5e-10 < abs(plans[-1].overlap) < 2e-9
+    for plan in plans:
+        got, want = _product_and_solve(plan)
+        assert frobenius(got - want) <= 1e-14 * frobenius(want)
+
+
+def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
+    from symfact.factor import _plan
+
+    cfg = ToleranceConfig(iso_tol=1e-4)
+    e = _near_isotropic(3, 7, 2e-5)
+    w = factor._complement_basis_within(e)
+    s = np.random.default_rng(3).standard_normal((5, 5))
+    c = w @ (s + s.T) @ w.T  # C e = 0, so the level is a lambda = 0 congruence
+    plan = _plan(c, EigenPair(value=0.0, vector=e, residual=0.0), cfg, 0)
+    assert plan.record.branch == BRANCH_CASE_II_LAMBDA_ZERO
+    assert 1e-5 < abs(plan.overlap) < 4e-5
+    got, want = _product_and_solve(plan)
+    assert frobenius(got - want) <= 1e-14 * frobenius(want)
+    uncorrected, want = _product_and_solve(plan, overlap=0.0)  # A' taken as unitary
+    assert frobenius(uncorrected - want) > 1e-6 * frobenius(want)
+    b = plan.b.copy()
+    b[:-1, :-1] = factor_symmetric(plan.sub, cfg).V.T
+    assert verify_factorization(c, factor._unitary_assembly(plan.a, b, plan.overlap), cfg).relative_residual <= 1e-14
+    for seed in range(6):  # whole factorizations under the raised cut
+        c = oracle.gen(oracle.GeneratorSpec(dim=7, seed=seed, kind="IsotropicLambdaNonzero"))
+        assert factor_symmetric(c, cfg).relative_residual <= cfg.verify_tol
+
+
+def test_only_bordered_transforms_assemble_by_a_solve(monkeypatch):
+    solves = _count_calls(monkeypatch, factor, "solve_linear")
+    seen = []
+    for kind, n, seed in (("IsotropicLambdaZero", 6, 1), ("IsotropicLambdaZero", 7, 3), ("RankDeficient", 8, 2),
+                          ("IsotropicLambdaNonzero", 6, 0), ("IsotropicLambdaNonzero", 8, 2)):
+        c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind=kind))
+        seen += factor_symmetric(c, CFG).trace.branches()
+    assert BRANCH_CASE_II_LAMBDA_ZERO in seen and BRANCH_CASE_II_DEGENERATE in seen
+    assert BRANCH_CASE_II_GENERAL not in seen and solves == []
+    generals = 0
+    for n, seed in ((5, 1), (6, 463), (8, 3)):
+        c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind="IsotropicLambdaNonzero"))
+        generals += factor_symmetric(c, CFG).trace.branches().count(BRANCH_CASE_II_GENERAL)
+    assert generals > 0 and len(solves) == generals

@@ -120,3 +120,15 @@ def test_tolerance_config_validation():
         ToleranceConfig(iso_tol=-1.0)
     cfg = ToleranceConfig()
     assert cfg.iso_tol == 1e-8
+
+
+@pytest.mark.parametrize("complex_entries", [True, False])
+def test_frobenius_is_numpy_norm_bit_for_bit(complex_entries):
+    # entries over 16 decades, so a different summation order shows in the last bits
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((9, 11)) * 10.0 ** rng.uniform(-8, 8, (9, 11))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((9, 11)) * 10.0 ** rng.uniform(-8, 8, (9, 11))
+    layouts = [a, np.asfortranarray(a), a.T, a[::2, 1::3], a.T[1:, ::2], a[:, 4], a.ravel()[::3], a[:0]]
+    for x in layouts:
+        assert frobenius(x).hex() == float(np.linalg.norm(x)).hex()
