@@ -23,6 +23,7 @@ import numpy as np
 from .eigen import BiorthonormalSystem, EigenLevel, _lapack, _phase_canonical_columns
 from .factor import factor_symmetric
 from .matcore import (
+    _DEFAULT_CONFIG,
     ToleranceConfig,
     ValidationError,
     as_matrix,
@@ -233,7 +234,7 @@ def canonicalize(system: BiorthonormalSystem, coeffs: CoefficientSet,
     the represented operator M is invariant under the paired change.
     Returns (new_system, canonical_op).
     """
-    cfg = cfg or ToleranceConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     _validate_coeffs(system, coeffs)
     v_set = []
     for block in coeffs.blocks:

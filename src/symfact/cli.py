@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import antisym, eigen, factor, oracle
-from .matcore import SingularMatrixError, ToleranceConfig, ValidationError
+from .matcore import _DEFAULT_CONFIG, SingularMatrixError, ToleranceConfig, ValidationError
 
 EXIT_PASS = 0
 EXIT_INPUT_ERROR = 1
@@ -471,7 +471,7 @@ def _make_config(args) -> ToleranceConfig:
             seed = int(raw)
         except ValueError:
             raise ValidationError(f"SYMFACT_SEED must be an integer, got {raw!r}") from None
-    base = ToleranceConfig()
+    base = _DEFAULT_CONFIG
     return ToleranceConfig(
         eig_tol=base.eig_tol,
         iso_tol=args.iso_tol if args.iso_tol is not None else base.iso_tol,

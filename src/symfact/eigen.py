@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    _DEFAULT_CONFIG,
     ToleranceConfig,
     ValidationError,
     SingularMatrixError,
@@ -136,6 +137,11 @@ def _rayleigh_pair(a: np.ndarray, v: np.ndarray) -> EigenPair:
     return EigenPair(value=lam, vector=_phase_canonical(v), residual=frobenius(av - lam * v))
 
 
+def _simple_and_near_zero(gap, modulus, scale):
+    """(simple, near zero) for a candidate ``gap`` from the next eigenvalue, in a block of norm ``scale``."""
+    return gap > _SIMPLE_GAP * scale, modulus <= _NEAR_ZERO * scale
+
+
 def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None):
     """Yield (pair, basis, rest) for each distinct eigenvalue candidate.
 
@@ -175,12 +181,11 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
     for i in range(n):
         gap = np.abs(vals - vals[i])
         gap[i] = np.inf
-        simple = gap.min() > _SIMPLE_GAP * scale
+        cand = complex(vals[i])
+        simple, near_zero = _simple_and_near_zero(gap.min(), abs(cand), scale)
         if not simple and (gap[kept] <= 1e-12 * scale).any():  # absorbed by an earlier kept one
             continue
         kept.append(i)
-        cand = complex(vals[i])
-        near_zero = abs(cand) <= _NEAR_ZERO * scale
         if simple and not near_zero:
             pair = _rayleigh_pair(a, vecs[:, i] / frobenius(vecs[:, i]))
             if pair.residual <= cfg.eig_tol * scale:
@@ -208,7 +213,7 @@ def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
     the next candidate otherwise.
     """
     a = as_matrix(a, square=True, name="A")
-    cfg = cfg or ToleranceConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     scale = frobenius(a)
     if scale == 0.0:
         raise ValidationError("eigenpair requires a nonzero matrix")
@@ -263,7 +268,7 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     ConvergenceError when a LAPACK iteration does not converge.
     """
     h = as_matrix(h, square=True, name="H")
-    cfg = cfg or ToleranceConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     n = h.shape[0]
     norm_h = frobenius(h)
     with _lapack("eigenvalue iteration"):

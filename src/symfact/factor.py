@@ -6,9 +6,7 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
 
 * ``CaseI``               non-isotropic e: a complex-orthogonal reflector
                           maps e/sqrt(e^T e) to the last axis and splits off
-                          a 1x1 corner, recurse on the rest.  The reflector
-                          is also a similarity, so when e came straight from
-                          a spectrum the other eigenpairs carry down.
+                          a 1x1 corner, recurse on the rest.
 * ``CaseII_LambdaZero``   lambda = 0: the null space leaves in one unitary
                           split (a lone null vector with e^T e != 0 is
                           recorded as ``CaseI``).
@@ -24,16 +22,17 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
 ``_first_sound_plan`` is the one place where a level's branch is decided.
 Its plan holds the level's congruence A, the next block, and the part of B
 (with B^T B = A^T C A) known at this level.  ``factor_symmetric`` walks the
-blocks down in a loop, keeping each level's A and known part of B, then
-assembles V = A^-T B^T bottom-up, so the Python stack does not grow with the
-dimension.  A CaseI level's reflector has A^-T = A and assembles by one
-rank-1 update.  A null split [R | N] is unitary, and an isotropic level's
-A' = [V' | conj(e) | e] is unitary but for the Gram entry <conj(e), e> =
-e^T e, so both assemble by a product with conj(A) as well; only a bordered
-transform A' D solves with A^T.  A reflector level keeps
-its reflector vector and B's last row only, so a chain of them keeps O(n^2)
-numbers in all.  A chain of CaseI levels on simple eigenpairs runs on the
-one eigendecomposition taken at its top.
+blocks down in a loop and assembles V = A^-T B^T bottom-up, so the Python
+stack does not grow with the dimension.  A null split [R | N] is unitary and
+an isotropic level's A' = [V' | conj(e) | e] is unitary but for the Gram
+entry e^T e, so both assemble by a product with conj(A); only a bordered
+transform A' D solves with A^T.  CaseI levels come in panels: a reflector Q
+has Q^T Q = I, so the other eigenvectors carry down through it, and a panel
+picks each level's reflector from the carried eigenvectors alone, forms
+M = Q^T C Q of the whole run in one product, re-checks each level on M, and
+assembles V = Q R in one product.  In exact arithmetic that is the paper's
+per-level congruence; the panel changes the order of the arithmetic, and
+its cuts compare against the norms of M's leading blocks.
 
 Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
 """
@@ -46,15 +45,16 @@ import numpy as np
 
 from . import eigen
 from .matcore import (
+    _DEFAULT_CONFIG,
     ToleranceConfig,
     ValidationError,
     _complement_basis_within,
     _principal_sqrt,
+    _solve_linear as solve_linear,  # A' D and B are built here, finite and conforming: no validation
     as_matrix,
     as_scalar,
     frobenius,
     principal_sqrt,
-    solve_linear,
 )
 
 BRANCH_BASE = "Base"
@@ -94,6 +94,9 @@ _LAMBDA_DANGER = 1e-4
 _DROP_CUT = 5e-9
 
 
+_ORTHOGONAL = "orthogonal"  # the ``overlap`` of a panel's step: Q^-T = Q
+
+
 class NotSymmetricError(ValueError):
     """Input matrix is not symmetric within the accepted band."""
 
@@ -127,57 +130,42 @@ class LevelRecord:
 
 
 @dataclass(frozen=True)
-class Reflector:
-    """Complex-orthogonal Q = P H, held in factored form.
-
-    H = I - beta u u^T with beta = 2/(u^T u) has H = H^T = H^-1, and P swaps
-    coordinate ``perm[-1]`` with the last one, so Q^T Q = I: Q is a
-    congruence and a similarity at once, and Q^-T = Q.
-    """
-
-    perm: np.ndarray
-    u: np.ndarray
-    beta: complex
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Q x, by one rank-1 update and a row swap."""
-        return (x - self.beta * (self.u[:, None] * (self.u @ x)[None, :]))[self.perm]
-
-
-@dataclass(frozen=True)
 class LevelPlan:
-    """One level, decided but not yet assembled.
+    """One level, decided but not yet assembled: V = A^-T B^T.
 
-    The level's factor is V = A^-T B^T: a ``Reflector`` A (every CaseI level
-    but a lone null vector's split) has A^-T = A, so V = A B^T.  When
-    ``overlap`` is set, A^H A = blockdiag(I, G) with G = [[1, overlap],
-    [conj(overlap), 1]], so A^-T = conj(A) blockdiag(I, G^-T) and V is a
-    product too: ``overlap`` is 0 for a null split [R | N] and e^T e for an
-    isotropic congruence [V' | conj(e) | e].  Only a bordered transform
-    A' D has no closed-form inverse (``overlap`` None) and solves with A^T.
-
-    For a ``Reflector`` level, ``b`` is B's last row (g/sqrt(mu), sqrt(mu)):
-    B's other rows are the transposed factor of ``sub`` and a zero column.
-    For any other level ``b`` is B (m x m) with its leading r x r block left
-    zero for the transposed factor of ``sub``, the next block (r x r).
-    ``sub`` is None when this level
-    ends the chain.  ``spectrum`` holds the eigenpairs (vals, vecs) of
-    ``sub`` that a reflector level carries down, in the units of this
-    level's block; it is None when the next level takes a fresh
-    eigendecomposition.  ``sound`` is False only for a bordered transform
-    that scored ill-conditioned: some coupling blocks (a cross coupling with
-    vanishing diagonal that is small but not negligible, say) admit no
-    well-conditioned transform at all, and another eigenvalue candidate is
-    then preferable.
+    With ``overlap`` set, A^H A = blockdiag(I, G), G = [[1, overlap], [conj(overlap), 1]]
+    (0 for a null split [R | N], e^T e for an isotropic [V' | conj(e) | e]), so
+    A^-T = conj(A) blockdiag(I, G^-T); a bordered transform A' D (None) solves with A^T.
+    ``b`` is B, its leading block left zero for the factor of ``sub``, the next block
+    (None at the end of the chain).  ``sound`` is False only for a bordered transform that
+    scored ill-conditioned: some coupling blocks (a small cross coupling with vanishing
+    diagonal, say) admit no good transform, and another candidate is preferable.
     """
 
     record: LevelRecord
-    a: np.ndarray | Reflector
+    a: np.ndarray
     sub: np.ndarray | None
     b: np.ndarray
     sound: bool = True
-    spectrum: tuple | None = None
     overlap: complex | None = None
+
+
+@dataclass(frozen=True)
+class Panel:
+    """A run of CaseI levels (one record each), decided but not yet assembled.
+
+    ``q`` is Q (Q^T Q = I), the run's reflectors; the run splits off the last L
+    coordinates of M = Q^T C Q, and ``sub`` is M's leading block.  V = Q R, R =
+    [[V', R12], [0, R22]], V' a factor of ``sub`` and column p of [R12; R22]
+    M[:p, p]/sqrt(M_pp) over sqrt(M_pp); ``b`` is R^T.  ``spectrum`` holds the
+    eigenpairs (vals, vecs) of ``sub`` carried down, in C's units, or None.
+    """
+
+    records: tuple
+    q: np.ndarray
+    sub: np.ndarray
+    b: np.ndarray
+    spectrum: tuple | None
 
 
 @dataclass(frozen=True)
@@ -207,7 +195,7 @@ def verify_factorization(c, v, cfg: ToleranceConfig | None = None) -> VerifyResu
     """Frobenius residual of C - V V^T, relative to max(|C|_F, 1)."""
     c = as_matrix(c, square=True, name="C")
     v = as_matrix(v, square=True, name="V")
-    cfg = cfg or ToleranceConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if v.shape != c.shape:
         raise ValidationError(f"shape mismatch: C is {c.shape}, V is {v.shape}")
     residual = frobenius(c - v @ v.T)
@@ -262,7 +250,7 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None, de
     if ct.ndim != 2 or ct.size == 0 or ct.shape[0] != ct.shape[1]:
         raise ValidationError(f"c_tilde_prime must be a nonempty square 2-D array, got shape {ct.shape}")
     la = as_scalar(lambda_alpha, "lambda_alpha")
-    cfg = cfg or ToleranceConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
     n = ct.shape[0]
@@ -358,73 +346,96 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
                      overlap=0.0)
 
 
-def _reflector_plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None,
-                    units: float = 1.0) -> LevelPlan:
-    """CaseI level by a complex-orthogonal reflector, for a non-isotropic e.
+def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None, cfg: ToleranceConfig,
+           units: float = 1.0, floor: float = 0.0) -> Panel:
+    """CaseI levels by complex-orthogonal reflectors, the first on ``pair`` (``ete`` = e^T e).
 
-    f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1) gives
-    H f = s*e_j with H = I - beta u u^T; after P swaps j with the last
-    coordinate, Q = P H maps the last axis to s*f and Q^T C Q =
-    blockdiag(C~, mu).  Q^T = Q^-1, so the other eigenpairs ``rest`` =
-    (vals, vecs) of C carry down to C~ as (vals, (Q^T v)[:-1]), and the next
-    level needs no eigendecomposition of its own; with ``rest`` None it takes
-    a fresh one.  Each coordinate j takes the sign with Re(s f_j) <= 0, as a
-    Householder vector does: then |u_j| = |f_j - s| >= 1 never cancels (a
-    coordinate eigenvector would give u = 0 with the other sign), and j
-    maximises |u_j|, so |beta| = 2/|u^T u| = 1/|u_j| <= 1 is as small as it
-    gets.  ``ete`` is e^T e.
+    f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1, Re(s f_j) <= 0, j maximising
+    |u_j| >= 1) gives H f = s*e_j for H = I - beta u u^T, |beta| <= 1, and P H (P swaps j and
+    the last coordinate) splits off the corner.  P H is a similarity: the other eigenpairs
+    ``rest`` carry down, and the run goes on while the next block's walk would take its
+    first candidate by eigen's tests at the Schur bound sqrt(sum |vals|^2) of its norm,
+    past no block of norm at most ``floor`` and no |e^T e| < _ETE_DANGER.  The levels update
+    only the carried eigenvectors and Q^T; M = Q^T C Q is then one product, and each level is
+    re-checked at its block's norm in M (cumulative sums of |M|^2), with its corner's
+    coupling |M[:p, p]| against eig_tol.  The first level that fails ends a new walk.
     """
     m = c.shape[0]
-    f = pair.vector / _principal_sqrt(ete)
-    signs = np.where(f.real < 0.0, 1.0, -1.0)
-    j = int(np.argmax(np.abs(f - signs)))
-    perm = np.arange(m)
-    perm[j], perm[-1] = m - 1, j
-    u = f[perm]
-    u[-1] -= signs[j]
-    beta = 2.0 / complex(u @ u)
-    # H C_p H = C_p - (u z^T + z u^T), C_p = P^T C P, by one rank-2 update;
-    # u[:, None] * z[None, :] is np.outer(u, z), the same product without the call
-    cp = c[perm][:, perm]
-    w = cp @ u
-    z = beta * w - (0.5 * beta * beta * complex(u @ w)) * u
-    sub = cp[:-1, :-1] - (u[:-1, None] * z[None, :-1] + z[:-1, None] * u[None, :-1])
-    mu = complex(cp[-1, -1] - 2.0 * u[-1] * z[-1])
-    spectrum = None
-    if rest is not None:
-        carried = rest[1][perm]
-        carried -= beta * (u[:, None] * (u @ carried)[None, :])
-        spectrum = (rest[0], carried[:-1])
-    # B's last row also carries the rounding-level coupling g = (Q^T C Q)[:-1, -1]
-    # as g/sqrt(mu): then B^T B leaves out only g g^T/mu, not g
-    b = np.empty(m, dtype=np.complex128)
-    b[-1] = root = _principal_sqrt(mu)
-    b[:-1] = (cp[:-1, -1] - (u[:-1] * z[-1] + z[:-1] * u[-1])) / root
-    record = LevelRecord(dim=m, branch=BRANCH_CASE_I, value=pair.value * units, ete=ete)
-    return LevelPlan(record, Reflector(perm, u, beta), sub, b, spectrum=spectrum)
+    limit = m - 1
+    if rest is not None:  # the walk's tests of candidate i, which level i + 1 takes
+        vals, moduli = rest[0], np.abs(rest[0])
+        schur = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
+        gaps = (np.abs(vals[:, None] - vals) + np.tril(np.full((m - 1, m - 1), np.inf))).min(axis=1)
+        simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
+        walk = (schur > floor) & simple & ~near_zero
+    while True:
+        # columns: the carried eigenvectors, then Q^T
+        z = np.eye(m, dtype=np.complex128) if rest is None else np.hstack([rest[1], np.eye(m, dtype=np.complex128)])
+        f, etes, p = pair.vector / _principal_sqrt(ete), [ete], 0
+        while True:  # level p splits coordinate k - 1 off the leading k x k block
+            k = m - p
+            signs = np.where(f.real < 0.0, 1.0, -1.0)
+            j = int(np.abs(f - signs).argmax())
+            u = f.copy()
+            u[j], u[-1] = f[-1], f[j] - signs[j]
+            beta = 2.0 / complex(u @ u)
+            live = z[:k, p:]  # the eigenvectors still carried, and Q^T
+            live[[j, k - 1]] = live[[k - 1, j]]
+            live -= (beta * u)[:, None] * (u @ live)[None, :]
+            p += 1
+            if rest is None or p == limit or not walk[p - 1]:
+                break
+            v = z[: k - 1, p - 1]
+            vtv, peak = complex(v @ v), complex(v[np.abs(v).argmax()])
+            unit = vtv / np.vdot(v, v).real  # e^T e of the unit e
+            if abs(unit) < _ETE_DANGER:
+                break
+            etes.append(unit * (abs(peak) / peak) ** 2)  # of e with its phase fixed, as eigen._phase_canonical
+            f = v / _principal_sqrt(vtv)
+        k = m - p
+        q = z[:, z.shape[1] - m :].T
+        mm = q.T @ c @ q
+        mm = 0.5 * (mm + mm.T)
+        if p == 1:
+            break
+        cols = np.cumsum(mm.real**2 + mm.imag**2, axis=0)
+        corner = np.arange(m - 2, k - 1, -1)  # the coordinate levels 1 .. p-1 split off
+        norms = np.sqrt(np.cumsum(cols, axis=1)[corner, corner])
+        simple, near_zero = eigen._simple_and_near_zero(gaps[: p - 1], moduli[: p - 1], norms)
+        ok = (norms > floor) & simple & ~near_zero & (np.sqrt(cols[corner - 1, corner]) <= cfg.eig_tol * norms)
+        if ok.all():
+            break
+        limit = 1 + int(np.argmin(ok))
+    mu = np.diagonal(mm)[k:]
+    root = np.sqrt(mu + 0.0)  # + 0.0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
+    b = np.tril(mm)  # its leading k x k block is overwritten by V'^T
+    b[k:] /= root[:, None]
+    b[np.arange(k, m), np.arange(k, m)] = root
+    records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value) * units, ete=e)
+                    for i, (value, e) in enumerate(zip(mu[::-1], etes)))
+    spectrum = None if rest is None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
+    return Panel(records, q.copy(), mm[:k, :k], b, spectrum)
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None,
-                      scale: float | None = None, units: float = 1.0) -> LevelPlan:
+                      scale: float | None = None, units: float = 1.0, floor: float = 0.0) -> LevelPlan | Panel:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first, from ``spectrum``
-    (eigenpairs carried down by a reflector level) or a fresh
-    eigendecomposition.  A candidate is taken when it gives an exact route:
-    the null space (one unitary split), an isotropic vector whose plan is
-    sound, or a safely non-isotropic vector, which takes a reflector level.
-    Candidates in the ill-conditioned gaps are deferred; nearly nilpotent
-    blocks always hold a clean candidate further down the list.  A pair
-    taken directly from the spectrum (no ``basis``) belongs to a simple
-    eigenvalue; as C is symmetric, e^T is also its left eigenvector, so
-    e^T e != 0, its eigenspace holds no isotropic direction to upgrade to,
-    and its reflector level carries the other eigenpairs down.  When the
-    carried spectrum gives no plan in the walk, the walk starts again on a
-    fresh eigendecomposition.  The last resort, the non-isotropic pair with
-    the largest e^T e in the ill-conditioned gap, takes a reflector level
-    that carries no eigenpairs (its reflector has condition ~ 1/|e^T e|).
-    ``scale`` is |C|_F when the caller has it; C is the input's block divided
-    by ``units``, and the plan's record is in the input's units.
+    (eigenpairs carried down by a panel) or a fresh eigendecomposition.  A
+    candidate is taken when it gives an exact route: the null space (one
+    unitary split), an isotropic vector whose plan is sound, or a safely
+    non-isotropic vector, which starts a panel.  Candidates in the
+    ill-conditioned gaps are deferred; nearly nilpotent blocks always hold a
+    clean candidate further down.  A pair taken directly from the spectrum (no
+    ``basis``) belongs to a simple eigenvalue, so e^T e != 0 (e^T is also its
+    left eigenvector), its eigenspace holds no isotropic direction, and its
+    panel carries the other eigenpairs down.  A carried spectrum that gives no
+    plan is replaced by a fresh one.  The last resort, the non-isotropic pair
+    with the largest e^T e in the gap, takes a panel that carries no
+    eigenpairs.  ``scale`` is |C|_F when known; C is the input's block over
+    ``units``, the records are in the input's units, and a block of norm at
+    most ``floor`` is rounding noise.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # (non-isotropic pair with e^T e in the ill-conditioned gap, e^T e)
@@ -446,16 +457,16 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
                 fallback_iso = (iso, plan)
             continue
         if abs(ete) >= _ETE_DANGER:
-            return _reflector_plan(c, pair, ete, rest, units)
+            return _panel(c, pair, ete, rest, cfg, units, floor)
         if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
             fallback_ete = (pair, ete)
     if spectrum is not None:
-        return _first_sound_plan(c, cfg, depth, scale=scale, units=units)
+        return _first_sound_plan(c, cfg, depth, scale=scale, units=units, floor=floor)
     if fallback_iso is not None:
         iso, plan = fallback_iso
         return plan if plan is not None else _plan(c, iso, cfg, depth, scale, units)
     if fallback_ete is not None:
-        return _reflector_plan(c, *fallback_ete, None, units)
+        return _panel(c, *fallback_ete, None, cfg, units)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
@@ -501,7 +512,7 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     its last row and column zero except the antidiagonal corner entries
     lambda*alpha, and c_tilde_prime is the leading symmetric block.
     """
-    return _reduce_case_ii(as_matrix(c, square=True, name="C"), pair, cfg or ToleranceConfig())[:3]
+    return _reduce_case_ii(as_matrix(c, square=True, name="C"), pair, cfg or _DEFAULT_CONFIG)[:3]
 
 
 def _reduce_case_ii(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig):
@@ -573,14 +584,14 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     (it is symmetrized once); larger defects raise NotSymmetricError.
     """
     c = as_matrix(c, square=True, name="C")
-    cfg = cfg or ToleranceConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     norm_c = frobenius(c)
     defect = frobenius(c - c.T)
     if defect > _SYM_BAND * max(norm_c, np.finfo(np.float64).tiny):
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
     c = 0.5 * (c + c.T)
     levels: list = []
-    steps: list = []  # (A, B, |block|_F) of each planned level, top down
+    steps: list = []  # (A, B, overlap, |block|_F) of each plan, top down
     block, depth, spectrum = c, 0, None
     units = 1.0  # the working block is the input's sub-block divided by this
     while True:
@@ -609,21 +620,21 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         units *= norm
         if spectrum is not None:
             spectrum = (spectrum[0] / norm, spectrum[1])
-        plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block), units)
-        levels.append(plan.record)
-        steps.append((plan.a, plan.b, plan.overlap, norm))
+        plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block), units,
+                                 eigen._EIGENSPACE_CUT * norm_c / units)
+        panel = isinstance(plan, Panel)
+        levels += plan.records if panel else [plan.record]
+        steps.append((plan.q, plan.b, _ORTHOGONAL, norm) if panel else (plan.a, plan.b, plan.overlap, norm))
+        spectrum = plan.spectrum if panel else None
         if plan.sub is None:
             v = None
             break
-        block, depth, spectrum = plan.sub, depth + 1, plan.spectrum
+        block, depth = plan.sub, len(levels)
     for a, b, overlap, norm in reversed(steps):
-        if isinstance(a, Reflector):  # b is B's last row: B = [[v^T, 0], [b]]
-            row, b = b, np.zeros((len(b), len(b)), dtype=np.complex128)
-            b[-1] = row
         if v is not None:
             b[: len(v), : len(v)] = v.T
-        if isinstance(a, Reflector):
-            v = a.apply(b.T)
+        if overlap is _ORTHOGONAL:
+            v = a @ b.T
         elif overlap is None:
             v = solve_linear(a.T, b.T)
         else:

@@ -51,6 +51,9 @@ class ToleranceConfig:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
+_DEFAULT_CONFIG = ToleranceConfig()  # for every call that passes none: built and validated once
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array."""
     arr = np.asarray(v, dtype=np.complex128)
@@ -168,14 +171,20 @@ def solve_linear(a, b) -> np.ndarray:
     b_arr = np.asarray(b, dtype=np.complex128)
     vector_rhs = b_arr.ndim == 1
     b_arr = as_matrix(b_arr.reshape(-1, 1) if vector_rhs else b_arr, name="B")
-    m, k = a.shape[0], b_arr.shape[1]
-    if b_arr.shape[0] != m:
-        raise ValidationError(f"B has {b_arr.shape[0]} rows, expected {m}")
+    if b_arr.shape[0] != a.shape[0]:
+        raise ValidationError(f"B has {b_arr.shape[0]} rows, expected {a.shape[0]}")
+    x = _solve_linear(a, b_arr)
+    return x[:, 0] if vector_rhs else x
+
+
+def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_linear`` of a finite square complex A and a conforming 2-D B, unchecked."""
+    m, k = a.shape[0], b.shape[1]
     try:
-        x = np.linalg.solve(a, np.hstack([b_arr, np.eye(m, dtype=np.complex128)]))
+        x = np.linalg.solve(a, np.hstack([b, np.eye(m, dtype=np.complex128)]))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is singular to working precision (zero pivot)") from exc
     cond = float(np.abs(a).sum(axis=0).max() * np.abs(x[:, k:]).sum(axis=0).max())
     if not cond * m * _EPS < 1.0:  # also catches an inf or nan inverse
         raise SingularMatrixError(f"matrix is singular to working precision (condition {cond:.3g})")
-    return x[:, 0] if vector_rhs else x[:, :k]
+    return x[:, :k]

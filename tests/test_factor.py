@@ -3,7 +3,6 @@
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -543,29 +542,37 @@ def test_boosted_inputs_factor_within_verify_tol(n, t, seed):
     assert factor_symmetric(_boosted(n, t, seed), CFG).relative_residual <= CFG.verify_tol
 
 
-def _reflector_b(plan):
-    """B of a reflector level: a factor of the next block over the plan's last row."""
-    m = plan.b.shape[0]
-    assert plan.b.shape == (m,) and plan.sub.shape == (m - 1, m - 1)
-    b = np.zeros((m, m), dtype=complex)
-    b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
-    b[-1] = plan.b
-    return b
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("t", [1.0, 2.0, 2.5, 3.0])
+def test_far_from_normal_chains_keep_their_accuracy(n, t):
+    # every eigenvector of these has |e^T e| = 1/cosh 2t, so a panel's Q and
+    # the deferred products M = Q^T C Q and V = Q R round relative to |Q|^2
+    for seed in range(4):
+        c = _boosted(n, t, seed)
+        r = factor_symmetric(c, CFG)
+        assert set(r.trace.branches()) == {BRANCH_CASE_I, "Base"}
+        assert r.relative_residual <= 1e-11, seed
+
+
+def _panel_v(plan):
+    """V = Q R of a panel, with an arbitrary factor of its next block in R."""
+    b = plan.b.copy()
+    b[: len(plan.sub), : len(plan.sub)] = factor_symmetric(plan.sub, CFG).V.T
+    return plan.q @ b.T
 
 
 def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
-    from symfact.factor import Reflector, _first_sound_plan
+    from symfact.factor import Panel, _first_sound_plan
 
     c = _clustered(0, 1e-8, False)
     c = c / frobenius(c)
     _, basis, _ = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is not None  # the top pair is clustered, so it comes from an SVD
     plan = _first_sound_plan(c, CFG, 0)
-    assert plan.record.branch == BRANCH_CASE_I
-    assert isinstance(plan.a, Reflector)
-    assert plan.spectrum is None
-    v = plan.a.apply(_reflector_b(plan).T)
-    assert verify_factorization(c, v, CFG).passed
+    assert isinstance(plan, Panel)
+    assert [lv.branch for lv in plan.records] == [BRANCH_CASE_I]  # a panel of one level
+    assert plan.spectrum is None and plan.sub.shape == (9, 9)
+    assert verify_factorization(c, _panel_v(plan), CFG).passed
 
 
 def _count_calls(monkeypatch, module, name):
@@ -652,23 +659,30 @@ def test_a_dense_factorization_takes_one_eigendecomposition(monkeypatch, n):
 
 
 def test_reflector_level_is_a_similarity_and_a_congruence():
-    from symfact.factor import _reflector_plan
-
-    c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=3, kind="DenseSymmetric"))
-    c = c / frobenius(c)
+    # the panel walks down 4, 3, 2 and stops at the pair 1, 1 + 1e-8, which
+    # is not simple: Q of three reflectors is a congruence and a similarity,
+    # and the three eigenpairs left carry down to the next block
+    rng = np.random.default_rng(3)
+    o, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    q = _expm(0.2 * (s - s.T)) @ o  # complex orthogonal
+    c = q @ np.diag([4.0, 3.0j, -2.0, 1.0, 1.0 + 1e-8, 0.5]) @ q.T
+    c = 0.5 * (c + c.T) / frobenius(c)
     pair, basis, rest = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is None
-    plan = _reflector_plan(c, pair, complex(np.dot(pair.vector, pair.vector)), rest)
-    q = plan.a.apply(np.eye(6, dtype=complex))
+    plan = factor._panel(c, pair, complex(np.dot(pair.vector, pair.vector)), rest, CFG)
+    assert [lv.dim for lv in plan.records] == [6, 5, 4]
+    q = plan.q
     assert frobenius(q.T @ q - np.eye(6)) <= 1e-14
-    qcq = q.T @ c @ q
-    assert frobenius(qcq[:-1, :-1] - plan.sub) <= 1e-14
-    assert frobenius(qcq[:-1, -1]) <= 1e-14
+    m = q.T @ c @ q
+    assert frobenius(m[:3, :3] - plan.sub) <= 1e-14
+    for p in (3, 4, 5):  # each panel column couples to the block above it by rounding only
+        assert frobenius(m[:p, p]) <= CFG.eig_tol
+    assert [lv.value for lv in plan.records] == pytest.approx(np.diag(m)[3:][::-1], abs=1e-15)
     vals, vecs = plan.spectrum
     assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(plan.sub)), atol=1e-13)
     assert frobenius(plan.sub @ vecs - vecs * vals) <= 1e-13 * frobenius(vecs)
-    v = plan.a.apply(_reflector_b(plan).T)  # V = Q B^T, no solve
-    assert frobenius(c - v @ v.T) <= 1e-14
+    assert frobenius(c - _panel_v(plan) @ _panel_v(plan).T) <= 1e-14  # V = Q R, no solve
 
 
 def test_rank_deficient_noise_tail_is_one_zero_matrix_level():
@@ -681,24 +695,37 @@ def test_rank_deficient_noise_tail_is_one_zero_matrix_level():
 
 
 def test_drifted_carried_spectrum_reanchors(monkeypatch):
-    # carried eigenvectors perturbed far beyond eig_tol: every level below a
-    # reflector level misses, takes a fresh eigendecomposition, and the
-    # factorization takes the same branches within verify_tol
+    # carried eigenvectors perturbed far beyond eig_tol: the check on M finds
+    # the second level's corner coupled and ends every panel after one level,
+    # the next block's walk finds its carried vector missing and takes a fresh
+    # eigendecomposition, and the factorization takes the same branches
+    # within verify_tol
     c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=2, kind="DenseSymmetric"))
     clean = factor_symmetric(c, CFG)
-    inner = factor._reflector_plan
+    inner, panel = factor.eigen._candidate_pairs, factor._panel
     rng = np.random.default_rng(0)
 
-    def drifted(block, pair, rest, *args):
-        plan = inner(block, pair, rest, *args)
-        vals, vecs = plan.spectrum
-        noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
-        return replace(plan, spectrum=(vals, vecs + 1e-6 * noise))
+    def drifted(*args):
+        for pair, basis, rest in inner(*args):
+            if rest is not None:
+                vals, vecs = rest
+                noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
+                rest = (vals, vecs + 1e-6 * noise)
+            yield pair, basis, rest
 
-    monkeypatch.setattr(factor, "_reflector_plan", drifted)
+    lengths = []
+
+    def counted(*args):
+        plan = panel(*args)
+        lengths.append(len(plan.records))
+        return plan
+
+    monkeypatch.setattr(factor.eigen, "_candidate_pairs", drifted)
+    monkeypatch.setattr(factor, "_panel", counted)
     eigs = _count_calls(monkeypatch, np.linalg, "eig")
     r = factor_symmetric(c, CFG)
     assert len(eigs) == 9  # one per level of dimension >= 2
+    assert lengths == [1] * 9
     assert r.trace.branches() == clean.trace.branches()
     assert r.relative_residual <= CFG.verify_tol
 
