@@ -230,14 +230,13 @@ def _parse(path: str, data: bytes) -> np.ndarray:
     raise ParseError(reason, line, column, path)
 
 
+def _report(command: str, digests, cfg: ToleranceConfig, result: dict, status: str = "pass") -> dict:
+    return {"command": command, "input_sha256": digests, "config": _config_dict(cfg), "result": result,
+            "status": status}
+
+
 def _error_report(command: str, digests, cfg: ToleranceConfig, exc: Exception) -> dict:
-    return {
-        "command": command,
-        "input_sha256": digests,
-        "config": _config_dict(cfg),
-        "result": {"error": type(exc).__name__, "message": str(exc)},
-        "status": "error",
-    }
+    return _report(command, digests, cfg, {"error": type(exc).__name__, "message": str(exc)}, "error")
 
 
 def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
@@ -276,14 +275,8 @@ def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
                 fh.write(format_matrix(result.V))
         except OSError as exc:
             return _error_report("factor", digest, cfg, exc), EXIT_INPUT_ERROR
-    report = {
-        "command": "factor",
-        "input_sha256": digest,
-        "config": _config_dict(cfg),
-        "result": payload,
-        "status": "pass" if passed else "fail",
-    }
-    return report, EXIT_PASS if passed else EXIT_NUMERIC_FAILURE
+    return _report("factor", digest, cfg, payload, "pass" if passed else "fail"), (
+        EXIT_PASS if passed else EXIT_NUMERIC_FAILURE)
 
 
 def _cmd_verify(path_c: str, path_v: str, cfg: ToleranceConfig) -> tuple[dict, int]:
@@ -294,18 +287,9 @@ def _cmd_verify(path_c: str, path_v: str, cfg: ToleranceConfig) -> tuple[dict, i
         check = factor.verify_factorization(_parse(path_c, data_c), _parse(path_v, data_v), cfg)
     except (OSError, ParseError, ValidationError) as exc:
         return _error_report("verify", digests, cfg, exc), EXIT_INPUT_ERROR
-    report = {
-        "command": "verify",
-        "input_sha256": digests,
-        "config": _config_dict(cfg),
-        "result": {
-            "residual": check.residual,
-            "relative_residual": check.relative_residual,
-            "pass": bool(check.passed),
-        },
-        "status": "pass" if check.passed else "fail",
-    }
-    return report, EXIT_PASS if check.passed else EXIT_NUMERIC_FAILURE
+    result = {"residual": check.residual, "relative_residual": check.relative_residual, "pass": bool(check.passed)}
+    return _report("verify", digests, cfg, result, "pass" if check.passed else "fail"), (
+        EXIT_PASS if check.passed else EXIT_NUMERIC_FAILURE)
 
 
 def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
@@ -329,14 +313,7 @@ def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
         payload["eigenvalues"] = [
             {"value": _cnum(v), "multiplicity": len(members)} for v, members in clustered
         ]
-        report = {
-            "command": "analyze",
-            "input_sha256": digest,
-            "config": _config_dict(cfg),
-            "result": payload,
-            "status": "pass",
-        }
-        return report, EXIT_PASS
+        return _report("analyze", digest, cfg, payload), EXIT_PASS
     payload["eigenvalues"] = [
         {"value": _cnum(lv.value), "multiplicity": lv.multiplicity} for lv in system.levels
     ]
@@ -355,14 +332,7 @@ def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
             "N": _cmatrix(op.matrix),
             "commutation_residual": antisym.check_commutes(h, op),
         }
-    report = {
-        "command": "analyze",
-        "input_sha256": digest,
-        "config": _config_dict(cfg),
-        "result": payload,
-        "status": "pass",
-    }
-    return report, EXIT_PASS
+    return _report("analyze", digest, cfg, payload), EXIT_PASS
 
 
 def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
@@ -389,14 +359,7 @@ def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
     }
     if args.selfadjoint:
         payload["involution_residual"] = antisym.check_involution(op)
-    report = {
-        "command": "canonical",
-        "input_sha256": digest,
-        "config": _config_dict(cfg),
-        "result": payload,
-        "status": "pass",
-    }
-    return report, EXIT_PASS
+    return _report("canonical", digest, cfg, payload), EXIT_PASS
 
 
 def _text_summary(report: dict) -> str:
@@ -491,31 +454,18 @@ def main(argv=None) -> int:
         print(f"symfact: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    reports = []
-    worst = EXIT_PASS
-    if args.command == "factor":
-        if args.out_v and len(args.paths) != 1:
-            print("symfact: --out-v requires exactly one input file", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        for path in args.paths:
-            report, code = _cmd_factor(path, cfg, args)
-            reports.append(report)
-            worst = max(worst, code)
-    elif args.command == "verify":
-        report, code = _cmd_verify(args.path_c, args.path_v, cfg)
-        reports.append(report)
-        worst = max(worst, code)
+    if args.command == "factor" and args.out_v and len(args.paths) != 1:
+        print("symfact: --out-v requires exactly one input file", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.command == "verify":
+        runs = [_cmd_verify(args.path_c, args.path_v, cfg)]
     elif args.command == "analyze":
-        for path in args.paths:
-            report, code = _cmd_analyze(path, cfg)
-            reports.append(report)
-            worst = max(worst, code)
-    else:  # canonical
-        for path in args.paths:
-            report, code = _cmd_canonical(path, cfg, args)
-            reports.append(report)
-            worst = max(worst, code)
-
+        runs = [_cmd_analyze(path, cfg) for path in args.paths]
+    else:
+        command = _cmd_factor if args.command == "factor" else _cmd_canonical
+        runs = [command(path, cfg, args) for path in args.paths]
+    reports = [report for report, _ in runs]
+    worst = max(code for _, code in runs)
     if args.format == "text":
         print("\n\n".join(_text_summary(r) for r in reports))
     else:

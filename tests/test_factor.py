@@ -235,7 +235,7 @@ def test_assemble_case_ii_direct_call():
     for seed in (2, 3):  # one degenerate-core and one bulk-enriched instance
         c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=seed, kind="IsotropicLambdaNonzero"))
         plan = _first_sound_plan(c, CFG, 0)
-        assert plan.record.branch in (BRANCH_CASE_II_DEGENERATE, BRANCH_CASE_II_GENERAL)
+        assert plan.records[0].branch in (BRANCH_CASE_II_DEGENERATE, BRANCH_CASE_II_GENERAL)
         b = plan.b.copy()
         if plan.sub is not None:  # any factor of the next block completes B
             b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
@@ -251,7 +251,7 @@ def test_dispatch_case_agrees_with_executed_plan():
     e, lam, c = _isotropic_core(7, 5)
     c = c + 3e-10 * np.outer(e, e)
     plan = _plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG, 0)
-    assert (plan.record.branch, plan.record.x_strategy) == (BRANCH_CASE_II_DEGENERATE, "dropped")
+    assert (plan.records[0].branch, plan.records[0].x_strategy) == (BRANCH_CASE_II_DEGENERATE, "dropped")
     assert plan.sub is None
     assert verify_factorization(c, solve_linear(plan.a.T, plan.b.T), CFG).passed
 
@@ -558,18 +558,18 @@ def _panel_v(plan):
     """V = Q R of a panel, with an arbitrary factor of its next block in R."""
     b = plan.b.copy()
     b[: len(plan.sub), : len(plan.sub)] = factor_symmetric(plan.sub, CFG).V.T
-    return plan.q @ b.T
+    return plan.a @ b.T
 
 
 def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
-    from symfact.factor import Panel, _first_sound_plan
+    from symfact.factor import _first_sound_plan
 
     c = _clustered(0, 1e-8, False)
     c = c / frobenius(c)
     _, basis, _ = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is not None  # the top pair is clustered, so it comes from an SVD
     plan = _first_sound_plan(c, CFG, 0)
-    assert isinstance(plan, Panel)
+    assert plan.overlap is factor._ORTHOGONAL  # a panel: A is Q
     assert [lv.branch for lv in plan.records] == [BRANCH_CASE_I]  # a panel of one level
     assert plan.spectrum is None and plan.sub.shape == (9, 9)
     assert verify_factorization(c, _panel_v(plan), CFG).passed
@@ -672,7 +672,7 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     assert basis is None
     plan = factor._panel(c, pair, complex(np.dot(pair.vector, pair.vector)), rest, CFG)
     assert [lv.dim for lv in plan.records] == [6, 5, 4]
-    q = plan.q
+    q = plan.a
     assert frobenius(q.T @ q - np.eye(6)) <= 1e-14
     m = q.T @ c @ q
     assert frobenius(m[:3, :3] - plan.sub) <= 1e-14
@@ -683,6 +683,23 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(plan.sub)), atol=1e-13)
     assert frobenius(plan.sub @ vecs - vecs * vals) <= 1e-13 * frobenius(vecs)
     assert frobenius(c - _panel_v(plan) @ _panel_v(plan).T) <= 1e-14  # V = Q R, no solve
+
+
+@pytest.mark.parametrize("iso_tol", [0.5, 0.99])
+def test_panels_take_the_branches_of_the_per_level_walk_at_a_raised_iso_tol(monkeypatch, iso_tol):
+    # a carried eigenvector with |e^T e| <= iso_tol is isotropic by the
+    # config: the panel ends before it, as the per-level walk (here every
+    # panel cut to one level, each level on a fresh spectrum) sends it to the
+    # isotropic route
+    cfg = ToleranceConfig(iso_tol=iso_tol)
+    inputs = [oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind="DenseSymmetric"))
+              for n in (5, 8, 10) for seed in range(4)]
+    panelled = [factor_symmetric(c, cfg).trace.branches() for c in inputs]
+    panel = factor._panel
+    monkeypatch.setattr(factor, "_panel", lambda c, pair, ete, rest, *args: panel(c, pair, ete, None, *args))
+    assert [factor_symmetric(c, cfg).trace.branches() for c in inputs] == panelled
+    seen = {branch for branches in panelled for branch in branches}
+    assert {BRANCH_CASE_I, BRANCH_CASE_II_GENERAL} <= seen
 
 
 def test_rank_deficient_noise_tail_is_one_zero_matrix_level():
@@ -881,7 +898,7 @@ def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
     e = _near_isotropic(9, 6, 1e-9)
     c = lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e))
     plans.append(_plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG, 0))
-    kinds = [(p.record.branch, p.sub is None) for p in plans]
+    kinds = [(p.records[0].branch, p.sub is None) for p in plans]
     assert kinds == [(BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_LAMBDA_ZERO, False),
                      (BRANCH_CASE_I, False), (BRANCH_CASE_II_DEGENERATE, True),
                      (BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_DEGENERATE, True)]
@@ -901,7 +918,7 @@ def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
     s = np.random.default_rng(3).standard_normal((5, 5))
     c = w @ (s + s.T) @ w.T  # C e = 0, so the level is a lambda = 0 congruence
     plan = _plan(c, EigenPair(value=0.0, vector=e, residual=0.0), cfg, 0)
-    assert plan.record.branch == BRANCH_CASE_II_LAMBDA_ZERO
+    assert plan.records[0].branch == BRANCH_CASE_II_LAMBDA_ZERO
     assert 1e-5 < abs(plan.overlap) < 4e-5
     got, want = _product_and_solve(plan)
     assert frobenius(got - want) <= 1e-14 * frobenius(want)
