@@ -405,13 +405,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``symfact`` parser with every command registered.
+def _build_parser() -> argparse.ArgumentParser:
+    """The full ``symfact`` parser: every command with its arguments.
 
-    When ``command`` names one, only its sub-parser gets arguments (-h
-    included): argparse hands everything after the command to that
-    sub-parser alone. Otherwise every sub-parser gets them, so ``symfact
-    -h`` and usage errors read as they do with a full build.
+    It parses only what ``_parse_args`` hands on (``-h``, an unknown or
+    missing command, arguments left over), so help and errors are argparse's.
     """
     parser = argparse.ArgumentParser(
         prog="symfact",
@@ -419,11 +417,21 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _COMMANDS.items():
-        build = command not in _COMMANDS or name == command
-        p = sub.add_parser(name, help=help_text, add_help=build)
-        if build:
-            _add_arguments(p, name)
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` by its command's parser alone, which prints as its sub-parser
+    does; by the full parser if argv[0] is no command or words are left."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"symfact {argv[0]}")
+        _add_arguments(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _make_config(args) -> ToleranceConfig:
@@ -447,7 +455,7 @@ def _make_config(args) -> ToleranceConfig:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = _make_config(args)
     except ValidationError as exc:

@@ -35,7 +35,9 @@ assembles V = Q R in one product.  In exact arithmetic that is the paper's
 per-level congruence; the panel changes the order of the arithmetic, and
 its cuts compare against the norms of M's leading blocks.
 
-Every returned factor satisfies |C - V V^T|_F <= verify_tol * max(|C|_F, 1).
+The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
+It can exceed verify_tol (some small-integer complex diagonals do); the CLI
+then reports ``status: "fail"`` with exit code 2.
 """
 
 from __future__ import annotations

@@ -348,11 +348,40 @@ def test_top_level_help_lists_every_command(capsys, argv):
         assert f"    {command} " in out
 
 
-@pytest.mark.parametrize("argv", [["frobnicate", "c.mat"], [], ["--seed", "1", "factor"]])
+@pytest.mark.parametrize("argv", [
+    ["frobnicate", "c.mat"], [], ["--seed", "1", "factor"],
+    # left over by the command's own parser
+    ["factor", "c.mat", "--bogus"], ["factor", "-x", "c.mat"], ["verify", "c.mat", "v.mat", "extra.mat"],
+    ["canonical", "--selfadjoint", "--oracle", "c.mat"],
+    # rejected by it
+    ["factor", "--tol", "abc", "c.mat"], ["factor", "--seed", "1.5", "c.mat"], ["factor", "--format", "xml", "c.mat"],
+    ["factor", "--o", "c.mat"], ["factor", "c.mat", "--tol"], ["verify", "c.mat"],
+])
 def test_usage_errors_match_the_full_parser(capsys, argv):
     full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
     assert full[0] == 2 and full[2].startswith("usage: symfact ")
     assert _exit_output(capsys, lambda: main(argv)) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--det-tol=1e-9", "--iso-tol", "1e-8", "c.mat"], ["factor", "--format=text", "c.mat"],
+    ["factor", "--", "c.mat"], ["factor", "--iso", "1e-7", "c.mat"],
+])
+def test_accepted_argv_parse_as_with_the_full_parser(argv):
+    args = cli._parse_args(argv)
+    assert args.command == "factor"
+    assert args == cli._build_parser().parse_args(argv)
+
+
+def test_a_well_formed_call_builds_only_its_command_parser(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "c.mat", "1 1\n4\n")
+    calls = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or build())
+    assert main(["factor", path, "--format", "text"]) == EXIT_PASS
+    assert calls == []
+    assert _exit_output(capsys, lambda: main(["factor", path, "--bogus"]))[0] == 2
+    assert calls == [1]
 
 
 def test_tolerance_flags_are_echoed(tmp_path, capsys):

@@ -542,6 +542,27 @@ def test_boosted_inputs_factor_within_verify_tol(n, t, seed):
     assert factor_symmetric(_boosted(n, t, seed), CFG).relative_residual <= CFG.verify_tol
 
 
+_DIAGONAL_MISS = (
+    "CaseII_General levels leave a defective 2x2 block whose SVD eigenvector has |e^T e| ~ 2e-8, "
+    "just over iso_tol, so it takes the last-resort CaseI reflector of condition ~1/|e^T e|"
+)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=_DIAGONAL_MISS))
+        if seed in (93, 134) else seed  # relative residuals 3.1e-2 (n=13) and 1.1e-1 (n=11)
+        for seed in range(300)
+    ],
+)
+def test_small_integer_complex_diagonals_factor_within_verify_tol(seed):
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 14)
+    d = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+    assert factor_symmetric(np.diag(d), CFG).relative_residual <= CFG.verify_tol
+
+
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("t", [1.0, 2.0, 2.5, 3.0])
 def test_far_from_normal_chains_keep_their_accuracy(n, t):
