@@ -409,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The full ``symfact`` parser: every command with its arguments.
 
     It parses only what ``_parse_args`` hands on (``-h``, an unknown or
-    missing command, arguments left over), so help and errors are argparse's.
+    missing command, arguments left over), so help and error messages are
+    argparse's; ``main`` turns its usage-error exit code 2 into 1.
     """
     parser = argparse.ArgumentParser(
         prog="symfact",
@@ -455,7 +456,10 @@ def _make_config(args) -> ToleranceConfig:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(argv)
+    try:
+        args = _parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the code of a numerical failure
+        raise SystemExit(EXIT_INPUT_ERROR if exc.code == 2 else exc.code) from None
     try:
         cfg = _make_config(args)
     except ValidationError as exc:

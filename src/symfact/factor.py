@@ -144,8 +144,8 @@ class LevelPlan:
     A^-T = A; a bordered transform A' D (None) solves with A^T.  ``b`` is B, its leading
     block left zero for the factor of ``sub``, the next block (None at the end of the chain).
     ``sound`` is False only for a bordered transform that scored ill-conditioned: some
-    coupling blocks (a small cross coupling with vanishing diagonal, say) admit no good
-    transform, and another candidate is preferable.  ``spectrum`` holds the eigenpairs
+    coupling blocks (a weak coupling to the corner alone, say) admit no good transform,
+    and another candidate is preferable.  ``spectrum`` holds the eigenpairs
     (vals, vecs) of ``sub`` that a panel carried down, in C's units, or None.
     """
 
@@ -227,14 +227,18 @@ def build_D(x, y) -> np.ndarray:
     return d
 
 
-def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None, depth: int = 0):
+def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None):
     """Pick the free entries of the bordered transform D.
 
-    x_n is pinned to -1/(lambda*alpha); the free components walk a
-    deterministic ladder (zero, unit vectors, seeded random draws) until
-    |det D| clears det_tol at the natural scale.  Returns AllZeroSignal when
-    the coupling block vanishes, which routes to the closed-form branch.
-    The ladder is built only as far as it is walked.
+    x_n is pinned to -1/(lambda*alpha).  The free components are scored all
+    at once: zero, each unit vector e_i, and e_i +- e_j for the largest
+    off-diagonal |c_tilde'_ij| of the leading block (the 1x1 and 2x2 pivots
+    of Bunch & Kaufman).  A rung d with |c_tilde' d| between the all-zero cut
+    of |lambda*alpha| and 1 is scaled to 1/sqrt(|c_tilde' d|) (at most 1e8), so
+    a block weak against lambda*alpha still gives a well-conditioned D.  The
+    best-scoring rung whose |det D| clears det_tol is taken.  Returns
+    AllZeroSignal when the coupling block vanishes, which routes to the
+    closed-form branch.
     """
     ct = np.asarray(c_tilde_prime, dtype=np.complex128)
     if ct.ndim != 2 or ct.size == 0 or ct.shape[0] != ct.shape[1]:
@@ -243,56 +247,37 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None, de
     cfg = cfg or _DEFAULT_CONFIG
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
-    n = ct.shape[0]
     # the all-zero test's one scan is also the finiteness check: NaN or Inf makes it non-finite
     peak = float(np.max(np.abs(ct)))
     if not np.isfinite(peak):
         raise ValidationError("c_tilde_prime contains NaN or Inf entries")
     if peak <= _ALLZERO_CUT * abs(la):
         return AllZeroSignal()
+    k = ct.shape[0] - 1  # rows 0..k-1 of a rung are its free components, row k is x_n
+    rungs = np.zeros((k + 1, k + 1 + 2 * (k > 1)), dtype=np.complex128)
+    rungs[np.arange(k), np.arange(1, k + 1)] = 1.0  # zero, then the unit vectors
+    if k > 1:  # then e_i + e_j and e_i - e_j on the largest off-diagonal entry of the leading block
+        off = np.abs(ct[:k, :k])
+        off.flat[:: k + 1] = -1.0  # a diagonal block pairs (0, 1)
+        i, j = sorted(divmod(int(off.argmax()), k))
+        rungs[[i, j], -2:] = [[1.0, 1.0], [1.0, -1.0]]
+    cd = ct @ rungs
+    weight = np.linalg.norm(cd, axis=0)
+    weak = (weight > _ALLZERO_CUT * abs(la)) & (weight < 1.0)
+    scale = np.minimum(np.where(weak, weight, 1.0) ** -0.5, 1e8)
     xn = -1.0 / la
-    threshold = cfg.det_tol * max(1.0, frobenius(ct) / abs(la) ** 2)
-
-    best = None
-    for label, x_free in _ladder(n, cfg, depth):
-        x = np.concatenate([x_free, [xn]])
-        y = ct @ x
-        det_d = -complex(x @ y)
-        # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
-        score = abs(det_d) / (1.0 + frobenius(x) * frobenius(y))
-        if abs(det_d) >= threshold and score >= 1e-3:
-            return ChosenX(x=x, det_d=det_d, strategy=label, score=score)
-        if best is None or score > best.score:
-            best = ChosenX(x=x, det_d=det_d, strategy=f"fallback:{label}", score=score)
-    return best  # nonzero coupling: keep the best-conditioned draw
-
-
-def _ladder(n: int, cfg: ToleranceConfig, depth: int):
-    """Yield choose_x's (label, free components) in order, each built when reached.
-
-    Zero, the unit vectors, 16 seeded complex draws, then the first n + 3 of
-    those directions swept through magnitudes 1e1 ... 1e8.  The draws come
-    from one stream per (seed, depth), so a walk that stops early sees the
-    same candidates as the whole ladder.
-    """
-    yield "zero", np.zeros(n - 1, dtype=np.complex128)
-    directions = []
-    for i in range(n - 1):
-        unit = np.zeros(n - 1, dtype=np.complex128)
-        unit[i] = 1.0
-        directions.append((f"unit:{i}", unit))
-        yield directions[-1]
-    if n > 1:
-        rng = eigen._rng(cfg.seed, 0xD37, depth)
-        for j in range(16):
-            draw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            directions.append((f"random:{j}", draw))
-            yield directions[-1]
-    # when the coupling block is weak relative to lambda*alpha, only amplified
-    # free components give a well-conditioned transform, so sweep magnitudes
-    for magnitude in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-        for label, d in directions[: n + 3]:
-            yield f"{label}*{magnitude:g}", magnitude * d
+    x = rungs * scale
+    x[-1] = xn
+    y = cd * scale + xn * ct[:, -1:]
+    det_d = -np.einsum("ij,ij->j", x, y)
+    # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
+    score = np.abs(det_d) / (1.0 + np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0))
+    clears = np.abs(det_d) >= cfg.det_tol * max(1.0, frobenius(ct) / abs(la) ** 2)
+    best = int(np.argmax(score + clears))  # score < 1: a rung that clears ranks first
+    label = "zero" if best == 0 else f"unit:{best - 1}" if best <= k else f"pair:{i}{'+-'[best - k - 1]}{j}"
+    if not (clears[best] and score[best] >= 1e-3):
+        label = f"fallback:{label}"
+    return ChosenX(x=x[:, best].copy(), det_d=complex(det_d[best]), strategy=label, score=float(score[best]))
 
 
 def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, scale: float):
@@ -415,8 +400,8 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     return LevelPlan(records, q.copy(), mm[:k, :k], b, overlap=_ORTHOGONAL, spectrum=spectrum)
 
 
-def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=None,
-                      scale: float | None = None, units: float = 1.0, floor: float = 0.0) -> LevelPlan:
+def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None,
+                      units: float = 1.0, floor: float = 0.0) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first, from ``spectrum``
@@ -448,7 +433,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
             iso = None if basis is None else _isotropic_upgrade(c, pair, basis, scale)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, iso, cfg, depth, scale, units)
+            plan = None if in_gap else _plan(c, iso, cfg, scale, units)
             if plan is not None and plan.sound:
                 return plan
             if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
@@ -459,10 +444,10 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, depth: int, spectrum=
         if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
             fallback_ete = (pair, ete)
     if spectrum is not None:
-        return _first_sound_plan(c, cfg, depth, scale=scale, units=units, floor=floor)
+        return _first_sound_plan(c, cfg, scale=scale, units=units, floor=floor)
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, iso, cfg, depth, scale, units)
+        return plan if plan is not None else _plan(c, iso, cfg, scale, units)
     if fallback_ete is not None:
         return _panel(c, *fallback_ete, None, cfg, units)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
@@ -527,8 +512,8 @@ def _reduce_case_ii(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig):
     return a_prime, c_prime, c_prime[:-1, :-1].copy(), ete
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int,
-          scale: float | None = None, units: float = 1.0) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: float | None = None,
+          units: float = 1.0) -> LevelPlan:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
     The record carries the measured corner lambda*alpha in the units of
@@ -544,7 +529,7 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, depth: int
     if abs(la) <= _LAMBDA_ZERO_CUT * scale:
         record = LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso)
         return LevelPlan((record,), a_prime, ct_prime, b, overlap=ete)
-    chosen = choose_x(ct_prime, la, cfg, depth)
+    chosen = choose_x(ct_prime, la, cfg)
     allzero = isinstance(chosen, AllZeroSignal)
     if allzero or frobenius(ct_prime) <= _DROP_CUT * scale:
         b[m - 2 :, m - 2 :] = factor_antidiagonal(la)
@@ -591,7 +576,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     c = 0.5 * (c + c.T)
     levels: list = []
     steps: list = []  # (A, B, overlap, |block|_F) of each plan, top down
-    block, depth, spectrum = c, 0, None
+    block, spectrum = c, None
     units = 1.0  # the working block is the input's sub-block divided by this
     while True:
         m = block.shape[0]
@@ -619,7 +604,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         units *= norm
         if spectrum is not None:
             spectrum = (spectrum[0] / norm, spectrum[1])
-        plan = _first_sound_plan(block, cfg, depth, spectrum, frobenius(block), units,
+        plan = _first_sound_plan(block, cfg, spectrum, frobenius(block), units,
                                  eigen._EIGENSPACE_CUT * norm_c / units)
         levels += plan.records
         steps.append((plan.a, plan.b, plan.overlap, norm))
@@ -627,7 +612,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         if plan.sub is None:
             v = None
             break
-        block, depth = plan.sub, len(levels)
+        block = plan.sub
     for a, b, overlap, norm in reversed(steps):
         if v is not None:
             b[: len(v), : len(v)] = v.T

@@ -30,10 +30,11 @@ class ToleranceConfig:
     """Numerical policy for the whole package.
 
     eig_tol      relative residual bound accepted for an eigenpair
-    iso_tol      threshold on |e^T e| deciding that a unit vector is isotropic
+    iso_tol      threshold on |e^T e| deciding that a unit vector is isotropic,
+                 below 1 (|e^T e| <= 1 for every unit e)
     det_tol      lower bound on the accepted |det D| in the isotropic branch
     verify_tol   relative Frobenius bound for factorization verification
-    seed         base seed for every internally drawn random vector
+    seed         echoed in reports; no factorization draws random vectors
     """
 
     eig_tol: float = 1e-9
@@ -47,6 +48,8 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0 and np.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+        if self.iso_tol >= 1.0:
+            raise ValidationError(f"iso_tol must be below 1, got {self.iso_tol!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

@@ -92,6 +92,14 @@ def test_factor_command_rejects_non_symmetric(tmp_path, capsys):
     assert "NotSymmetric" in report["result"]["error"]
 
 
+def test_iso_tol_of_one_is_an_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "c.mat", "1 1\n4\n")
+    assert main(["factor", path, "--iso-tol", "1"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("symfact: iso_tol must be below 1")
+    assert main(["factor", path, "--iso-tol", "0.5"]) == EXIT_PASS
+
+
 def test_factor_singular_assembly_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     def singular(a, b):
         raise SingularMatrixError("matrix is singular to working precision (zero pivot)")
@@ -360,7 +368,7 @@ def test_top_level_help_lists_every_command(capsys, argv):
 def test_usage_errors_match_the_full_parser(capsys, argv):
     full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
     assert full[0] == 2 and full[2].startswith("usage: symfact ")
-    assert _exit_output(capsys, lambda: main(argv)) == full
+    assert _exit_output(capsys, lambda: main(argv)) == (EXIT_INPUT_ERROR, full[1], full[2])
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,7 +388,7 @@ def test_a_well_formed_call_builds_only_its_command_parser(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or build())
     assert main(["factor", path, "--format", "text"]) == EXIT_PASS
     assert calls == []
-    assert _exit_output(capsys, lambda: main(["factor", path, "--bogus"]))[0] == 2
+    assert _exit_output(capsys, lambda: main(["factor", path, "--bogus"]))[0] == EXIT_INPUT_ERROR
     assert calls == [1]
 
 

@@ -122,6 +122,14 @@ def test_tolerance_config_validation():
     assert cfg.iso_tol == 1e-8
 
 
+@pytest.mark.parametrize("iso_tol", [1.0, 2.0])
+def test_iso_tol_must_be_below_one(iso_tol):
+    # |e^T e| <= 1 for a unit e, so at iso_tol >= 1 every vector would count as isotropic
+    with pytest.raises(ValidationError, match="iso_tol must be below 1"):
+        ToleranceConfig(iso_tol=iso_tol)
+    assert ToleranceConfig(iso_tol=0.99).iso_tol == 0.99
+
+
 @pytest.mark.parametrize("complex_entries", [True, False])
 def test_frobenius_is_numpy_norm_bit_for_bit(complex_entries):
     # entries over 16 decades, so a different summation order shows in the last bits
