@@ -99,13 +99,13 @@ def is_hermitian(op, tol: float = 1e-10) -> bool:
     return frobenius(m - m.T) <= tol * scale
 
 
-def check_involution(op, tol: float = 1e-9) -> float:
+def check_involution(op) -> float:
     """|M conj(M) - I|_F, the defect of T^2 = I."""
     m = _op_matrix(op)
     return frobenius(m @ m.conj() - np.eye(m.shape[0]))
 
 
-def check_commutes(h, op, tol: float = 1e-8) -> float:
+def check_commutes(h, op) -> float:
     """Commutation defect |H M - M conj(H)|_F / (|H|_F |M|_F)."""
     h = as_matrix(h, square=True, name="H")
     m = _op_matrix(op)
@@ -232,16 +232,21 @@ def canonicalize(system: BiorthonormalSystem, coeffs: CoefficientSet,
 
     Each block is factored as c^(n) = v v^T and the basis transported by v;
     the represented operator M is invariant under the paired change.
-    Returns (new_system, canonical_op).
+    Returns (new_system, canonical_op).  A factor whose relative residual
+    misses verify_tol, or that came out singular, raises ValidationError
+    naming the block.
     """
     cfg = cfg or _DEFAULT_CONFIG
     _validate_coeffs(system, coeffs)
     v_set = []
-    for block in coeffs.blocks:
+    for i, block in enumerate(coeffs.blocks):
         result = factor_symmetric(block, cfg)
+        if result.relative_residual > cfg.verify_tol:
+            raise ValidationError(f"factor of coefficient block {i} misses verify_tol: "
+                                  f"relative residual {result.relative_residual:.3g}")
         v = result.V
         if _condition(v) > 1e10:
-            raise ValidationError("factor of an invertible coefficient block came out singular")
+            raise ValidationError(f"factor of invertible coefficient block {i} came out singular")
         v_set.append(v)
     new_system = transform_basis(system, v_set)
     return new_system, canonical_T(new_system)

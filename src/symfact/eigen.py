@@ -169,7 +169,7 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
     scale = frobenius(a) if scale is None else scale
     n = a.shape[0]
     carried = spectrum is not None
-    if carried:  # already in candidate order: a level removes one entry and rescales
+    if carried:  # already in candidate order: a level removes one entry
         vals, vecs = spectrum
     else:
         with _lapack("eigenvalue iteration"):

@@ -33,7 +33,9 @@ picks each level's reflector from the carried eigenvectors alone, forms
 M = Q^T C Q of the whole run in one product, re-checks each level on M, and
 assembles V = Q R in one product.  In exact arithmetic that is the paper's
 per-level congruence; the panel changes the order of the arithmetic, and
-its cuts compare against the norms of M's leading blocks.
+its cuts compare against the norms of M's leading blocks.  Every level works
+in the input's units; only ``_plan``, whose bordered transform compares
+against absolute constants, builds its level on the block over its norm.
 
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
 It can exceed verify_tol (some small-integer complex diagonals do); the CLI
@@ -123,8 +125,8 @@ class ChosenX:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on
-    the isotropic branches, the entry at Base) is in the input's units."""
+    """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on the
+    isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm."""
 
     dim: int
     branch: str
@@ -146,7 +148,7 @@ class LevelPlan:
     ``sound`` is False only for a bordered transform that scored ill-conditioned: some
     coupling blocks (a weak coupling to the corner alone, say) admit no good transform,
     and another candidate is preferable.  ``spectrum`` holds the eigenpairs
-    (vals, vecs) of ``sub`` that a panel carried down, in C's units, or None.
+    (vals, vecs) of ``sub`` that a panel carried down, or None; all in the input's units.
     """
 
     records: tuple
@@ -291,8 +293,6 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, 
     if basis.shape[1] < 2:
         return None
     z = _isotropic_in_subspace(basis.T @ basis)
-    if z is None:
-        return None
     v = eigen._phase_canonical(basis @ z / frobenius(basis @ z))
     lam = complex(np.vdot(v, c @ v))
     res = frobenius(c @ v - lam * v)
@@ -301,8 +301,7 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, 
     return None
 
 
-def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: ToleranceConfig,
-                units: float = 1.0) -> LevelPlan:
+def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: ToleranceConfig) -> LevelPlan:
     """One unitary split A = [R | N] off the numerical null space N of C.
 
     C N = 0 gives w^T C N = 0 for every w, so A^T C A = blockdiag(R^T C R, 0)
@@ -316,7 +315,7 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
     ct = r.T @ c @ r
     ete = complex(np.dot(pair.vector, pair.vector))
     branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
-    record = LevelRecord(dim=m, branch=branch, value=pair.value * units, ete=ete)
+    record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete)
     return LevelPlan((record,), np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128),
                      overlap=0.0)
 
@@ -327,7 +326,7 @@ def _reflects(ete: complex, cfg: ToleranceConfig) -> bool:
 
 
 def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None, cfg: ToleranceConfig,
-           units: float = 1.0, floor: float = 0.0) -> LevelPlan:
+           floor: float = 0.0) -> LevelPlan:
     """A panel of CaseI levels by complex-orthogonal reflectors, the first on ``pair`` (``ete`` = e^T e).
 
     f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1, Re(s f_j) <= 0, j maximising
@@ -394,14 +393,14 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     b = np.tril(mm)  # its leading k x k block is overwritten by V'^T
     b[k:] /= root[:, None]
     b[np.arange(k, m), np.arange(k, m)] = root
-    records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value) * units, ete=e)
+    records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value), ete=e)
                     for i, (value, e) in enumerate(zip(mu[::-1], etes)))
     spectrum = None if rest is None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
     return LevelPlan(records, q.copy(), mm[:k, :k], b, overlap=_ORTHOGONAL, spectrum=spectrum)
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None,
-                      units: float = 1.0, floor: float = 0.0) -> LevelPlan:
+                      floor: float = 0.0) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
     Walks the eigenvalue candidates largest modulus first, from ``spectrum``
@@ -416,16 +415,16 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale:
     panel carries the other eigenpairs down.  A carried spectrum that gives no
     plan is replaced by a fresh one.  The last resort, the non-isotropic pair
     with the largest e^T e in the gap, takes a panel that carries no
-    eigenpairs.  ``scale`` is |C|_F when known; C is the input's block over
-    ``units``, the records are in the input's units, and a block of norm at
-    most ``floor`` is rounding noise.
+    eigenpairs.  ``scale`` is |C|_F when known, and a block of norm at most
+    ``floor`` is rounding noise.  C, the records and the plan are in the
+    input's units.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # (non-isotropic pair with e^T e in the ill-conditioned gap, e^T e)
     scale = frobenius(c) if scale is None else scale
     for pair, basis, rest in eigen._candidate_pairs(c, cfg, spectrum, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:
-            return _null_split(c, pair, basis, cfg, units)
+            return _null_split(c, pair, basis, cfg)
         ete = complex(np.dot(pair.vector, pair.vector))
         if abs(ete) <= cfg.iso_tol:
             iso = pair
@@ -433,58 +432,44 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale:
             iso = None if basis is None else _isotropic_upgrade(c, pair, basis, scale)
         if iso is not None:
             in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, iso, cfg, scale, units)
+            plan = None if in_gap else _plan(c, iso, cfg, scale)
             if plan is not None and plan.sound:
                 return plan
             if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
                 fallback_iso = (iso, plan)
             continue
         if _reflects(ete, cfg):
-            return _panel(c, pair, ete, rest, cfg, units, floor)
+            return _panel(c, pair, ete, rest, cfg, floor)
         if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
             fallback_ete = (pair, ete)
     if spectrum is not None:
-        return _first_sound_plan(c, cfg, scale=scale, units=units, floor=floor)
+        return _first_sound_plan(c, cfg, scale=scale, floor=floor)
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, iso, cfg, scale, units)
+        return plan if plan is not None else _plan(c, iso, cfg, scale)
     if fallback_ete is not None:
-        return _panel(c, *fallback_ete, None, cfg, units)
+        return _panel(c, *fallback_ete, None, cfg)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
-def _isotropic_in_subspace(s: np.ndarray):
-    """Unit z with z^T S z ~ 0 for symmetric S (k >= 2); None if unavailable."""
-    k = s.shape[0]
-    if k < 2:
-        return None
-    scale = float(np.max(np.abs(s)))
-    z = np.zeros(k, dtype=np.complex128)
-    if scale == 0.0:
-        z[0] = 1.0
-        return z
+def _isotropic_in_subspace(s: np.ndarray) -> np.ndarray:
+    """Unit z with z^T S z ~ 0 for symmetric S (k >= 2).
+
+    A negligible diagonal entry gives a coordinate vector; otherwise z is the
+    smaller root of the quadratic form on the two largest diagonal entries.
+    """
     diag = np.abs(np.diag(s))
+    z = np.zeros(s.shape[0], dtype=np.complex128)
     j = int(np.argmin(diag))
-    if diag[j] <= 1e-14 * scale:
+    if diag[j] <= 1e-14 * float(np.max(np.abs(s))):
         z[j] = 1.0
         return z
-    i0 = int(np.argmax(diag))
-    others = sorted((i for i in range(k) if i != i0), key=lambda i: -diag[i])
-    for i1 in others:
-        a, b, c = s[i0, i0], s[i0, i1], s[i1, i1]
-        if abs(c) <= 1e-14 * scale:
-            if abs(b) <= 1e-14 * scale:
-                continue
-            t = -a / (2.0 * b)
-        else:
-            disc = complex(np.sqrt(np.complex128(b * b - a * c)))
-            roots = [(-b + disc) / c, (-b - disc) / c]
-            t = min(roots, key=abs)
-        z[:] = 0.0
-        z[i0] = 1.0
-        z[i1] = t
-        return z / frobenius(z)
-    return None
+    i0, i1 = np.argsort(-diag, kind="stable")[:2]
+    a, b, c = s[i0, i0], s[i0, i1], s[i1, i1]
+    disc = complex(np.sqrt(np.complex128(b * b - a * c)))
+    z[i0] = 1.0
+    z[i1] = min((-b + disc) / c, (-b - disc) / c, key=abs)
+    return z / frobenius(z)
 
 
 def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
@@ -512,27 +497,27 @@ def _reduce_case_ii(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig):
     return a_prime, c_prime, c_prime[:-1, :-1].copy(), ete
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: float | None = None,
-          units: float = 1.0) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: float | None = None) -> LevelPlan:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
-    The record carries the measured corner lambda*alpha in the units of
-    ``c`` times ``units``; a corner under the lambda = 0 cut is a
-    ``CaseII_LambdaZero`` level.  ``scale`` is |C|_F when the caller has it.
+    The level is built on C / |C|_F (``scale`` when the caller has it): the bordered
+    transform compares against absolute constants, and that block is bit for bit the same
+    for C and 4^k*C.  B, the next block and the recorded lambda*alpha come back in C's
+    units; a corner under the lambda = 0 cut is a ``CaseII_LambdaZero`` level.
     """
     m = c.shape[0]
     scale = frobenius(c) if scale is None else scale
     b = np.zeros((m, m), dtype=np.complex128)
-    a_prime, c_prime, ct_prime, ete = _reduce_case_ii(c, pair, cfg)
-    la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha
-    iso = dict(dim=m, value=la * units, ete=0.0)
-    if abs(la) <= _LAMBDA_ZERO_CUT * scale:
+    a_prime, c_prime, ct_prime, ete = _reduce_case_ii(c / scale, pair, cfg)
+    la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha, at unit norm
+    iso = dict(dim=m, value=la * scale, ete=0.0)
+    if abs(la) <= _LAMBDA_ZERO_CUT:
         record = LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso)
-        return LevelPlan((record,), a_prime, ct_prime, b, overlap=ete)
+        return LevelPlan((record,), a_prime, ct_prime * scale, b, overlap=ete)
     chosen = choose_x(ct_prime, la, cfg)
     allzero = isinstance(chosen, AllZeroSignal)
-    if allzero or frobenius(ct_prime) <= _DROP_CUT * scale:
-        b[m - 2 :, m - 2 :] = factor_antidiagonal(la)
+    if allzero or frobenius(ct_prime) <= _DROP_CUT:
+        b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * np.sqrt(scale)
         record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
                              **iso)
         return LevelPlan((record,), a_prime, None, b, overlap=ete)
@@ -541,9 +526,9 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: flo
     u = np.zeros(m - 1, dtype=np.complex128)
     u[-1] = la
     ct = ct_prime + np.outer(y, u) + np.outer(u, y)
-    b[m - 1, m - 1] = principal_sqrt(complex(x @ y))  # lambda'^2 = sum x_i y_i = -det D
+    b[m - 1, m - 1] = principal_sqrt(complex(x @ y)) * np.sqrt(scale)  # lambda'^2 = sum x_i y_i = -det D
     record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
-    return LevelPlan((record,), a_prime @ build_D(x, y), 0.5 * (ct + ct.T), b, sound=chosen.score >= 1e-3)
+    return LevelPlan((record,), a_prime @ build_D(x, y), 0.5 * (ct + ct.T) * scale, b, sound=chosen.score >= 1e-3)
 
 
 def _unitary_assembly(a: np.ndarray, b: np.ndarray, overlap: complex) -> np.ndarray:
@@ -575,45 +560,32 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
     c = 0.5 * (c + c.T)
     levels: list = []
-    steps: list = []  # (A, B, overlap, |block|_F) of each plan, top down
+    steps: list = []  # (A, B, overlap) of each plan, top down
+    # a block at the eigenspace cut of the input is rounding noise (a rank-deficient input's remainder
+    # once its range has left): it has no null space of its own, and would be walked down level by level
+    floor = eigen._EIGENSPACE_CUT * norm_c
     block, spectrum = c, None
-    units = 1.0  # the working block is the input's sub-block divided by this
     while True:
         m = block.shape[0]
-        norm = frobenius(block)
-        # a block at the eigenspace cut of the input is rounding noise (the
-        # remainder of a rank-deficient input once its range has left): at
-        # unit norm it would have no null space, and would be walked down one
-        # level per dimension
-        if norm * units <= eigen._EIGENSPACE_CUT * norm_c:
+        scale = frobenius(block)
+        if scale <= floor:
             levels.append(LevelRecord(dim=m, branch=BRANCH_ZERO_MATRIX))
             v = np.zeros((m, m), dtype=np.complex128)
             break
         if m == 1:
             value = complex(block[0, 0])
-            levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value * units))
+            levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value))
             v = np.array([[principal_sqrt(value)]], dtype=np.complex128)
             break
-        # work at unit norm: the bordered transform of the isotropic branch uses
-        # x_n = -1/(lambda*alpha), which is only well-scaled when |C| ~ 1.  The
-        # unit-norm block is bit for bit the same for C and 4^k*C, so V scales by
-        # 2^k and every value by 4^k; other scales round it differently, which can
-        # pick another (equally valid) isotropic line in a multi-dimensional
-        # eigenspace and change the levels below
-        block = block / norm
-        units *= norm
-        if spectrum is not None:
-            spectrum = (spectrum[0] / norm, spectrum[1])
-        plan = _first_sound_plan(block, cfg, spectrum, frobenius(block), units,
-                                 eigen._EIGENSPACE_CUT * norm_c / units)
+        plan = _first_sound_plan(block, cfg, spectrum, scale, floor)
         levels += plan.records
-        steps.append((plan.a, plan.b, plan.overlap, norm))
+        steps.append((plan.a, plan.b, plan.overlap))
         spectrum = plan.spectrum
         if plan.sub is None:
             v = None
             break
         block = plan.sub
-    for a, b, overlap, norm in reversed(steps):
+    for a, b, overlap in reversed(steps):
         if v is not None:
             b[: len(v), : len(v)] = v.T
         if overlap is _ORTHOGONAL:
@@ -622,7 +594,6 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             v = solve_linear(a.T, b.T)
         else:
             v = _unitary_assembly(a, b, overlap)
-        v = v * np.sqrt(norm)
     residual = frobenius(c - v @ v.T)
     return FactorizationResult(
         V=v,

@@ -251,6 +251,15 @@ def test_canonicalize_scalar_level():
     assert frobenius(op.matrix - m_before) <= 1e-9 * frobenius(m_before)
 
 
+def test_canonicalize_raises_when_a_block_factor_misses_verify_tol():
+    # a symmetric 2x2 Jordan block at 1: its factor misses verify_tol by
+    # orders of magnitude, and the operator built on it would be off by as much
+    system = biorthonormal_system(np.eye(2), CFG)
+    coeffs = CoefficientSet(blocks=(np.array([[1 - 1j, 1], [1, 1 + 1j]]),))
+    with pytest.raises(ValidationError, match="coefficient block 0 misses verify_tol"):
+        canonicalize(system, coeffs, CFG)
+
+
 def test_canonicalize_swap_level_and_idempotence():
     system = biorthonormal_system(np.eye(2), CFG)
     coeffs = CoefficientSet(blocks=(np.array([[0, 1], [1, 0]], dtype=complex),))
