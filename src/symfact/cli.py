@@ -190,7 +190,6 @@ def _config_dict(cfg: ToleranceConfig) -> dict:
     return {
         "eig_tol": cfg.eig_tol,
         "iso_tol": cfg.iso_tol,
-        "det_tol": cfg.det_tol,
         "verify_tol": cfg.verify_tol,
         "seed": cfg.seed,
     }
@@ -392,7 +391,6 @@ def _add_arguments(p, command: str) -> None:
                        help="require H self-adjoint and additionally check T^2 = I")
     p.add_argument("--tol", type=float, default=None, help="verification tolerance (verify_tol)")
     p.add_argument("--iso-tol", type=float, default=None, help="isotropy threshold on |e^T e|")
-    p.add_argument("--det-tol", type=float, default=None, help="lower bound for accepted |det D|")
     p.add_argument("--seed", type=int, default=None, help="seed (default $SYMFACT_SEED or 0)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -447,7 +445,6 @@ def _make_config(args) -> ToleranceConfig:
     return ToleranceConfig(
         eig_tol=base.eig_tol,
         iso_tol=args.iso_tol if args.iso_tol is not None else base.iso_tol,
-        det_tol=args.det_tol if args.det_tol is not None else base.det_tol,
         verify_tol=args.tol if args.tol is not None else base.verify_tol,
         seed=seed,
     )

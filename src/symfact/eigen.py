@@ -113,10 +113,6 @@ def _phase_canonical_columns(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rng(seed: int, *streams: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) & 0xFFFFFFFF for s in streams]))
-
-
 def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     """All eigenvalues (with multiplicity), sorted by (real, imag).
 

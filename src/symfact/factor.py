@@ -21,13 +21,11 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
 
 ``_first_sound_plan`` decides a level's branch; a panel (below) takes
 further levels by the same rules, ``_reflects`` and eigen's candidate tests.
-A plan holds its levels' congruence A, the next block, and the part of B
-(with B^T B = A^T C A) known at these levels.  ``factor_symmetric`` walks the
-blocks down in a loop and assembles V = A^-T B^T bottom-up, so the Python
-stack does not grow with the dimension.  A null split [R | N] is unitary and
-an isotropic level's A' = [V' | conj(e) | e] is unitary but for the Gram
-entry e^T e, so both assemble by a product with conj(A); only a bordered
-transform A' D solves with A^T.  CaseI levels come in panels: a reflector Q
+A plan holds A^-T of its levels' congruence A, built by the planner that chose
+A, the next block, and the part of B (with B^T B = A^T C A) known at these
+levels.  ``factor_symmetric`` walks the blocks down in a loop and assembles
+V = A^-T B^T bottom-up by one product per plan, so the Python stack does not
+grow with the dimension, and no level solves.  CaseI levels come in panels: a reflector Q
 has Q^T Q = I, so the other eigenvectors carry down through it, and a panel
 picks each level's reflector from the carried eigenvectors alone, forms
 M = Q^T C Q of the whole run in one product, re-checks each level on M, and
@@ -44,6 +42,7 @@ then reports ``status: "fail"`` with exit code 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +50,13 @@ import numpy as np
 from . import eigen
 from .matcore import (
     _DEFAULT_CONFIG,
+    _EPS,
+    _ETE_DANGER,
+    SingularMatrixError,
     ToleranceConfig,
     ValidationError,
     _complement_basis_within,
     _principal_sqrt,
-    # A' D and B are built here, finite and conforming, so assembly solves unchecked; the
-    # public name stays the one tests patch to fail or count the assembly's solves
-    _solve_linear as solve_linear,
     as_matrix,
     as_scalar,
     frobenius,
@@ -88,9 +87,9 @@ _LAMBDA_ZERO_CUT = 1e-10
 _ALLZERO_CUT = 1e-10
 #: symmetry defect tolerated (and symmetrized away) on input
 _SYM_BAND = 1e-12
-#: |e^T e| below this makes the non-isotropic rescale too ill-conditioned;
-#: the recursion then looks for a better eigenvalue candidate first
-_ETE_DANGER = 3e-3
+#: lower bound on the accepted |det D| of the bordered transform, relative to
+#: max(1, |c_tilde'|_F / |lambda*alpha|^2)
+_DET_TOL = 1e-10
 #: an isotropic eigenvector with 0 < |lambda| below this fraction of |C|_F
 #: drives the bordered transform (x_n = -1/(lambda*alpha)) toward singularity;
 #: such candidates are deferred the same way
@@ -99,9 +98,6 @@ _LAMBDA_DANGER = 1e-4
 #: through the closed form: that costs at most its own norm, far under
 #: verify_tol, while a bordered transform built on it scores rounding noise
 _DROP_CUT = 5e-9
-
-
-_ORTHOGONAL = "orthogonal"  # the ``overlap`` of a panel's complex orthogonal Q: Q^-T = Q
 
 
 class NotSymmetricError(ValueError):
@@ -138,12 +134,11 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """Levels decided but not yet assembled, one record each: V = A^-T B^T.
+    """Levels decided but not yet assembled, one record each: V = A^-T B^T = ``left`` B^T.
 
-    With ``overlap`` a number, A^H A = blockdiag(I, G), G = [[1, overlap], [conj(overlap), 1]]
-    (0 for a null split [R | N], e^T e for an isotropic [V' | conj(e) | e]), so
-    A^-T = conj(A) blockdiag(I, G^-T); a panel's A is complex orthogonal (_ORTHOGONAL), so
-    A^-T = A; a bordered transform A' D (None) solves with A^T.  ``b`` is B, its leading
+    ``left`` = A^-T: a panel's complex orthogonal Q is its own; a null split's unitary
+    [R | N] gives its conjugate; an isotropic A' = [V' | conj(e) | e] gives conj(A') with a
+    Gram correction, times D^-T for a bordered transform A' D.  ``b`` is B, its leading
     block left zero for the factor of ``sub``, the next block (None at the end of the chain).
     ``sound`` is False only for a bordered transform that scored ill-conditioned: some
     coupling blocks (a weak coupling to the corner alone, say) admit no good transform,
@@ -152,11 +147,10 @@ class LevelPlan:
     """
 
     records: tuple
-    a: np.ndarray
+    left: np.ndarray
     sub: np.ndarray | None
     b: np.ndarray
     sound: bool = True
-    overlap: complex | str | None = None
     spectrum: tuple | None = None
 
 
@@ -215,21 +209,7 @@ def factor_antidiagonal(lambda_alpha) -> np.ndarray:
     return np.array([[1.0, la / 2.0], [1.0j, -1.0j * la / 2.0]], dtype=np.complex128)
 
 
-def build_D(x, y) -> np.ndarray:
-    """Bordered matrix [[I, x], [y^T, 0]]; det = -sum_i x_i y_i."""
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if x.shape != y.shape or x.size == 0:
-        raise ValidationError("x and y must be nonempty vectors of equal length")
-    n = x.size
-    d = np.eye(n + 1, dtype=np.complex128)
-    d[:n, n] = x
-    d[n, :n] = y
-    d[n, n] = 0.0
-    return d
-
-
-def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None):
+def choose_x(c_tilde_prime, lambda_alpha):
     """Pick the free entries of the bordered transform D.
 
     x_n is pinned to -1/(lambda*alpha).  The free components are scored all
@@ -238,7 +218,7 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None):
     of Bunch & Kaufman).  A rung d with |c_tilde' d| between the all-zero cut
     of |lambda*alpha| and 1 is scaled to 1/sqrt(|c_tilde' d|) (at most 1e8), so
     a block weak against lambda*alpha still gives a well-conditioned D.  The
-    best-scoring rung whose |det D| clears det_tol is taken.  Returns
+    best-scoring rung whose |det D| clears ``_DET_TOL`` is taken.  Returns
     AllZeroSignal when the coupling block vanishes, which routes to the
     closed-form branch.
     """
@@ -246,7 +226,6 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None):
     if ct.ndim != 2 or ct.size == 0 or ct.shape[0] != ct.shape[1]:
         raise ValidationError(f"c_tilde_prime must be a nonempty square 2-D array, got shape {ct.shape}")
     la = as_scalar(lambda_alpha, "lambda_alpha")
-    cfg = cfg or _DEFAULT_CONFIG
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
     # the all-zero test's one scan is also the finiteness check: NaN or Inf makes it non-finite
@@ -274,7 +253,7 @@ def choose_x(c_tilde_prime, lambda_alpha, cfg: ToleranceConfig | None = None):
     det_d = -np.einsum("ij,ij->j", x, y)
     # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
     score = np.abs(det_d) / (1.0 + np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0))
-    clears = np.abs(det_d) >= cfg.det_tol * max(1.0, frobenius(ct) / abs(la) ** 2)
+    clears = np.abs(det_d) >= _DET_TOL * max(1.0, frobenius(ct) / abs(la) ** 2)
     best = int(np.argmax(score + clears))  # score < 1: a rung that clears ranks first
     label = "zero" if best == 0 else f"unit:{best - 1}" if best <= k else f"pair:{i}{'+-'[best - k - 1]}{j}"
     if not (clears[best] and score[best] >= 1e-3):
@@ -316,13 +295,12 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
     ete = complex(np.dot(pair.vector, pair.vector))
     branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
     record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete)
-    return LevelPlan((record,), np.hstack([r, null]), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128),
-                     overlap=0.0)
+    return LevelPlan((record,), np.hstack([r, null]).conj(), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
 
 
-def _reflects(ete: complex, cfg: ToleranceConfig) -> bool:
-    """Whether a simple pair with this e^T e is safely non-isotropic, and so a panel level."""
-    return abs(ete) > cfg.iso_tol and abs(ete) >= _ETE_DANGER
+def _reflects(ete: complex) -> bool:
+    """Whether a simple pair with this e^T e is safely non-isotropic (iso_tol is below the cut): a panel level."""
+    return abs(ete) >= _ETE_DANGER
 
 
 def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None, cfg: ToleranceConfig,
@@ -340,7 +318,7 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against eig_tol.  The
     first level that fails ends a new walk.  V = Q R, R = [[V', R12], [0, R22]] with V' a
     factor of ``sub``, M's leading block, and column p of [R12; R22] M[:p, p]/sqrt(M_pp)
-    over sqrt(M_pp); the plan's A is Q and its B is R^T.
+    over sqrt(M_pp); the plan's A is Q, its own A^-T, and its B is R^T.
     """
     m = c.shape[0]
     limit = m - 1
@@ -370,7 +348,7 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
             v = z[: k - 1, p - 1]
             vtv, peak = complex(v @ v), complex(v[np.abs(v).argmax()])
             unit = vtv / np.vdot(v, v).real  # e^T e of the unit e
-            if not _reflects(unit, cfg):
+            if not _reflects(unit):
                 break
             etes.append(unit * (abs(peak) / peak) ** 2)  # of e with its phase fixed, as eigen._phase_canonical
             f = v / _principal_sqrt(vtv)
@@ -396,7 +374,7 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value), ete=e)
                     for i, (value, e) in enumerate(zip(mu[::-1], etes)))
     spectrum = None if rest is None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
-    return LevelPlan(records, q.copy(), mm[:k, :k], b, overlap=_ORTHOGONAL, spectrum=spectrum)
+    return LevelPlan(records, q.copy(), mm[:k, :k], b, spectrum=spectrum)
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None,
@@ -438,7 +416,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale:
             if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
                 fallback_iso = (iso, plan)
             continue
-        if _reflects(ete, cfg):
+        if _reflects(ete):
             return _panel(c, pair, ete, rest, cfg, floor)
         if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
             fallback_ete = (pair, ete)
@@ -511,39 +489,50 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: flo
     a_prime, c_prime, ct_prime, ete = _reduce_case_ii(c / scale, pair, cfg)
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha, at unit norm
     iso = dict(dim=m, value=la * scale, ete=0.0)
+    left = _gram_corrected(a_prime, ete)
     if abs(la) <= _LAMBDA_ZERO_CUT:
         record = LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso)
-        return LevelPlan((record,), a_prime, ct_prime * scale, b, overlap=ete)
-    chosen = choose_x(ct_prime, la, cfg)
+        return LevelPlan((record,), left, ct_prime * scale, b)
+    chosen = choose_x(ct_prime, la)
     allzero = isinstance(chosen, AllZeroSignal)
     if allzero or frobenius(ct_prime) <= _DROP_CUT:
         b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * np.sqrt(scale)
         record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
                              **iso)
-        return LevelPlan((record,), a_prime, None, b, overlap=ete)
+        return LevelPlan((record,), left, None, b)
+    # A = A' D, D = [[I, x], [y^T, 0]]; with s = x^T y = -det D, D^-T = [[I - y x^T/s, y/s], [x^T/s, -1/s]]
     x = chosen.x
     y = ct_prime @ x
+    s = complex(x @ y)
+    cond = _bordered_cond(x, y, s)
+    if not cond * m * _EPS < 1.0:  # the rule of matcore.solve_linear, on |D|_F |D^-1|_F
+        raise SingularMatrixError(f"bordered transform is singular to working precision (condition {cond:.3g})")
+    w = (left[:, :-1] @ y - left[:, -1]) / s
+    left[:, :-1] -= np.outer(w, x)
+    left[:, -1] = w
     u = np.zeros(m - 1, dtype=np.complex128)
     u[-1] = la
     ct = ct_prime + np.outer(y, u) + np.outer(u, y)
-    b[m - 1, m - 1] = principal_sqrt(complex(x @ y)) * np.sqrt(scale)  # lambda'^2 = sum x_i y_i = -det D
+    b[m - 1, m - 1] = principal_sqrt(s) * np.sqrt(scale)  # lambda'^2 = s
     record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
-    return LevelPlan((record,), a_prime @ build_D(x, y), 0.5 * (ct + ct.T) * scale, b, sound=chosen.score >= 1e-3)
+    return LevelPlan((record,), left, 0.5 * (ct + ct.T) * scale, b, sound=chosen.score >= 1e-3)
 
 
-def _unitary_assembly(a: np.ndarray, b: np.ndarray, overlap: complex) -> np.ndarray:
-    """A^-T B^T for A^H A = blockdiag(I, G), G = [[1, overlap], [conj(overlap), 1]].
+def _gram_corrected(a: np.ndarray, ete: complex) -> np.ndarray:
+    """A^-T = conj(A) blockdiag(I, G^-T) of an isotropic level's A = [V' | conj(e) | e], unit e:
+    A^H A = blockdiag(I, G) with G = [[1, e^T e], [conj(e^T e), 1]]."""
+    left = a.conj()
+    left[:, -2:] = left[:, -2:] @ np.array([[1.0, -ete.conjugate()], [-ete, 1.0]]) / (1.0 - abs(ete) ** 2)
+    return left
 
-    A^-1 = blockdiag(I, G^-1) A^H, so A^-T = conj(A) blockdiag(I, G^-T): a
-    product once G^-T has corrected the last two rows of B^T (the last two
-    columns of B, in place).  A unitary A has ``overlap`` 0 and no correction.
-    """
-    if overlap:
-        det = 1.0 - abs(overlap) ** 2
-        first = b[:, -2].copy()
-        b[:, -2] = (first - overlap.conjugate() * b[:, -1]) / det
-        b[:, -1] = (b[:, -1] - overlap * first) / det
-    return a.conj() @ b.T
+
+def _bordered_cond(x: np.ndarray, y: np.ndarray, s: complex) -> float:
+    """|D|_F |D^-1|_F of m x m D = [[I, x], [y^T, 0]], s = x^T y: |D|_F^2 = m - 1 + |x|^2 + |y|^2,
+    |D^-1|_F^2 = m - 3 + (|x|^2 |y|^2 + |x|^2 + |y|^2 + 1)/|s|^2 (inf at s = 0)."""
+    if s == 0.0:
+        return math.inf
+    m, xx, yy = x.size + 1, frobenius(x) ** 2, frobenius(y) ** 2
+    return math.sqrt((m - 1 + xx + yy) * (m - 3 + (xx * yy + xx + yy + 1.0) / abs(s) / abs(s)))
 
 
 def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResult:
@@ -560,7 +549,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
     c = 0.5 * (c + c.T)
     levels: list = []
-    steps: list = []  # (A, B, overlap) of each plan, top down
+    steps: list = []  # (A^-T, B) of each plan, top down
     # a block at the eigenspace cut of the input is rounding noise (a rank-deficient input's remainder
     # once its range has left): it has no null space of its own, and would be walked down level by level
     floor = eigen._EIGENSPACE_CUT * norm_c
@@ -579,21 +568,16 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             break
         plan = _first_sound_plan(block, cfg, spectrum, scale, floor)
         levels += plan.records
-        steps.append((plan.a, plan.b, plan.overlap))
+        steps.append((plan.left, plan.b))
         spectrum = plan.spectrum
         if plan.sub is None:
             v = None
             break
         block = plan.sub
-    for a, b, overlap in reversed(steps):
+    for left, b in reversed(steps):
         if v is not None:
             b[: len(v), : len(v)] = v.T
-        if overlap is _ORTHOGONAL:
-            v = a @ b.T
-        elif overlap is None:
-            v = solve_linear(a.T, b.T)
-        else:
-            v = _unitary_assembly(a, b, overlap)
+        v = left @ b.T
     residual = frobenius(c - v @ v.T)
     return FactorizationResult(
         V=v,

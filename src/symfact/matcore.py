@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+#: |e^T e| of a unit eigenvector below this makes the non-isotropic rescale
+#: e/sqrt(e^T e) too ill-conditioned; iso_tol stays under it
+_ETE_DANGER = 3e-3
 
 
 class ValidationError(ValueError):
@@ -31,25 +34,23 @@ class ToleranceConfig:
 
     eig_tol      relative residual bound accepted for an eigenpair
     iso_tol      threshold on |e^T e| deciding that a unit vector is isotropic,
-                 below 1 (|e^T e| <= 1 for every unit e)
-    det_tol      lower bound on the accepted |det D| in the isotropic branch
+                 below 3e-3 (a reflector level takes |e^T e| >= 3e-3)
     verify_tol   relative Frobenius bound for factorization verification
     seed         echoed in reports; no factorization draws random vectors
     """
 
     eig_tol: float = 1e-9
     iso_tol: float = 1e-8
-    det_tol: float = 1e-10
     verify_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("eig_tol", "iso_tol", "det_tol", "verify_tol"):
+        for name in ("eig_tol", "iso_tol", "verify_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0 and np.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
-        if self.iso_tol >= 1.0:
-            raise ValidationError(f"iso_tol must be below 1, got {self.iso_tol!r}")
+        if self.iso_tol >= _ETE_DANGER:
+            raise ValidationError(f"iso_tol must be below {_ETE_DANGER:g}, got {self.iso_tol!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -176,18 +177,12 @@ def solve_linear(a, b) -> np.ndarray:
     b_arr = as_matrix(b_arr.reshape(-1, 1) if vector_rhs else b_arr, name="B")
     if b_arr.shape[0] != a.shape[0]:
         raise ValidationError(f"B has {b_arr.shape[0]} rows, expected {a.shape[0]}")
-    x = _solve_linear(a, b_arr)
-    return x[:, 0] if vector_rhs else x
-
-
-def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_linear`` of a finite square complex A and a conforming 2-D B, unchecked."""
-    m, k = a.shape[0], b.shape[1]
+    m, k = a.shape[0], b_arr.shape[1]
     try:
-        x = np.linalg.solve(a, np.hstack([b, np.eye(m, dtype=np.complex128)]))
+        x = np.linalg.solve(a, np.hstack([b_arr, np.eye(m, dtype=np.complex128)]))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is singular to working precision (zero pivot)") from exc
     cond = float(np.abs(a).sum(axis=0).max() * np.abs(x[:, k:]).sum(axis=0).max())
     if not cond * m * _EPS < 1.0:  # also catches an inf or nan inverse
         raise SingularMatrixError(f"matrix is singular to working precision (condition {cond:.3g})")
-    return x[:, :k]
+    return x[:, 0] if vector_rhs else x[:, :k]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _rng
 from .matcore import (
     ValidationError,
     as_matrix,
@@ -46,6 +45,10 @@ ALL_KINDS = (
 )
 
 _STREAMS = {kind: 0x0A00 + i for i, kind in enumerate(ALL_KINDS)}
+
+
+def _rng(seed: int, *streams: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) & 0xFFFFFFFF for s in streams]))
 
 
 @dataclass(frozen=True)

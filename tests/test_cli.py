@@ -17,7 +17,6 @@ from symfact.cli import (
     main,
     parse_matrix,
 )
-from symfact.matcore import SingularMatrixError
 
 
 def _write(tmp_path, name, text):
@@ -96,19 +95,18 @@ def test_iso_tol_of_one_is_an_input_error(tmp_path, capsys):
     path = _write(tmp_path, "c.mat", "1 1\n4\n")
     assert main(["factor", path, "--iso-tol", "1"]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("symfact: iso_tol must be below 1")
-    assert main(["factor", path, "--iso-tol", "0.5"]) == EXIT_PASS
+    assert captured.out == "" and captured.err.startswith("symfact: iso_tol must be below 0.003")
+    assert main(["factor", path, "--iso-tol", "0.5"]) == EXIT_INPUT_ERROR
+    assert main(["factor", path, "--iso-tol", "1e-3"]) == EXIT_PASS
 
 
 def test_factor_singular_assembly_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    def singular(a, b):
-        raise SingularMatrixError("matrix is singular to working precision (zero pivot)")
-
-    # the first level is a bordered transform, which assembles by a solve
-    # (a reflector level assembles by a product and never reaches one)
+    # the first level is a bordered transform D, whose condition is checked
+    # (a reflector level is exact and has none); with the unit roundoff
+    # raised to 1, every D is singular to working precision
     c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=463, kind="IsotropicLambdaNonzero"))
     assert factor.factor_symmetric(c).trace.branches()[0] == factor.BRANCH_CASE_II_GENERAL
-    monkeypatch.setattr(factor, "solve_linear", singular)
+    monkeypatch.setattr(factor, "_EPS", 1.0)
     path = tmp_path / "c.mat"
     path.write_text(format_matrix(c), encoding="utf-8")
     code = main(["factor", str(path)])
@@ -372,7 +370,7 @@ def test_usage_errors_match_the_full_parser(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["factor", "--det-tol=1e-9", "--iso-tol", "1e-8", "c.mat"], ["factor", "--format=text", "c.mat"],
+    ["factor", "--tol=1e-9", "--iso-tol", "1e-8", "c.mat"], ["factor", "--format=text", "c.mat"],
     ["factor", "--", "c.mat"], ["factor", "--iso", "1e-7", "c.mat"],
 ])
 def test_accepted_argv_parse_as_with_the_full_parser(argv):
@@ -394,11 +392,11 @@ def test_a_well_formed_call_builds_only_its_command_parser(tmp_path, capsys, mon
 
 def test_tolerance_flags_are_echoed(tmp_path, capsys):
     path = _write(tmp_path, "c.mat", "1 1\n4\n")
-    main(["factor", path, "--tol", "1e-6", "--iso-tol", "1e-7", "--det-tol", "1e-9"])
+    main(["factor", path, "--tol", "1e-6", "--iso-tol", "1e-7"])
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["verify_tol"] == 1e-6
     assert report["config"]["iso_tol"] == 1e-7
-    assert report["config"]["det_tol"] == 1e-9
+    assert "det_tol" not in report["config"]
 
 
 def test_oracle_flag(tmp_path, capsys):

@@ -17,7 +17,6 @@ from symfact.factor import (
     BRANCH_CASE_II_GENERAL,
     BRANCH_CASE_II_LAMBDA_ZERO,
     NotSymmetricError,
-    build_D,
     choose_x,
     factor_antidiagonal,
     factor_symmetric,
@@ -156,14 +155,14 @@ def test_reduce_case_ii_rejects_non_isotropic():
 
 
 def test_choose_x_allzero():
-    assert isinstance(choose_x(np.zeros((3, 3)), 1.0, CFG), AllZeroSignal)
+    assert isinstance(choose_x(np.zeros((3, 3)), 1.0), AllZeroSignal)
 
 
 def test_choose_x_corner_entry():
     ct = np.zeros((2, 2), dtype=complex)
     ct[1, 1] = 3.0
     la = 2.0
-    got = choose_x(ct, la, CFG)
+    got = choose_x(ct, la)
     assert got.strategy == "zero"
     assert got.det_d == pytest.approx(-(la ** -2) * 3.0)
     assert got.x[-1] == pytest.approx(-1 / la)
@@ -172,30 +171,12 @@ def test_choose_x_corner_entry():
 def test_choose_x_linear_term():
     ct = np.zeros((2, 2), dtype=complex)
     ct[0, 1] = ct[1, 0] = 0.5  # corner and diagonal vanish, coupling row does not
-    got = choose_x(ct, 1.0, CFG)
+    got = choose_x(ct, 1.0)
     assert not isinstance(got, AllZeroSignal)
     x, det_d = got.x, got.det_d
     y = ct @ x
     assert det_d == pytest.approx(-(x @ y))
-    assert abs(det_d) >= CFG.det_tol
-
-
-def test_build_D_shape_and_determinant():
-    d = build_D([2.0], [3.0])
-    assert np.allclose(d, [[1, 2], [3, 0]])
-    assert np.linalg.det(d) == pytest.approx(-6.0)
-    assert np.linalg.det(build_D([0, 0], [1, 1])) == pytest.approx(0.0)
-
-
-def test_build_D_determinant_matches_closed_form_random():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ct = 0.5 * (g + g.T)
-        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        y = ct @ x
-        closed = -complex(x @ y)
-        assert abs(np.linalg.det(build_D(x, y)) - closed) <= 1e-12 * max(1.0, abs(closed))
+    assert abs(det_d) >= factor._DET_TOL
 
 
 def test_factor_antidiagonal_closed_form():
@@ -236,10 +217,7 @@ def test_assemble_case_ii_direct_call():
         c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=seed, kind="IsotropicLambdaNonzero"))
         plan = _first_sound_plan(c, CFG)
         assert plan.records[0].branch in (BRANCH_CASE_II_DEGENERATE, BRANCH_CASE_II_GENERAL)
-        b = plan.b.copy()
-        if plan.sub is not None:  # any factor of the next block completes B
-            b[:-1, :-1] = factor_symmetric(plan.sub, CFG).V.T
-        assert verify_factorization(c, solve_linear(plan.a.T, b.T), CFG).passed
+        assert verify_factorization(c, _level_v(plan), CFG).passed
 
 
 def test_dispatch_case_agrees_with_executed_plan():
@@ -253,7 +231,7 @@ def test_dispatch_case_agrees_with_executed_plan():
     plan = _plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG)
     assert (plan.records[0].branch, plan.records[0].x_strategy) == (BRANCH_CASE_II_DEGENERATE, "dropped")
     assert plan.sub is None
-    assert verify_factorization(c, solve_linear(plan.a.T, plan.b.T), CFG).passed
+    assert verify_factorization(c, plan.left @ plan.b.T, CFG).passed
 
 
 def test_factor_stack_depth_does_not_grow_with_dimension():
@@ -514,26 +492,31 @@ def test_candidate_walk_visits_the_candidates_of_the_whole_spectrum_rule(monkeyp
 
 
 def _boosted(n, t, seed):
-    """C = Q diag(d) Q^T, n even, with Q = R blockdiag(G, G, ...), R real
-    orthogonal and G = [[cosh t, i sinh t], [-i sinh t, cosh t]] complex
-    orthogonal: Q's column norms^2 are cosh 2t, so no eigenvector of C is
-    safely non-isotropic (|e^T e| = 1/cosh 2t < 3e-3 for t >= 5)."""
+    """C = Q diag(d) Q^T with Q = R blockdiag(G, ..., G, 1) (the 1 for odd n only), R real
+    orthogonal and G = [[cosh t, i sinh t], [-i sinh t, cosh t]] complex orthogonal:
+    Q's column norms^2 are cosh 2t (1 for the odd column), so no eigenvector of C but the
+    odd column's is safely non-isotropic (|e^T e| = 1/cosh 2t < 3e-3 for t >= 5)."""
     rng = np.random.default_rng(seed)
     r, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     g = np.array([[np.cosh(t), 1j * np.sinh(t)], [-1j * np.sinh(t), np.cosh(t)]])
-    q = r @ np.kron(np.eye(n // 2), g)
+    blocks = np.eye(n, dtype=complex)
+    blocks[: n - n % 2, : n - n % 2] = np.kron(np.eye(n // 2), g)
+    q = r @ blocks
     c = q @ np.diag(d) @ q.T
     return 0.5 * (c + c.T)
 
 
 @pytest.mark.parametrize(
     "n, t, seed",
-    [(n, t, seed) for n in (2, 4, 6, 8) for t in (5.0, 5.5, 6.0) for seed in range(5)] + [(10, 5.5, 4)],
+    [(n, t, seed) for n in (2, 4, 6, 8) for t in (5.0, 5.5, 6.0) for seed in range(5)]
+    + [(10, 5.5, 4), (9, 6.0, 9), (9, 6.5, 3)],
 )
 def test_boosted_inputs_factor_within_verify_tol(n, t, seed):
     # the CaseI level at the e^T e fallback must keep its rounding-level
-    # coupling row: a congruence that drops it reads up to 0.75 on this grid
+    # coupling row: a congruence that drops it reads up to 0.75 on this grid.
+    # The two odd inputs take two bordered levels each, which an LU solve of
+    # A' D assembled at 3.1e-7 and 2.6e-7
     assert factor_symmetric(_boosted(n, t, seed), CFG).relative_residual <= CFG.verify_tol
 
 
@@ -566,11 +549,12 @@ def test_far_from_normal_chains_keep_their_accuracy(n, t):
         assert r.relative_residual <= 1e-11, seed
 
 
-def _panel_v(plan):
-    """V = Q R of a panel, with an arbitrary factor of its next block in R."""
+def _level_v(plan, cfg=CFG):
+    """The plan's V = A^-T B^T, with an arbitrary factor of its next block in B."""
     b = plan.b.copy()
-    b[: len(plan.sub), : len(plan.sub)] = factor_symmetric(plan.sub, CFG).V.T
-    return plan.a @ b.T
+    if plan.sub is not None:
+        b[: len(plan.sub), : len(plan.sub)] = factor_symmetric(plan.sub, cfg).V.T
+    return plan.left @ b.T
 
 
 def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
@@ -581,10 +565,10 @@ def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
     _, basis, _ = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is not None  # the top pair is clustered, so it comes from an SVD
     plan = _first_sound_plan(c, CFG)
-    assert plan.overlap is factor._ORTHOGONAL  # a panel: A is Q
+    assert frobenius(plan.left.T @ plan.left - np.eye(10)) <= 1e-14  # a panel: A is Q, its own A^-T
     assert [lv.branch for lv in plan.records] == [BRANCH_CASE_I]  # a panel of one level
     assert plan.spectrum is None and plan.sub.shape == (9, 9)
-    assert verify_factorization(c, _panel_v(plan), CFG).passed
+    assert verify_factorization(c, _level_v(plan), CFG).passed
 
 
 def _count_calls(monkeypatch, module, name):
@@ -618,7 +602,7 @@ def test_choose_x_magnitude_sweep_for_weak_coupling():
     ct[0, 0] = 1e-9
     ct[1, 1] = 2e-9
     la = 1.0
-    got = choose_x(ct, la, CFG)
+    got = choose_x(ct, la)
     assert not isinstance(got, AllZeroSignal)
     assert got.score >= 0.1
     assert np.linalg.norm(got.x[:-1]) > 1e4  # scaled to 1/sqrt(|c_tilde' d|)
@@ -628,7 +612,7 @@ def test_choose_x_pairs_a_zero_diagonal_cross_coupling():
     # every unit vector gives det D = 0 here; the 2x2 pivot on the largest
     # off-diagonal entry, e_0 + e_1, does not
     ct = _coupling(3, {(0, 1): 1e-3})
-    got = choose_x(ct, 1.0, CFG)
+    got = choose_x(ct, 1.0)
     assert got.strategy == "pair:0+1"
     assert got.score >= 0.1
     assert got.det_d == pytest.approx(-(got.x @ ct @ got.x))
@@ -636,7 +620,7 @@ def test_choose_x_pairs_a_zero_diagonal_cross_coupling():
 
 def test_choose_x_falls_back_when_no_rung_is_well_conditioned():
     # a coupling to the corner alone: det D = -2 x_0 x_n c_01 scores at most sqrt(|c_01|), whatever x_0's scale
-    got = choose_x(_coupling(2, {(0, 1): 1e-9}), 1.0, CFG)
+    got = choose_x(_coupling(2, {(0, 1): 1e-9}), 1.0)
     assert got.strategy.startswith("fallback:") and got.score < 1e-3
 
 
@@ -710,7 +694,7 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     assert basis is None
     plan = factor._panel(c, pair, complex(np.dot(pair.vector, pair.vector)), rest, CFG)
     assert [lv.dim for lv in plan.records] == [6, 5, 4]
-    q = plan.a
+    q = plan.left
     assert frobenius(q.T @ q - np.eye(6)) <= 1e-14
     m = q.T @ c @ q
     assert frobenius(m[:3, :3] - plan.sub) <= 1e-14
@@ -720,24 +704,7 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     vals, vecs = plan.spectrum
     assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(plan.sub)), atol=1e-13)
     assert frobenius(plan.sub @ vecs - vecs * vals) <= 1e-13 * frobenius(vecs)
-    assert frobenius(c - _panel_v(plan) @ _panel_v(plan).T) <= 1e-14  # V = Q R, no solve
-
-
-@pytest.mark.parametrize("iso_tol", [0.5, 0.99])
-def test_panels_take_the_branches_of_the_per_level_walk_at_a_raised_iso_tol(monkeypatch, iso_tol):
-    # a carried eigenvector with |e^T e| <= iso_tol is isotropic by the
-    # config: the panel ends before it, as the per-level walk (here every
-    # panel cut to one level, each level on a fresh spectrum) sends it to the
-    # isotropic route
-    cfg = ToleranceConfig(iso_tol=iso_tol)
-    inputs = [oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind="DenseSymmetric"))
-              for n in (5, 8, 10) for seed in range(4)]
-    panelled = [factor_symmetric(c, cfg).trace.branches() for c in inputs]
-    panel = factor._panel
-    monkeypatch.setattr(factor, "_panel", lambda c, pair, ete, rest, *args: panel(c, pair, ete, None, *args))
-    assert [factor_symmetric(c, cfg).trace.branches() for c in inputs] == panelled
-    seen = {branch for branches in panelled for branch in branches}
-    assert {BRANCH_CASE_I, BRANCH_CASE_II_GENERAL} <= seen
+    assert frobenius(c - _level_v(plan) @ _level_v(plan).T) <= 1e-14  # V = Q R, no solve
 
 
 def test_rank_deficient_noise_tail_is_one_zero_matrix_level():
@@ -823,7 +790,7 @@ def _coupling(n, entries):
     return ct
 
 
-def _loop_choose_x(ct, la, cfg):
+def _loop_choose_x(ct, la):
     """(strategy, score) of choose_x, scoring its rungs one at a time."""
     k = len(ct) - 1
     unit = np.eye(k)
@@ -831,7 +798,7 @@ def _loop_choose_x(ct, la, cfg):
     if k > 1:
         i, j = max(((i, j) for i in range(k) for j in range(i + 1, k)), key=lambda p: abs(ct[p]))
         rungs += [(f"pair:{i}+{j}", unit[i] + unit[j]), (f"pair:{i}-{j}", unit[i] - unit[j])]
-    threshold = cfg.det_tol * max(1.0, frobenius(ct) / abs(la) ** 2)
+    threshold = factor._DET_TOL * max(1.0, frobenius(ct) / abs(la) ** 2)
     best = None
     for label, d in rungs:
         weight = np.linalg.norm(ct[:, :k] @ d)
@@ -853,8 +820,8 @@ def test_choose_x_picks_what_a_loop_over_its_rungs_picks():
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for ct in (weight * (a + a.T), weight * np.diag(np.diag(a))):
                 la = complex(rng.standard_normal(), rng.standard_normal())
-                got = choose_x(ct, la, CFG)
-                strategy, score = _loop_choose_x(ct, la, CFG)
+                got = choose_x(ct, la)
+                strategy, score = _loop_choose_x(ct, la)
                 assert got.strategy == strategy, (n, weight)
                 assert got.score == pytest.approx(score, rel=1e-12)
                 assert got.det_d == pytest.approx(-(got.x @ ct @ got.x), rel=1e-12)
@@ -863,7 +830,7 @@ def test_choose_x_picks_what_a_loop_over_its_rungs_picks():
 def test_choose_x_still_rejects_non_finite_and_non_square_blocks():
     for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.ones((2, 3)), np.ones(3)):
         with pytest.raises(ValidationError):
-            choose_x(bad, 1.0, CFG)
+            choose_x(bad, 1.0)
 
 
 def _near_isotropic(seed, n, ete):
@@ -881,39 +848,43 @@ def _random_b(plan):
     return b
 
 
-def _product_and_solve(plan, overlap=None):
-    """The level's V = A^-T B^T by the product (with ``overlap``, else the plan's) and by a solve."""
+def _product_and_solve(c, pair, plan, cfg=CFG):
+    """An isotropic level's V = A^-T B^T by its product and by a solve with its A' (B from ``_random_b``)."""
     b = _random_b(plan)
-    overlap = plan.overlap if overlap is None else overlap
-    return factor._unitary_assembly(plan.a, b.copy(), overlap), solve_linear(plan.a.T, b.T)
+    return plan.left @ b.T, solve_linear(reduce_case_ii(c, pair, cfg)[0].T, b.T)
 
 
 def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
     from symfact.factor import _first_sound_plan, _plan
 
     c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=1, kind="IsotropicLambdaZero"))
-    plans = [_first_sound_plan(c / frobenius(c), CFG)]  # null splits, then a lone null vector
+    c = c / frobenius(c)
+    levels = [(c, _first_sound_plan(c, CFG))]  # null splits, then a lone null vector
     eye = np.eye(4, dtype=complex)
     for d, null in (([0.0, 3.0, 0.0, 2.0], eye[:, [0, 2]]), ([3.0, 2.0, 1.0, 0.0], eye[:, [3]])):
-        pair = EigenPair(value=0.0, vector=null[:, 0], residual=0.0)
-        plans.append(factor._null_split(np.diag(d).astype(complex), pair, null, CFG))
+        c = np.diag(d).astype(complex)
+        levels.append((c, factor._null_split(c, EigenPair(value=0.0, vector=null[:, 0], residual=0.0), null, CFG)))
     e, lam, c = _isotropic_core(6, 6)
-    plans.append(_plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG))  # CaseII_Degenerate
+    isotropic = [(c, EigenPair(value=lam, vector=e, residual=0.0))]  # CaseII_Degenerate
     w = complement_basis_within(e)
     s = np.random.default_rng(6).standard_normal((4, 4))
-    plans.append(_plan(w @ (s + s.T) @ w.T, EigenPair(value=0.0, vector=e, residual=0.0), CFG))
+    isotropic.append((w @ (s + s.T) @ w.T, EigenPair(value=0.0, vector=e, residual=0.0)))
     # near-isotropic e: A' is unitary but for e^T e, which G^-T corrects
     e = _near_isotropic(9, 6, 1e-9)
+    assert 5e-10 < abs(complex(e @ e)) < 2e-9
     c = lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e))
-    plans.append(_plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG))
-    kinds = [(p.records[0].branch, p.sub is None) for p in plans]
+    isotropic.append((c, EigenPair(value=lam, vector=e, residual=0.0)))
+    levels += [(c, _plan(c, pair, CFG)) for c, pair in isotropic]
+    kinds = [(p.records[0].branch, p.sub is None) for _, p in levels]
     assert kinds == [(BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_LAMBDA_ZERO, False),
                      (BRANCH_CASE_I, False), (BRANCH_CASE_II_DEGENERATE, True),
                      (BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_DEGENERATE, True)]
-    assert [p.overlap for p in plans[:3]] == [0.0] * 3
-    assert 5e-10 < abs(plans[-1].overlap) < 2e-9
-    for plan in plans:
-        got, want = _product_and_solve(plan)
+    for _, plan in levels[:3]:  # a null split's A = conj(left) is unitary
+        assert frobenius(plan.left.conj().T @ plan.left - np.eye(len(plan.left))) <= 1e-14
+    for c, plan in levels[:-1]:  # the last level drops the O(e^T e) entries of its C'
+        assert verify_factorization(c, _level_v(plan), CFG).relative_residual <= 1e-14
+    for (c, pair), (_, plan) in zip(isotropic, levels[3:]):
+        got, want = _product_and_solve(c, pair, plan)
         assert frobenius(got - want) <= 1e-14 * frobenius(want)
 
 
@@ -922,35 +893,76 @@ def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
 
     cfg = ToleranceConfig(iso_tol=1e-4)
     e = _near_isotropic(3, 7, 2e-5)
+    assert 1e-5 < abs(complex(e @ e)) < 4e-5
     w = factor._complement_basis_within(e)
     s = np.random.default_rng(3).standard_normal((5, 5))
     c = w @ (s + s.T) @ w.T  # C e = 0, so the level is a lambda = 0 congruence
-    plan = _plan(c, EigenPair(value=0.0, vector=e, residual=0.0), cfg)
+    pair = EigenPair(value=0.0, vector=e, residual=0.0)
+    plan = _plan(c, pair, cfg)
     assert plan.records[0].branch == BRANCH_CASE_II_LAMBDA_ZERO
-    assert 1e-5 < abs(plan.overlap) < 4e-5
-    got, want = _product_and_solve(plan)
+    got, want = _product_and_solve(c, pair, plan, cfg)
     assert frobenius(got - want) <= 1e-14 * frobenius(want)
-    uncorrected, want = _product_and_solve(plan, overlap=0.0)  # A' taken as unitary
+    uncorrected = reduce_case_ii(c, pair, cfg)[0].conj() @ _random_b(plan).T  # A' taken as unitary
     assert frobenius(uncorrected - want) > 1e-6 * frobenius(want)
-    b = plan.b.copy()
-    b[:-1, :-1] = factor_symmetric(plan.sub, cfg).V.T
-    assert verify_factorization(c, factor._unitary_assembly(plan.a, b, plan.overlap), cfg).relative_residual <= 1e-14
+    assert verify_factorization(c, _level_v(plan, cfg), cfg).relative_residual <= 1e-14
     for seed in range(6):  # whole factorizations under the raised cut
         c = oracle.gen(oracle.GeneratorSpec(dim=7, seed=seed, kind="IsotropicLambdaNonzero"))
         assert factor_symmetric(c, cfg).relative_residual <= cfg.verify_tol
 
 
-def test_only_bordered_transforms_assemble_by_a_solve(monkeypatch):
-    solves = _count_calls(monkeypatch, factor, "solve_linear")
+def test_the_factorization_path_never_solves(monkeypatch):
+    # each planner builds its level's A^-T, so assembly is one product per level
+    assert not hasattr(factor, "solve_linear")
+    solves = [_count_calls(monkeypatch, np.linalg, name) for name in ("solve", "inv")]
     seen = []
     for kind, n, seed in (("IsotropicLambdaZero", 6, 1), ("IsotropicLambdaZero", 7, 3), ("RankDeficient", 8, 2),
-                          ("IsotropicLambdaNonzero", 6, 0), ("IsotropicLambdaNonzero", 8, 2)):
+                          ("IsotropicLambdaNonzero", 6, 0), ("IsotropicLambdaNonzero", 8, 2),
+                          ("IsotropicLambdaNonzero", 5, 1), ("IsotropicLambdaNonzero", 6, 463),
+                          ("IsotropicLambdaNonzero", 8, 3)):
         c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind=kind))
-        seen += factor_symmetric(c, CFG).trace.branches()
-    assert BRANCH_CASE_II_LAMBDA_ZERO in seen and BRANCH_CASE_II_DEGENERATE in seen
-    assert BRANCH_CASE_II_GENERAL not in seen and solves == []
-    generals = 0
-    for n, seed in ((5, 1), (6, 463), (8, 3)):
-        c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind="IsotropicLambdaNonzero"))
-        generals += factor_symmetric(c, CFG).trace.branches().count(BRANCH_CASE_II_GENERAL)
-    assert generals > 0 and len(solves) == generals
+        r = factor_symmetric(c, CFG)
+        assert r.relative_residual <= CFG.verify_tol
+        seen += r.trace.branches()
+    assert {BRANCH_CASE_I, BRANCH_CASE_II_LAMBDA_ZERO, BRANCH_CASE_II_DEGENERATE, BRANCH_CASE_II_GENERAL} <= set(seen)
+    assert solves == [[], []]
+
+
+def _bordered(x, y):
+    """D = [[I, x], [y^T, 0]]."""
+    d = np.eye(len(x) + 1, dtype=complex)
+    d[:-1, -1] = x
+    d[-1, :-1] = y
+    d[-1, -1] = 0.0
+    return d
+
+
+def test_a_bordered_level_carries_the_inverse_transpose_of_its_transform():
+    from symfact.factor import _plan
+
+    e, lam, c = _isotropic_core(7, 6)
+    w = complement_basis_within(e)
+    rng = np.random.default_rng(7)
+    s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    c = c + w @ (s + s.T) @ w.T
+    pair = EigenPair(value=lam, vector=e, residual=0.0)
+    plan = _plan(c, pair, CFG)
+    assert plan.records[0].branch == BRANCH_CASE_II_GENERAL and plan.sound
+    a_prime, c_prime, ct_prime = reduce_case_ii(c / frobenius(c), pair, CFG)
+    x = choose_x(ct_prime, c_prime[-2, -1]).x
+    a = a_prime @ _bordered(x, ct_prime @ x)  # the level's congruence A = A' D
+    assert frobenius(plan.left.T @ a - np.eye(6)) <= 1e-13
+    assert verify_factorization(c, _level_v(plan), CFG).relative_residual <= 1e-14
+
+
+def test_the_bordered_condition_formula_matches_numpy():
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 3, 5, 8):
+        for spread in (1.0, 1e-4, 1e4):
+            x = spread * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            near = y.copy()
+            near[-1] -= (x @ y) * (1.0 - 1e-6) / x[-1]  # x^T y shrunk a millionfold: D nearly singular
+            for yy in (y, near):
+                want = np.linalg.cond(_bordered(x, yy), "fro")
+                assert factor._bordered_cond(x, yy, complex(x @ yy)) == pytest.approx(want, rel=1e-6)
+    assert factor._bordered_cond(np.ones(2), np.array([1.0, -1.0]), 0j) == np.inf

@@ -122,12 +122,13 @@ def test_tolerance_config_validation():
     assert cfg.iso_tol == 1e-8
 
 
-@pytest.mark.parametrize("iso_tol", [1.0, 2.0])
+@pytest.mark.parametrize("iso_tol", [3e-3, 0.5, 1.0, 2.0])
 def test_iso_tol_must_be_below_one(iso_tol):
-    # |e^T e| <= 1 for a unit e, so at iso_tol >= 1 every vector would count as isotropic
-    with pytest.raises(ValidationError, match="iso_tol must be below 1"):
+    # a reflector level takes |e^T e| >= 3e-3, so iso_tol stays under that cut
+    # (at 0.1, corpus inputs already miss verify_tol)
+    with pytest.raises(ValidationError, match="iso_tol must be below 0.003"):
         ToleranceConfig(iso_tol=iso_tol)
-    assert ToleranceConfig(iso_tol=0.99).iso_tol == 0.99
+    assert ToleranceConfig(iso_tol=2.9e-3).iso_tol == 2.9e-3
 
 
 @pytest.mark.parametrize("complex_entries", [True, False])
