@@ -26,14 +26,20 @@ A, the next block, and the part of B (with B^T B = A^T C A) known at these
 levels.  ``factor_symmetric`` walks the blocks down in a loop and assembles
 V = A^-T B^T bottom-up by one product per plan, so the Python stack does not
 grow with the dimension, and no level solves.  CaseI levels come in panels: a reflector Q
-has Q^T Q = I, so the other eigenvectors carry down through it, and a panel
-picks each level's reflector from the carried eigenvectors alone, forms
-M = Q^T C Q of the whole run in one product, re-checks each level on M, and
-assembles V = Q R in one product.  In exact arithmetic that is the paper's
-per-level congruence; the panel changes the order of the arithmetic, and
-its cuts compare against the norms of M's leading blocks.  Every level works
-in the input's units; only ``_plan``, whose bordered transform compares
-against absolute constants, builds its level on the block over its norm.
+has Q^T Q = I, so the other eigenvectors carry down through it.  A panel that
+takes every eigenpair (each carried one passes the walk's tests) is one
+congruence by the eigenvector matrix A = [f_m | ... | f_1], f = e/sqrt(e^T e):
+eigenvectors of distinct eigenvalues are bilinear-orthogonal, and
+A^-T = A (2I - A^T A) is one Newton-Schulz step.  A shorter panel (a null tail,
+an isotropic level below it) picks each level's reflector from the carried
+eigenvectors alone, as a walk.  Either way the panel forms M = A^T C A in one
+product, re-checks each level on M, and assembles V = A^-T R in one product.
+In exact arithmetic that is the paper's per-level congruence; the panel
+changes the order of the arithmetic, and its cuts compare against the norms
+of M's leading blocks.  Every level works in the input's units; only
+``_plan``, whose bordered transform compares against absolute constants,
+builds its level on the block over its norm.  An input whose |C|_F lies near
+the ends of the float range is factored as 4^-k C, an exact power of 4.
 
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
 It can exceed verify_tol (some small-integer complex diagonals do); the CLI
@@ -43,7 +49,7 @@ then reports ``status: "fail"`` with exit code 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,6 +104,12 @@ _LAMBDA_DANGER = 1e-4
 #: through the closed form: that costs at most its own norm, far under
 #: verify_tol, while a bordered transform built on it scores rounding noise
 _DROP_CUT = 5e-9
+#: a whole chain's A from the eigenvectors is walked instead when an entry of A^T A - I exceeds
+#: this: the Newton-Schulz step A^-T = A (2I - A^T A) leaves an error of its square
+_GRAM_CUT = math.sqrt(_EPS)
+#: |C|_F outside this band is factored as 4^-k C, largest entry near 1: near the ends of the
+#: float range, |C|_F^2 overflows (|C|_F ~ 1.3e154) or underflows
+_NORM_BAND = (2.0**-400, 2.0**400)
 
 
 class NotSymmetricError(ValueError):
@@ -122,7 +134,9 @@ class ChosenX:
 @dataclass(frozen=True)
 class LevelRecord:
     """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on the
-    isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm."""
+    isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm.
+    ``ete`` is e^T e of the level's phase-canonical unit eigenvector: in the coordinates of
+    the panel's top block on a whole chain, of the level's own block on a walked panel."""
 
     dim: int
     branch: str
@@ -136,7 +150,8 @@ class LevelRecord:
 class LevelPlan:
     """Levels decided but not yet assembled, one record each: V = A^-T B^T = ``left`` B^T.
 
-    ``left`` = A^-T: a panel's complex orthogonal Q is its own; a null split's unitary
+    ``left`` = A^-T: a walked panel's complex orthogonal Q is its own, a whole chain's
+    eigenvector matrix A gives A (2I - A^T A); a null split's unitary
     [R | N] gives its conjugate; an isotropic A' = [V' | conj(e) | e] gives conj(A') with a
     Gram correction, times D^-T for a bordered transform A' D.  ``b`` is B, its leading
     block left zero for the factor of ``sub``, the next block (None at the end of the chain).
@@ -305,56 +320,40 @@ def _reflects(ete: complex) -> bool:
 
 def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None, cfg: ToleranceConfig,
            floor: float = 0.0) -> LevelPlan:
-    """A panel of CaseI levels by complex-orthogonal reflectors, the first on ``pair`` (``ete`` = e^T e).
+    """A panel of CaseI levels by complex-orthogonal congruences, the first on ``pair`` (``ete`` = e^T e).
 
-    f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1, Re(s f_j) <= 0, j maximising
-    |u_j| >= 1) gives H f = s*e_j for H = I - beta u u^T, |beta| <= 1, and P H (P swaps j and
-    the last coordinate) splits off the corner.  P H is a similarity: the other eigenpairs
-    ``rest`` carry down, and the run goes on while the next block's walk would take its
-    first candidate by eigen's tests at the Schur bound sqrt(sum |vals|^2) of its norm,
-    past no block of norm at most ``floor`` and on no e^T e that ``_first_sound_plan`` would
-    not take by ``_reflects``.  The levels update only the carried eigenvectors and Q^T;
-    M = Q^T C Q is then one product, and each level is re-checked at its block's norm in M
-    (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against eig_tol.  The
-    first level that fails ends a new walk.  V = Q R, R = [[V', R12], [0, R22]] with V' a
-    factor of ``sub``, M's leading block, and column p of [R12; R22] M[:p, p]/sqrt(M_pp)
-    over sqrt(M_pp); the plan's A is Q, its own A^-T, and its B is R^T.
+    The panel takes the other eigenpairs ``rest`` level by level while the next block's walk
+    would take its first candidate by eigen's tests at the Schur bound sqrt(sum |vals|^2) of
+    its norm, past no block of norm at most ``floor`` and on no e^T e that ``_first_sound_plan``
+    would not take by ``_reflects``.  When every carried candidate passes, the last one too,
+    and the chain has two levels or more, ``_whole_chain`` takes the chain's congruence A
+    straight from the eigenvectors; otherwise ``_walk`` builds A = Q from reflectors.
+    M = A^T C A is one product, and each level but the first is re-checked at its block's norm
+    in M (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against eig_tol.  A
+    whole chain that fails is walked instead, and the first level that fails ends a walk.
+    V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading block, and
+    column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T.
     """
     m = c.shape[0]
     limit = m - 1
+    whole = walk = None
     if rest is not None:  # the walk's tests of candidate i, which level i + 1 takes
         vals, moduli = rest[0], np.abs(rest[0])
         schur = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
         gaps = (np.abs(vals[:, None] - vals) + np.tril(np.full((m - 1, m - 1), np.inf))).min(axis=1)
         simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
         walk = (schur > floor) & simple & ~near_zero
+        if m > 2 and walk.all():  # a chain of one level is its reflector, which costs less
+            whole = _whole_chain(pair, ete, rest[1])
     while True:
-        # columns: the carried eigenvectors, then Q^T
-        z = np.eye(m, dtype=np.complex128) if rest is None else np.hstack([rest[1], np.eye(m, dtype=np.complex128)])
-        f, etes, p = pair.vector / _principal_sqrt(ete), [ete], 0
-        while True:  # level p splits coordinate k - 1 off the leading k x k block
-            k = m - p
-            signs = np.where(f.real < 0.0, 1.0, -1.0)
-            j = int(np.abs(f - signs).argmax())
-            u = f.copy()
-            u[j], u[-1] = f[-1], f[j] - signs[j]
-            beta = 2.0 / complex(u @ u)
-            live = z[:k, p:]  # the eigenvectors still carried, and Q^T
-            live[[j, k - 1]] = live[[k - 1, j]]
-            live -= (beta * u)[:, None] * (u @ live)[None, :]
-            p += 1
-            if rest is None or p == limit or not walk[p - 1]:
-                break
-            v = z[: k - 1, p - 1]
-            vtv, peak = complex(v @ v), complex(v[np.abs(v).argmax()])
-            unit = vtv / np.vdot(v, v).real  # e^T e of the unit e
-            if not _reflects(unit):
-                break
-            etes.append(unit * (abs(peak) / peak) ** 2)  # of e with its phase fixed, as eigen._phase_canonical
-            f = v / _principal_sqrt(vtv)
+        if whole is not None:
+            a, left, etes = whole
+            p = limit
+        else:
+            z, etes, p = _walk(pair, ete, rest, limit, walk)
+            a = left = z[:, z.shape[1] - m :].T.copy()
         k = m - p
-        q = z[:, z.shape[1] - m :].T
-        mm = q.T @ c @ q
+        mm = a.T @ c @ a
         mm = 0.5 * (mm + mm.T)
         if p == 1:
             break
@@ -365,7 +364,10 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
         ok = (norms > floor) & simple & ~near_zero & (np.sqrt(cols[corner - 1, corner]) <= cfg.eig_tol * norms)
         if ok.all():
             break
-        limit = 1 + int(np.argmin(ok))
+        if whole is not None:
+            whole = None
+        else:
+            limit = 1 + int(np.argmin(ok))
     mu = np.diagonal(mm)[k:]
     root = np.sqrt(mu + 0.0)  # + 0.0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
     b = np.tril(mm)  # its leading k x k block is overwritten by V'^T
@@ -373,8 +375,69 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     b[np.arange(k, m), np.arange(k, m)] = root
     records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value), ete=e)
                     for i, (value, e) in enumerate(zip(mu[::-1], etes)))
-    spectrum = None if rest is None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
-    return LevelPlan(records, q.copy(), mm[:k, :k], b, spectrum=spectrum)
+    spectrum = None if rest is None or whole is not None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
+    return LevelPlan(records, left, mm[:k, :k], b, spectrum=spectrum)
+
+
+def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray):
+    """(A, A^-T, e^T e of each level) of a panel that takes every eigenpair, or None.
+
+    Eigenvectors of distinct eigenvalues of a symmetric C are bilinear-orthogonal, so with
+    f = e/sqrt(e^T e), A = [f_m | ... | f_2 | f_1] (f_1 of ``pair``, the others of the carried
+    eigenvectors ``vecs`` in reverse) is complex orthogonal up to rounding, and a chain of
+    reflector levels on these pairs is one congruence by it.  A^-T = A (2I - A^T A), one
+    Newton-Schulz step, costs two products and no solve.  None when some carried e^T e fails
+    ``_reflects``, the remainder's included (its column needs f^T f = 1), or when A^T A - I
+    passes ``_GRAM_CUT``.  A level's e^T e is that of the phase-canonical unit eigenvector.
+    """
+    m = vecs.shape[0]
+    vtv = np.einsum("ij,ij->j", vecs, vecs)
+    unit = vtv / np.einsum("ij,ij->j", vecs.conj(), vecs).real  # e^T e of the unit e
+    if not _reflects(np.abs(unit).min()):
+        return None
+    a = np.hstack([(vecs / np.sqrt(vtv + 0.0))[:, ::-1], (pair.vector / _principal_sqrt(ete))[:, None]])
+    defect = a.T @ a
+    defect.flat[:: m + 1] -= 1.0
+    if np.abs(defect).max() > _GRAM_CUT:
+        return None
+    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(m - 1)]
+    return a, a - a @ defect, [ete, *(unit * (np.abs(peak) / peak) ** 2)[:-1].tolist()]  # phase as eigen._phase_canonical
+
+
+def _walk(pair: eigen.EigenPair, ete: complex, rest: tuple | None, limit: int, walk: np.ndarray | None):
+    """The reflectors of a panel, at most ``limit`` levels: (z, e^T e of each level, levels).
+
+    f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1, Re(s f_j) <= 0, j maximising
+    |u_j| >= 1) gives H f = s*e_j for H = I - beta u u^T, |beta| <= 1, and P H (P swaps j and
+    the last coordinate) splits off the corner.  P H is a similarity, so the eigenvectors in
+    ``rest`` carry down.  The levels update only z = [carried eigenvectors | Q^T], one rank-1
+    update each; level p goes on while ``walk`` passes its candidate and ``_reflects`` its
+    carried eigenvector.
+    """
+    m = pair.vector.shape[0]
+    # columns: the carried eigenvectors, then Q^T
+    z = np.eye(m, dtype=np.complex128) if rest is None else np.hstack([rest[1], np.eye(m, dtype=np.complex128)])
+    f, etes, p = pair.vector / _principal_sqrt(ete), [ete], 0
+    while True:  # level p splits coordinate k - 1 off the leading k x k block
+        k = m - p
+        signs = np.where(f.real < 0.0, 1.0, -1.0)
+        j = int(np.abs(f - signs).argmax())
+        u = f.copy()
+        u[j], u[-1] = f[-1], f[j] - signs[j]
+        beta = 2.0 / complex(u @ u)
+        live = z[:k, p:]  # the eigenvectors still carried, and Q^T
+        live[[j, k - 1]] = live[[k - 1, j]]
+        live -= (beta * u)[:, None] * (u @ live)[None, :]
+        p += 1
+        if rest is None or p == limit or not walk[p - 1]:
+            return z, etes, p
+        v = z[: k - 1, p - 1]
+        vtv, peak = complex(v @ v), complex(v[np.abs(v).argmax()])
+        unit = vtv / np.vdot(v, v).real  # e^T e of the unit e
+        if not _reflects(unit):
+            return z, etes, p
+        etes.append(unit * (abs(peak) / peak) ** 2)  # of e with its phase fixed, as eigen._phase_canonical
+        f = v / _principal_sqrt(vtv)
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None,
@@ -543,7 +606,10 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     """
     c = as_matrix(c, square=True, name="C")
     cfg = cfg or _DEFAULT_CONFIG
-    norm_c = frobenius(c)
+    with np.errstate(over="ignore"):  # an overflow to inf is outside the band
+        norm_c = frobenius(c)
+    if not _NORM_BAND[0] <= norm_c <= _NORM_BAND[1] and c.any():
+        return _prescaled(c, cfg)
     defect = frobenius(c - c.T)
     if defect > _SYM_BAND * max(norm_c, np.finfo(np.float64).tiny):
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
@@ -584,4 +650,22 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         residual=residual,
         relative_residual=residual / max(frobenius(c), 1.0),
         trace=RecursionTrace(levels=tuple(levels)),
+    )
+
+
+def _prescaled(c: np.ndarray, cfg: ToleranceConfig) -> FactorizationResult:
+    """``factor_symmetric`` of a nonzero C outside ``_NORM_BAND``, through C' = C/4^k with its
+    largest entry in [1/2, 2).  A power of 4 is exact in binary floating point, and C' lies in the
+    band, where the factorization is exactly scale-equivariant: V = 2^k V' and every trace value
+    is 4^k times that of C', bit for bit (barring subnormal entries)."""
+    unit = 2.0 ** (math.frexp(float(np.abs(c).max()))[1] // 2)
+    inner = c / unit / unit
+    r = factor_symmetric(inner, cfg)
+    levels = tuple(lv if lv.value is None else replace(lv, value=lv.value * unit * unit) for lv in r.trace.levels)
+    residual = r.residual * unit * unit
+    return FactorizationResult(
+        V=r.V * unit,
+        residual=residual,
+        relative_residual=residual / max(frobenius(inner) * unit * unit, 1.0),
+        trace=RecursionTrace(levels=levels),
     )

@@ -363,6 +363,25 @@ def test_trace_values_are_in_the_input_units():
                 assert hi.value == pytest.approx(want, rel=1e-6, abs=floor)
 
 
+def test_inputs_near_the_ends_of_the_float_range_factor_by_an_exact_prescale():
+    # |C|_F^2 overflows from |C|_F ~ 1.3e154 on (and underflows at the other
+    # end); such inputs factor as 4^-k C, so V(4^k C) = 2^k V(C) bit for bit
+    for kind in ("DenseSymmetric", "RankDeficient", "IsotropicLambdaZero", "IsotropicLambdaNonzero"):
+        for seed in range(4):
+            c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind))
+            plain = factor_symmetric(c, CFG)
+            for k in (-270, 270):
+                scaled = factor_symmetric(4.0**k * c, CFG)
+                assert np.array_equal(scaled.V, 2.0**k * plain.V), (kind, seed, k)
+                assert [lv.value for lv in scaled.trace.levels] == _scaled_values(plain.trace, 4.0**k)
+                assert scaled.residual == 4.0**k * plain.residual
+    c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=1, kind="DenseSymmetric"))
+    for scale in (1e160, 1e-160, 1e300):
+        r = factor_symmetric(scale * c, CFG)
+        assert r.trace.branches() == [BRANCH_CASE_I] * 3 + ["Base"]
+        assert r.relative_residual <= 1e-15
+
+
 def test_nilpotent_blocks_factor_to_their_null_directions():
     # nilpotent cores: the SVD of the block finds its null space, not the
     # perturbed ~5e-9 eigenvalues, and the whole null space leaves at once
@@ -540,13 +559,15 @@ def test_small_integer_complex_diagonals_factor_within_verify_tol(seed):
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("t", [1.0, 2.0, 2.5, 3.0])
 def test_far_from_normal_chains_keep_their_accuracy(n, t):
-    # every eigenvector of these has |e^T e| = 1/cosh 2t, so a panel's Q and
-    # the deferred products M = Q^T C Q and V = Q R round relative to |Q|^2
+    # every eigenvector of these has |e^T e| = 1/cosh 2t, so the products
+    # M = A^T C A and V = A^-T R round relative to |A|^2; a chain walked by
+    # reflectors read up to 5.1e-12 at t = 3, one congruence by the
+    # eigenvector matrix reads 1.3e-13
     for seed in range(4):
         c = _boosted(n, t, seed)
         r = factor_symmetric(c, CFG)
         assert set(r.trace.branches()) == {BRANCH_CASE_I, "Base"}
-        assert r.relative_residual <= 1e-11, seed
+        assert r.relative_residual <= 5e-13, seed
 
 
 def _level_v(plan, cfg=CFG):
@@ -671,13 +692,22 @@ def test_ldlt_agreement_when_it_succeeds():
 
 @pytest.mark.parametrize("n", [10, 64])
 def test_a_dense_factorization_takes_one_eigendecomposition(monkeypatch, n):
-    # every level is a reflector level, which carries the spectrum down
+    # every carried candidate passes the walk's tests, so one panel takes the
+    # whole chain as one congruence by the eigenvector matrix, without walking
     eigs = _count_calls(monkeypatch, np.linalg, "eig")
+    walks = _count_calls(monkeypatch, factor, "_walk")
     c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=1, kind="DenseSymmetric"))
     r = factor_symmetric(c, CFG)
     assert r.relative_residual <= 1e-13
     assert r.trace.branches() == [BRANCH_CASE_I] * (n - 1) + ["Base"]
     assert len(eigs) == 1
+    assert walks == []
+    vals, vecs = np.linalg.eig(c)
+    values = np.array([lv.value for lv in r.trace.levels])
+    assert np.abs(np.sort_complex(values) - np.sort_complex(vals)).max() <= 1e-10 * frobenius(c)
+    for lv in r.trace.levels[1:-1]:  # e^T e of the phase-canonical unit eigenvector, in input coordinates
+        e = factor.eigen._phase_canonical(vecs[:, np.argmin(np.abs(vals - lv.value))])
+        assert lv.ete == pytest.approx(e @ e, abs=1e-10)
 
 
 def test_reflector_level_is_a_similarity_and_a_congruence():
@@ -707,11 +737,16 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     assert frobenius(c - _level_v(plan) @ _level_v(plan).T) <= 1e-14  # V = Q R, no solve
 
 
-def test_rank_deficient_noise_tail_is_one_zero_matrix_level():
+def test_rank_deficient_noise_tail_is_one_zero_matrix_level(monkeypatch):
+    # the last carried eigenvalues lie at the rounding-noise floor, so no panel
+    # takes every eigenpair: the chain still walks
+    walks = _count_calls(monkeypatch, factor, "_walk")
     for seed in range(3600, 3612):
         c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=seed, kind="RankDeficient"))
         rank = np.linalg.matrix_rank(c, tol=1e-10 * frobenius(c))
+        walks.clear()
         r = factor_symmetric(c, CFG)
+        assert bool(walks) == (rank > 0)
         assert r.trace.branches() == [BRANCH_CASE_I] * rank + ["ZeroMatrix"]
         assert r.relative_residual <= 1e-13
 
