@@ -30,16 +30,21 @@ has Q^T Q = I, so the other eigenvectors carry down through it.  A panel that
 takes every eigenpair (each carried one passes the walk's tests) is one
 congruence by the eigenvector matrix A = [f_m | ... | f_1], f = e/sqrt(e^T e):
 eigenvectors of distinct eigenvalues are bilinear-orthogonal, and
-A^-T = A (2I - A^T A) is one Newton-Schulz step.  A shorter panel (a null tail,
-an isotropic level below it) picks each level's reflector from the carried
-eigenvectors alone, as a walk.  Either way the panel forms M = A^T C A in one
-product, re-checks each level on M, and assembles V = A^-T R in one product.
+A^-T = A (2I - A^T A) is one Newton-Schulz step.  A panel whose passing
+eigenpairs end at a null tail (a rank-deficient C, its other eigenvalues under
+the noise floor) is one congruence by the rectangular A of its range
+eigenvectors: they are bilinear-orthogonal to the null space, so C = L M L^T
+with L = A (2I - A^T A) up to what a check bounds by the floor, and the tail is
+an exact zero block.  A panel that stops before an isotropic level picks each
+level's reflector from the carried eigenvectors alone, as a walk.  Each panel
+forms M = A^T C A in one product, re-checks each level on M, and assembles
+V = A^-T R in one product.
 In exact arithmetic that is the paper's per-level congruence; the panel
 changes the order of the arithmetic, and its cuts compare against the norms
 of M's leading blocks.  Every level works in the input's units; only
 ``_plan``, whose bordered transform compares against absolute constants,
 builds its level on the block over its norm.  An input whose |C|_F lies near
-the ends of the float range is factored as 4^-k C, an exact power of 4.
+the ends of the float range is factored and verified as 4^-k C, an exact power of 4.
 
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
 It can exceed verify_tol (some small-integer complex diagonals do); the CLI
@@ -136,7 +141,7 @@ class LevelRecord:
     """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on the
     isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm.
     ``ete`` is e^T e of the level's phase-canonical unit eigenvector: in the coordinates of
-    the panel's top block on a whole chain, of the level's own block on a walked panel."""
+    the panel's top block on a whole chain or a null tail's, of the level's own block on a walked panel."""
 
     dim: int
     branch: str
@@ -151,7 +156,8 @@ class LevelPlan:
     """Levels decided but not yet assembled, one record each: V = A^-T B^T = ``left`` B^T.
 
     ``left`` = A^-T: a walked panel's complex orthogonal Q is its own, a whole chain's
-    eigenvector matrix A gives A (2I - A^T A); a null split's unitary
+    eigenvector matrix A gives A (2I - A^T A), a null tail's m x p A gives [0 | L] with
+    L = A (2I - A^T A) and the coupling fold of ``_panel``; a null split's unitary
     [R | N] gives its conjugate; an isotropic A' = [V' | conj(e) | e] gives conj(A') with a
     Gram correction, times D^-T for a bordered transform A' D.  ``b`` is B, its leading
     block left zero for the factor of ``sub``, the next block (None at the end of the chain).
@@ -193,15 +199,34 @@ class VerifyResult:
 
 
 def verify_factorization(c, v, cfg: ToleranceConfig | None = None) -> VerifyResult:
-    """Frobenius residual of C - V V^T, relative to max(|C|_F, 1)."""
+    """Frobenius residual of C - V V^T, relative to max(|C|_F, 1).
+
+    A nonzero C whose |C|_F lies outside ``_NORM_BAND`` is measured as C/4^k against V/2^k, the
+    prescale of ``factor_symmetric``, so neither norm overflows or underflows on the way."""
     c = as_matrix(c, square=True, name="C")
     v = as_matrix(v, square=True, name="V")
     cfg = cfg or _DEFAULT_CONFIG
     if v.shape != c.shape:
         raise ValidationError(f"shape mismatch: C is {c.shape}, V is {v.shape}")
-    residual = frobenius(c - v @ v.T)
-    relative = residual / max(frobenius(c), 1.0)
+    norm_c, unit = _norm_and_prescale(c)
+    if unit is None:
+        residual = frobenius(c - v @ v.T)
+        relative = residual / max(norm_c, 1.0)
+    else:
+        inner, w = c / unit / unit, v / unit
+        residual = frobenius(inner - w @ w.T) * unit * unit
+        relative = residual / max(frobenius(inner) * unit * unit, 1.0)
     return VerifyResult(residual=residual, relative_residual=relative, passed=relative <= cfg.verify_tol)
+
+
+def _norm_and_prescale(c: np.ndarray) -> tuple:
+    """(|C|_F, 2^k) with C/4^k's largest entry in [1/2, 2) for a nonzero C whose |C|_F lies outside
+    ``_NORM_BAND``; (|C|_F, None) for C = 0 or C in the band."""
+    with np.errstate(over="ignore"):  # an overflow to inf is outside the band
+        norm = frobenius(c)
+    if _NORM_BAND[0] <= norm <= _NORM_BAND[1] or not c.any():
+        return norm, None
+    return norm, 2.0 ** (math.frexp(float(np.abs(c).max()))[1] // 2)
 
 
 def orthogonal_gauge(v, o, tol: float = 1e-10) -> np.ndarray:
@@ -314,7 +339,8 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, cfg: Tol
 
 
 def _reflects(ete: complex) -> bool:
-    """Whether a simple pair with this e^T e is safely non-isotropic (iso_tol is below the cut): a panel level."""
+    """Whether a simple pair with this e^T e is safely non-isotropic (iso_tol is below the cut): a panel level.
+    Elementwise on an array of e^T e."""
     return abs(ete) >= _ETE_DANGER
 
 
@@ -327,34 +353,56 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     its norm, past no block of norm at most ``floor`` and on no e^T e that ``_first_sound_plan``
     would not take by ``_reflects``.  When every carried candidate passes, the last one too,
     and the chain has two levels or more, ``_whole_chain`` takes the chain's congruence A
-    straight from the eigenvectors; otherwise ``_walk`` builds A = Q from reflectors.
+    straight from the eigenvectors.  When the passing candidates are a prefix of r and the
+    Schur bound of the rest is at most ``floor``, a null tail, it takes the r + 1 range levels
+    as one congruence by the m x (r + 1) A; the tail is then an exact zero block, which the
+    loop records as ``ZeroMatrix``.  Otherwise ``_walk`` builds A = Q from reflectors.
     M = A^T C A is one product, and each level but the first is re-checked at its block's norm
-    in M (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against eig_tol.  A
-    whole chain that fails is walked instead, and the first level that fails ends a walk.
+    in M (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against eig_tol.
+    A null tail's chain is taken only when delta = C - L M L^T, all it leaves out, has
+    |delta|_F <= ``floor``.  With X = delta A - L (A^T delta A)/2, X L^T + L X^T is delta but
+    for its part off A's range on both sides, so L + X diag(M)^-1 keeps delta's coupling to
+    the range to first order, as a walk keeps M's coupling block.  A whole or null-tail chain
+    that fails is walked instead, and the first level that fails ends a walk.
     V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading block, and
     column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T.
     """
     m = c.shape[0]
     limit = m - 1
     whole = walk = None
+    lower = np.arange(m)[:, None] >= np.arange(m)
     if rest is not None:  # the walk's tests of candidate i, which level i + 1 takes
         vals, moduli = rest[0], np.abs(rest[0])
         schur = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
-        gaps = (np.abs(vals[:, None] - vals) + np.tril(np.full((m - 1, m - 1), np.inf))).min(axis=1)
+        gaps = np.where(lower[1:, 1:], np.inf, np.abs(vals[:, None] - vals)).min(axis=1)
         simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
         walk = (schur > floor) & simple & ~near_zero
-        if m > 2 and walk.all():  # a chain of one level is its reflector, which costs less
-            whole = _whole_chain(pair, ete, rest[1])
+        r = m - 1 if walk.all() else int(walk.argmin())  # the passing prefix
+        if r == m - 1:
+            if m > 2:  # a chain of one level is its reflector, which costs less
+                whole = _whole_chain(pair, ete, rest[1])
+        elif schur[r] <= floor:  # the prefix ends at a null tail
+            whole = _whole_chain(pair, ete, rest[1][:, :r], c, vals[:r])
     while True:
         if whole is not None:
             a, left, etes = whole
-            p = limit
+            p = min(a.shape[1], m - 1)
         else:
             z, etes, p = _walk(pair, ete, rest, limit, walk)
             a = left = z[:, z.shape[1] - m :].T.copy()
         k = m - p
         mm = a.T @ c @ a
         mm = 0.5 * (mm + mm.T)
+        if a.shape[1] == p:  # a null tail: M's leading k x k block and its coupling are exact zeros
+            delta = c - left @ mm @ left.T
+            if frobenius(delta) > floor:  # what L M L^T leaves out of C must be noise
+                whole = None
+                continue
+            da = delta @ a  # fold delta's coupling to the range into L (above)
+            left = left + (da - 0.5 * left @ (a.T @ da)) / np.diagonal(mm)
+            padded = np.zeros((m, m), dtype=np.complex128)
+            padded[k:, k:] = mm
+            mm, left = padded, np.hstack([np.zeros((m, k), dtype=np.complex128), left])
         if p == 1:
             break
         cols = np.cumsum(mm.real**2 + mm.imag**2, axis=0)
@@ -370,38 +418,50 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
             limit = 1 + int(np.argmin(ok))
     mu = np.diagonal(mm)[k:]
     root = np.sqrt(mu + 0.0)  # + 0.0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
-    b = np.tril(mm)  # its leading k x k block is overwritten by V'^T
+    b = np.where(lower, mm, 0.0)  # its leading k x k block is overwritten by V'^T
     b[k:] /= root[:, None]
-    b[np.arange(k, m), np.arange(k, m)] = root
+    b.flat[k * (m + 1) :: m + 1] = root
     records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value), ete=e)
                     for i, (value, e) in enumerate(zip(mu[::-1], etes)))
     spectrum = None if rest is None or whole is not None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
     return LevelPlan(records, left, mm[:k, :k], b, spectrum=spectrum)
 
 
-def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray):
-    """(A, A^-T, e^T e of each level) of a panel that takes every eigenpair, or None.
+def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray | None = None,
+                 vals: np.ndarray | None = None):
+    """(A, A^-T, e^T e of each level) of a panel that takes every eigenpair or ends at a null tail, or None.
 
     Eigenvectors of distinct eigenvalues of a symmetric C are bilinear-orthogonal, so with
-    f = e/sqrt(e^T e), A = [f_m | ... | f_2 | f_1] (f_1 of ``pair``, the others of the carried
-    eigenvectors ``vecs`` in reverse) is complex orthogonal up to rounding, and a chain of
-    reflector levels on these pairs is one congruence by it.  A^-T = A (2I - A^T A), one
-    Newton-Schulz step, costs two products and no solve.  None when some carried e^T e fails
-    ``_reflects``, the remainder's included (its column needs f^T f = 1), or when A^T A - I
-    passes ``_GRAM_CUT``.  A level's e^T e is that of the phase-canonical unit eigenvector.
+    f = e/sqrt(e^T e), A = [f_r | ... | f_1 | f_0] (f_0 of ``pair``, the others of the carried
+    eigenvectors ``vecs`` in reverse) has A^T A = I up to rounding, and a chain of reflector
+    levels on these pairs is one congruence by it.  When ``vecs`` holds every carried
+    eigenvector, A is square, and A^-T = A (2I - A^T A), one Newton-Schulz step, costs two
+    products and no solve.  When ``vecs`` is the rest of C's range and only its null space N
+    remains (``c`` given, ``vals`` the eigenvalues of ``vecs``), A is m x (r + 1): N^T e =
+    N^T C e / lambda = 0, so C = L M L^T with M = A^T C A and the same L = A (2I - A^T A),
+    here a pseudo-inverse-transpose, and no complement of A is needed.  Its columns come from
+    C E Lambda^-1, one step of subspace iteration into C's range, whose null component is the
+    product's rounding alone.  None when some carried e^T e fails ``_reflects`` (a square A's
+    last column needs f^T f = 1 too), or when A^T A - I passes ``_GRAM_CUT``.  A level's
+    e^T e is that of eig's phase-canonical unit eigenvector.
     """
-    m = vecs.shape[0]
+    m, r = vecs.shape
     vtv = np.einsum("ij,ij->j", vecs, vecs)
     unit = vtv / np.einsum("ij,ij->j", vecs.conj(), vecs).real  # e^T e of the unit e
-    if not _reflects(np.abs(unit).min()):
+    if not _reflects(unit).all():
         return None
-    a = np.hstack([(vecs / np.sqrt(vtv + 0.0))[:, ::-1], (pair.vector / _principal_sqrt(ete))[:, None]])
+    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(r)]
+    etes = [ete, *(unit * (np.abs(peak) / peak) ** 2).tolist()]  # phase as eigen._phase_canonical
+    if c is None:
+        a = np.hstack([(vecs / np.sqrt(vtv + 0.0))[:, ::-1], (pair.vector / _principal_sqrt(ete))[:, None]])
+    else:
+        e = c @ np.hstack([vecs[:, ::-1], pair.vector[:, None]]) / np.concatenate([vals[::-1], [pair.value]])
+        a = e / np.sqrt(np.einsum("ij,ij->j", e, e) + 0.0)
     defect = a.T @ a
-    defect.flat[:: m + 1] -= 1.0
+    defect.flat[:: r + 2] -= 1.0
     if np.abs(defect).max() > _GRAM_CUT:
         return None
-    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(m - 1)]
-    return a, a - a @ defect, [ete, *(unit * (np.abs(peak) / peak) ** 2)[:-1].tolist()]  # phase as eigen._phase_canonical
+    return a, a - a @ defect, etes
 
 
 def _walk(pair: eigen.EigenPair, ete: complex, rest: tuple | None, limit: int, walk: np.ndarray | None):
@@ -606,10 +666,9 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     """
     c = as_matrix(c, square=True, name="C")
     cfg = cfg or _DEFAULT_CONFIG
-    with np.errstate(over="ignore"):  # an overflow to inf is outside the band
-        norm_c = frobenius(c)
-    if not _NORM_BAND[0] <= norm_c <= _NORM_BAND[1] and c.any():
-        return _prescaled(c, cfg)
+    norm_c, unit = _norm_and_prescale(c)
+    if unit is not None:
+        return _prescaled(c, unit, cfg)
     defect = frobenius(c - c.T)
     if defect > _SYM_BAND * max(norm_c, np.finfo(np.float64).tiny):
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
@@ -653,12 +712,11 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     )
 
 
-def _prescaled(c: np.ndarray, cfg: ToleranceConfig) -> FactorizationResult:
+def _prescaled(c: np.ndarray, unit: float, cfg: ToleranceConfig) -> FactorizationResult:
     """``factor_symmetric`` of a nonzero C outside ``_NORM_BAND``, through C' = C/4^k with its
-    largest entry in [1/2, 2).  A power of 4 is exact in binary floating point, and C' lies in the
-    band, where the factorization is exactly scale-equivariant: V = 2^k V' and every trace value
-    is 4^k times that of C', bit for bit (barring subnormal entries)."""
-    unit = 2.0 ** (math.frexp(float(np.abs(c).max()))[1] // 2)
+    largest entry in [1/2, 2) (``unit`` = 2^k).  A power of 4 is exact in binary floating point, and
+    C' lies in the band, where the factorization is exactly scale-equivariant: V = 2^k V' and every
+    trace value is 4^k times that of C', bit for bit (barring subnormal entries)."""
     inner = c / unit / unit
     r = factor_symmetric(inner, cfg)
     levels = tuple(lv if lv.value is None else replace(lv, value=lv.value * unit * unit) for lv in r.trace.levels)

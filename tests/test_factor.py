@@ -306,6 +306,25 @@ def test_verify_factorization_examples():
     assert exact.residual == 0.0
 
 
+def test_verify_factorization_prescales_far_from_unit_scale():
+    # |C|_F^2 overflows at 1e160 and the residual's squares underflow at 1e-160; both norms
+    # are taken on C/4^k and V/2^k (pytest turns an overflow RuntimeWarning into an error)
+    c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=1, kind="DenseSymmetric"))
+    for scale in (1e160, 1e-160):
+        good = factor_symmetric(scale * c, CFG).V
+        assert verify_factorization(scale * c, good, CFG).passed
+        bad = verify_factorization(scale * c, good * (1.0 + 1e-7), CFG)
+        assert bad.residual == pytest.approx(2e-7 * scale * frobenius(c), rel=1e-3)
+        if scale > 1.0:
+            assert not bad.passed
+            assert bad.relative_residual == pytest.approx(2e-7, rel=1e-3)
+        else:  # max(|C|_F, 1) = 1 makes the contract absolute: only a residual above verify_tol fails
+            assert bad.passed
+            assert not verify_factorization(scale * c, good + 1e-4 * np.eye(4), CFG).passed
+    in_band = factor_symmetric(c, CFG).V * (1.0 + 1e-7)
+    assert verify_factorization(c, in_band, CFG).residual == frobenius(c - in_band @ in_band.T)
+
+
 def test_soundness_over_seeded_dense_suite():
     for seed in range(40):
         dim = 1 + seed % 10
@@ -738,17 +757,53 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
 
 
 def test_rank_deficient_noise_tail_is_one_zero_matrix_level(monkeypatch):
-    # the last carried eigenvalues lie at the rounding-noise floor, so no panel
-    # takes every eigenpair: the chain still walks
+    # the last carried eigenvalues lie at the rounding-noise floor: the range
+    # levels are one congruence by the rectangular eigenvector matrix, with no
+    # walk, and the null tail is one exact ZeroMatrix level
     walks = _count_calls(monkeypatch, factor, "_walk")
     for seed in range(3600, 3612):
         c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=seed, kind="RankDeficient"))
         rank = np.linalg.matrix_rank(c, tol=1e-10 * frobenius(c))
-        walks.clear()
         r = factor_symmetric(c, CFG)
-        assert bool(walks) == (rank > 0)
+        assert walks == []
         assert r.trace.branches() == [BRANCH_CASE_I] * rank + ["ZeroMatrix"]
         assert r.relative_residual <= 1e-13
+        vals, vecs = np.linalg.eig(c)
+        nonzero = np.abs(vals) > 1e-10 * frobenius(c)
+        values = np.array([lv.value for lv in r.trace.levels[:-1]])
+        assert np.abs(np.sort_complex(values) - np.sort_complex(vals[nonzero])).max(initial=0.0) <= 1e-10 * frobenius(c)
+        for lv in r.trace.levels[:-1]:  # eig's e^T e, of the phase-canonical unit eigenvector
+            e = factor.eigen._phase_canonical(vecs[:, np.argmin(np.abs(vals - lv.value))])
+            assert lv.ete == pytest.approx(e @ e, abs=1e-10)
+
+
+def test_a_nilpotent_tail_is_tried_rejected_and_walked(monkeypatch):
+    # blockdiag(diag(lam), s e e^T) with e isotropic, rotated by a real orthogonal Q: the
+    # nilpotent block's eigenvalues sit under the noise floor, so the range levels are tried
+    # as one congruence, but what it leaves out of C is the block itself, far above the
+    # floor; the panel walks, and the nilpotent block leaves through a null split
+    chains, walks = [], _count_calls(monkeypatch, factor, "_walk")
+    inner = factor._whole_chain
+
+    def spied(*args):
+        chain = inner(*args)
+        chains.append(chain is not None and chain[0].shape[1] < args[2].shape[0])
+        return chain
+
+    monkeypatch.setattr(factor, "_whole_chain", spied)
+    for seed in range(3):
+        c = np.zeros((6, 6), dtype=complex)
+        c[:3, :3] = np.diag([3.0, -2.0 + 1.0j, 1.0j])
+        c[3:5, 3:5] = 1e-7 * np.outer([1.0, 1.0j], [1.0, 1.0j])
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
+        c = q @ c @ q.T
+        chains.clear()
+        walks.clear()
+        r = factor_symmetric(0.5 * (c + c.T), CFG)
+        assert chains == [True]  # a rectangular A was built
+        assert walks  # and rejected
+        assert r.trace.branches() == [BRANCH_CASE_I] * 3 + [BRANCH_CASE_II_LAMBDA_ZERO, "Base"]
+        assert r.relative_residual <= CFG.verify_tol
 
 
 def test_drifted_carried_spectrum_reanchors(monkeypatch):
