@@ -32,6 +32,11 @@ from .matcore import (
     solve_linear,
 )
 
+#: relative defect |M - M^T|_F (``is_hermitian``) or |H - H^dagger|_F (``canonical_T_selfadjoint``) accepted
+_HERM_TOL = 1e-10
+#: ``check_pseudo_hermitian`` calls G singular when its singular values span more than 1/this
+_SINGULAR_CUT = 1e-12
+
 
 @dataclass(frozen=True)
 class AntilinearOp:
@@ -92,11 +97,11 @@ def apply(op: AntilinearOp, zeta) -> np.ndarray:
     return m @ zeta.conj()
 
 
-def is_hermitian(op, tol: float = 1e-10) -> bool:
-    """Hermitian antilinear operator test: M = M^T within tol * |M|_F."""
+def is_hermitian(op) -> bool:
+    """Hermitian antilinear operator test: M = M^T within ``_HERM_TOL`` * |M|_F."""
     m = _op_matrix(op)
     scale = max(frobenius(m), np.finfo(np.float64).tiny)
-    return frobenius(m - m.T) <= tol * scale
+    return frobenius(m - m.T) <= _HERM_TOL * scale
 
 
 def check_involution(op) -> float:
@@ -123,14 +128,14 @@ def _condition(m: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def check_pseudo_hermitian(h, g, kind: str = "antilinear", tol: float = 1e-12) -> float:
+def check_pseudo_hermitian(h, g, kind: str = "antilinear") -> float:
     """Defect of H^* = G H G^{-1}, in inverse-free multiplied-through form.
 
     antilinear G (matrix M):  |H^dagger M - M conj(H)|_F / (|H|_F |M|_F)
     linear G:                 |H^dagger G - G H|_F / (|H|_F |G|_F)
 
-    tol is the relative singular-value cutoff below which G counts as
-    singular (the identity requires an invertible G).
+    ``_SINGULAR_CUT`` is the relative singular-value cutoff below which G
+    counts as singular (the identity requires an invertible G).
     """
     h = as_matrix(h, square=True, name="H")
     g = _op_matrix(g)
@@ -140,7 +145,7 @@ def check_pseudo_hermitian(h, g, kind: str = "antilinear", tol: float = 1e-12) -
         raise ValidationError(f"kind must be 'linear' or 'antilinear', got {kind!r}")
     with _lapack("singular value decomposition"):
         s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= tol * s[0]:
+    if s[-1] <= _SINGULAR_CUT * s[0]:
         raise ValidationError("G is singular to working precision")
     denom = max(frobenius(h) * frobenius(g), np.finfo(np.float64).tiny)
     if kind == "antilinear":
@@ -311,8 +316,7 @@ def build_antilinear_symmetry(system: BiorthonormalSystem, pairing: SpectrumPair
     return AntilinearOp(matrix=psi @ system.phi_matrix().T)
 
 
-def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None,
-                            herm_tol: float = 1e-10) -> AntilinearOp:
+def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None) -> AntilinearOp:
     """Canonical antilinear symmetry M = Psi Psi^T of a self-adjoint operator.
 
     Psi is the unitary eigenvector matrix of ``np.linalg.eigh`` on the
@@ -323,7 +327,7 @@ def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None,
     """
     h = as_matrix(h, square=True, name="H")
     scale = max(frobenius(h), np.finfo(np.float64).tiny)
-    if frobenius(h - h.conj().T) > herm_tol * scale:
+    if frobenius(h - h.conj().T) > _HERM_TOL * scale:
         raise ValidationError("H is not self-adjoint within tolerance")
     with _lapack("eigenvalue iteration"):
         _, psi = np.linalg.eigh(0.5 * (h + h.conj().T))

@@ -26,18 +26,14 @@ A, the next block, and the part of B (with B^T B = A^T C A) known at these
 levels.  ``factor_symmetric`` walks the blocks down in a loop and assembles
 V = A^-T B^T bottom-up by one product per plan, so the Python stack does not
 grow with the dimension, and no level solves.  CaseI levels come in panels: a reflector Q
-has Q^T Q = I, so the other eigenvectors carry down through it.  A panel that
-takes every eigenpair (each carried one passes the walk's tests) is one
-congruence by the eigenvector matrix A = [f_m | ... | f_1], f = e/sqrt(e^T e):
-eigenvectors of distinct eigenvalues are bilinear-orthogonal, and
-A^-T = A (2I - A^T A) is one Newton-Schulz step.  A panel whose passing
-eigenpairs end at a null tail (a rank-deficient C, its other eigenvalues under
-the noise floor) is one congruence by the rectangular A of its range
-eigenvectors: they are bilinear-orthogonal to the null space, so C = L M L^T
-with L = A (2I - A^T A) up to what a check bounds by the floor, and the tail is
-an exact zero block.  A panel that stops before an isotropic level picks each
-level's reflector from the carried eigenvectors alone, as a walk.  Each panel
-forms M = A^T C A in one product, re-checks each level on M, and assembles
+has Q^T Q = I, so the other eigenvectors carry down through it.  A panel whose carried
+eigenpairs all pass the walk's tests, or pass up to a null tail (a rank-deficient C, its other
+eigenvalues under the noise floor), is one congruence by the m x (r + 1) matrix A of its
+eigenvectors: eigenvectors of distinct eigenvalues are bilinear-orthogonal to each other and to
+the null space, so C = L M L^T with L = A (2I - A^T A), one Newton-Schulz step, up to what a
+check bounds by the noise floor; a tail is an exact zero block.  A panel that stops before an
+isotropic level picks each level's reflector from the carried eigenvectors alone, as a walk.
+Each panel forms M = A^T C A in one product, re-checks each level on M, and assembles
 V = A^-T R in one product.
 In exact arithmetic that is the paper's per-level congruence; the panel
 changes the order of the arithmetic, and its cuts compare against the norms
@@ -47,8 +43,11 @@ builds its level on the block over its norm.  An input whose |C|_F lies near
 the ends of the float range is factored and verified as 4^-k C, an exact power of 4.
 
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
-It can exceed verify_tol (some small-integer complex diagonals do); the CLI
-then reports ``status: "fail"`` with exit code 2.
+It can exceed verify_tol: symmetric 2x2 Jordan blocks at lambda != 0 do, and so
+do complex-orthogonal similarities far from normal (|C|_F ~ 1e4 against O(1)
+eigenvalues), whose last-resort levels raise the block norm until the O(1)
+eigenvalues fall under the near-zero cut.  The CLI then reports
+``status: "fail"`` with exit code 2.
 """
 
 from __future__ import annotations
@@ -109,9 +108,8 @@ _LAMBDA_DANGER = 1e-4
 #: through the closed form: that costs at most its own norm, far under
 #: verify_tol, while a bordered transform built on it scores rounding noise
 _DROP_CUT = 5e-9
-#: a whole chain's A from the eigenvectors is walked instead when an entry of A^T A - I exceeds
-#: this: the Newton-Schulz step A^-T = A (2I - A^T A) leaves an error of its square
-_GRAM_CUT = math.sqrt(_EPS)
+#: ``orthogonal_gauge`` accepts o with |o^T o - I|_F up to this multiple of max(|o|_F^2, 1)
+_GAUGE_TOL = 1e-10
 #: |C|_F outside this band is factored as 4^-k C, largest entry near 1: near the ends of the
 #: float range, |C|_F^2 overflows (|C|_F ~ 1.3e154) or underflows
 _NORM_BAND = (2.0**-400, 2.0**400)
@@ -141,7 +139,7 @@ class LevelRecord:
     """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on the
     isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm.
     ``ete`` is e^T e of the level's phase-canonical unit eigenvector: in the coordinates of
-    the panel's top block on a whole chain or a null tail's, of the level's own block on a walked panel."""
+    the panel's top block on a chain built from eigenvectors, of the level's own block on a walked panel."""
 
     dim: int
     branch: str
@@ -155,9 +153,9 @@ class LevelRecord:
 class LevelPlan:
     """Levels decided but not yet assembled, one record each: V = A^-T B^T = ``left`` B^T.
 
-    ``left`` = A^-T: a walked panel's complex orthogonal Q is its own, a whole chain's
-    eigenvector matrix A gives A (2I - A^T A), a null tail's m x p A gives [0 | L] with
-    L = A (2I - A^T A) and the coupling fold of ``_panel``; a null split's unitary
+    ``left`` = A^-T: a walked panel's complex orthogonal Q is its own, a chain's m x p
+    eigenvector matrix A gives L = A (2I - A^T A) with the coupling fold of ``_panel``,
+    zero-padded to [0 | L] when a null tail is left; a null split's unitary
     [R | N] gives its conjugate; an isotropic A' = [V' | conj(e) | e] gives conj(A') with a
     Gram correction, times D^-T for a bordered transform A' D.  ``b`` is B, its leading
     block left zero for the factor of ``sub``, the next block (None at the end of the chain).
@@ -229,14 +227,14 @@ def _norm_and_prescale(c: np.ndarray) -> tuple:
     return norm, 2.0 ** (math.frexp(float(np.abs(c).max()))[1] // 2)
 
 
-def orthogonal_gauge(v, o, tol: float = 1e-10) -> np.ndarray:
+def orthogonal_gauge(v, o) -> np.ndarray:
     """Apply the gauge freedom V -> V o for complex orthogonal o (o^T o = I)."""
     v = as_matrix(v, name="V")
     o = as_matrix(o, square=True, name="o")
     if o.shape[0] != v.shape[1]:
         raise ValidationError(f"gauge matrix {o.shape} does not conform to V {v.shape}")
     defect = frobenius(o.T @ o - np.eye(o.shape[0]))
-    if defect > tol * max(frobenius(o) ** 2, 1.0):
+    if defect > _GAUGE_TOL * max(frobenius(o) ** 2, 1.0):
         raise ValidationError(f"gauge matrix is not orthogonal: |o^T o - I| = {defect:.3g}")
     return v @ o
 
@@ -351,19 +349,17 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     The panel takes the other eigenpairs ``rest`` level by level while the next block's walk
     would take its first candidate by eigen's tests at the Schur bound sqrt(sum |vals|^2) of
     its norm, past no block of norm at most ``floor`` and on no e^T e that ``_first_sound_plan``
-    would not take by ``_reflects``.  When every carried candidate passes, the last one too,
-    and the chain has two levels or more, ``_whole_chain`` takes the chain's congruence A
-    straight from the eigenvectors.  When the passing candidates are a prefix of r and the
-    Schur bound of the rest is at most ``floor``, a null tail, it takes the r + 1 range levels
-    as one congruence by the m x (r + 1) A; the tail is then an exact zero block, which the
-    loop records as ``ZeroMatrix``.  Otherwise ``_walk`` builds A = Q from reflectors.
-    M = A^T C A is one product, and each level but the first is re-checked at its block's norm
-    in M (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against eig_tol.
-    A null tail's chain is taken only when delta = C - L M L^T, all it leaves out, has
-    |delta|_F <= ``floor``.  With X = delta A - L (A^T delta A)/2, X L^T + L X^T is delta but
-    for its part off A's range on both sides, so L + X diag(M)^-1 keeps delta's coupling to
-    the range to first order, as a walk keeps M's coupling block.  A whole or null-tail chain
-    that fails is walked instead, and the first level that fails ends a walk.
+    would not take by ``_reflects``.  When the passing candidates are all of them (two levels or
+    more), or a prefix of r whose rest has a Schur bound at most ``floor`` (a null tail),
+    ``_whole_chain`` builds the chain's m x (r + 1) congruence A from the eigenvectors.  It is
+    taken only when delta = C - L M L^T, all it leaves out, has |delta|_F <= ``floor``.  With
+    X = delta A - L (A^T delta A)/2, X L^T + L X^T is delta but for its part off A's range on both
+    sides, so L + X diag(M)^-1 keeps delta's coupling to A's range to first order, as a walk keeps
+    M's coupling block.  A null tail's M and L are zero-padded to m x m: the tail is an exact zero
+    block, which the loop records as ``ZeroMatrix``.  Otherwise ``_walk`` builds A = Q from
+    reflectors.  M = A^T C A is one product, and each level but the first is re-checked at its
+    block's norm in M (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against
+    eig_tol.  A chain that fails is walked instead, and the first level that fails ends a walk.
     V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading block, and
     column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T.
     """
@@ -378,10 +374,8 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
         simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
         walk = (schur > floor) & simple & ~near_zero
         r = m - 1 if walk.all() else int(walk.argmin())  # the passing prefix
-        if r == m - 1:
-            if m > 2:  # a chain of one level is its reflector, which costs less
-                whole = _whole_chain(pair, ete, rest[1])
-        elif schur[r] <= floor:  # the prefix ends at a null tail
+        # the whole spectrum (a chain of one level is its reflector, which costs less) or a null tail
+        if (r == m - 1 and m > 2) or (r < m - 1 and schur[r] <= floor):
             whole = _whole_chain(pair, ete, rest[1][:, :r], c, vals[:r])
     while True:
         if whole is not None:
@@ -393,13 +387,15 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
         k = m - p
         mm = a.T @ c @ a
         mm = 0.5 * (mm + mm.T)
-        if a.shape[1] == p:  # a null tail: M's leading k x k block and its coupling are exact zeros
+        if whole is not None:
             delta = c - left @ mm @ left.T
             if frobenius(delta) > floor:  # what L M L^T leaves out of C must be noise
                 whole = None
                 continue
-            da = delta @ a  # fold delta's coupling to the range into L (above)
-            left = left + (da - 0.5 * left @ (a.T @ da)) / np.diagonal(mm)
+            x = delta @ a  # fold delta's coupling to A's range into L (above), in place to spare copies
+            x -= left @ (0.5 * (a.T @ x))
+            left = left + x / np.diagonal(mm)
+        if a.shape[1] < m:  # a null tail: M's leading k x k block and its coupling are exact zeros
             padded = np.zeros((m, m), dtype=np.complex128)
             padded[k:, k:] = mm
             mm, left = padded, np.hstack([np.zeros((m, k), dtype=np.complex128), left])
@@ -427,40 +423,29 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     return LevelPlan(records, left, mm[:k, :k], b, spectrum=spectrum)
 
 
-def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray | None = None,
-                 vals: np.ndarray | None = None):
-    """(A, A^-T, e^T e of each level) of a panel that takes every eigenpair or ends at a null tail, or None.
+def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray, vals: np.ndarray):
+    """(A, A^-T, e^T e of each level) of a panel's chain on ``pair`` and the carried eigenpairs
+    (``vals``, ``vecs``), or None when some carried e^T e fails ``_reflects``.
 
-    Eigenvectors of distinct eigenvalues of a symmetric C are bilinear-orthogonal, so with
-    f = e/sqrt(e^T e), A = [f_r | ... | f_1 | f_0] (f_0 of ``pair``, the others of the carried
-    eigenvectors ``vecs`` in reverse) has A^T A = I up to rounding, and a chain of reflector
-    levels on these pairs is one congruence by it.  When ``vecs`` holds every carried
-    eigenvector, A is square, and A^-T = A (2I - A^T A), one Newton-Schulz step, costs two
-    products and no solve.  When ``vecs`` is the rest of C's range and only its null space N
-    remains (``c`` given, ``vals`` the eigenvalues of ``vecs``), A is m x (r + 1): N^T e =
-    N^T C e / lambda = 0, so C = L M L^T with M = A^T C A and the same L = A (2I - A^T A),
-    here a pseudo-inverse-transpose, and no complement of A is needed.  Its columns come from
-    C E Lambda^-1, one step of subspace iteration into C's range, whose null component is the
-    product's rounding alone.  None when some carried e^T e fails ``_reflects`` (a square A's
-    last column needs f^T f = 1 too), or when A^T A - I passes ``_GRAM_CUT``.  A level's
-    e^T e is that of eig's phase-canonical unit eigenvector.
+    Eigenvectors of distinct eigenvalues of a symmetric C are bilinear-orthogonal to each other
+    and to C's null space N, so with f = e/sqrt(e^T e), the m x (r + 1) A = [f_r | ... | f_1 | f_0]
+    (f_0 of ``pair``, the others of ``vecs`` in reverse) has A^T A = I up to rounding, and
+    C = L M L^T with M = A^T C A and L = A (2I - A^T A), one Newton-Schulz step: A^-T when A is
+    square (``vecs`` holds every carried eigenvector), a pseudo-inverse-transpose when N remains.
+    A's columns come from C E Lambda^-1, one step of subspace iteration into C's range, whose null
+    component is the product's rounding alone.  A level's e^T e is that of eig's phase-canonical
+    unit eigenvector.
     """
-    m, r = vecs.shape
     vtv = np.einsum("ij,ij->j", vecs, vecs)
     unit = vtv / np.einsum("ij,ij->j", vecs.conj(), vecs).real  # e^T e of the unit e
     if not _reflects(unit).all():
         return None
-    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(r)]
+    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
     etes = [ete, *(unit * (np.abs(peak) / peak) ** 2).tolist()]  # phase as eigen._phase_canonical
-    if c is None:
-        a = np.hstack([(vecs / np.sqrt(vtv + 0.0))[:, ::-1], (pair.vector / _principal_sqrt(ete))[:, None]])
-    else:
-        e = c @ np.hstack([vecs[:, ::-1], pair.vector[:, None]]) / np.concatenate([vals[::-1], [pair.value]])
-        a = e / np.sqrt(np.einsum("ij,ij->j", e, e) + 0.0)
+    e = c @ np.hstack([vecs[:, ::-1], pair.vector[:, None]]) / np.concatenate([vals[::-1], [pair.value]])
+    a = e / np.sqrt(np.einsum("ij,ij->j", e, e) + 0.0)
     defect = a.T @ a
-    defect.flat[:: r + 2] -= 1.0
-    if np.abs(defect).max() > _GRAM_CUT:
-        return None
+    defect.flat[:: a.shape[1] + 1] -= 1.0
     return a, a - a @ defect, etes
 
 

@@ -134,10 +134,10 @@ def _reflector(x: np.ndarray) -> np.ndarray:
     return np.eye(m, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
 
 
-def complement_basis_within(e, iso_tol: float = 1e-8) -> np.ndarray:
+def complement_basis_within(e) -> np.ndarray:
     """Orthonormal basis (columns) of {w : w^* conj(e) = 0 and w^* e = 0}.
 
-    Requires e isotropic (|e^T e| <= iso_tol * |e|^2), which makes e and
+    Requires e isotropic (|e^T e| <= iso_tol * |e|^2, the default), which makes e and
     conj(e) orthogonal under the sesquilinear product, so the two
     completion steps commute cleanly.
     """
@@ -145,7 +145,7 @@ def complement_basis_within(e, iso_tol: float = 1e-8) -> np.ndarray:
     norm_e = frobenius(e)
     if norm_e == 0.0:
         raise ValidationError("cannot build a complement basis for the zero vector")
-    if abs(complex(np.dot(e, e))) > iso_tol * norm_e**2:
+    if abs(complex(np.dot(e, e))) > _DEFAULT_CONFIG.iso_tol * norm_e**2:
         raise ValidationError("input vector is not isotropic within iso_tol")
     if e.shape[0] < 2:
         raise ValidationError("an isotropic vector needs dimension >= 2")

@@ -45,6 +45,8 @@ ALL_KINDS = (
 )
 
 _STREAMS = {kind: 0x0A00 + i for i, kind in enumerate(ALL_KINDS)}
+#: ``ldlt_symmetric`` breaks down when every remaining |diagonal| is below this multiple of max|C|
+_PIVOT_CUT = 1e-12
 
 
 def _rng(seed: int, *streams: int) -> np.random.Generator:
@@ -71,14 +73,14 @@ class Breakdown:
     step: int
 
 
-def ldlt_symmetric(c, tol: float = 1e-12):
+def ldlt_symmetric(c):
     """Symmetric-pivoted factorization C = L diag(d) L^T, or Breakdown.
 
     Pivots are chosen by the largest remaining |diagonal| entry; the
     permutation is folded into L, so the product identity holds literally
     (L is unit lower triangular up to that row permutation).  Breakdown is
-    returned when every remaining diagonal is below tol * max|C| while the
-    remaining block is not.
+    returned when every remaining diagonal is below ``_PIVOT_CUT`` * max|C|
+    while the remaining block is not.
     """
     c = as_matrix(c, square=True, name="C")
     scale = max(float(np.max(np.abs(c))), np.finfo(np.float64).tiny)
@@ -92,8 +94,8 @@ def ldlt_symmetric(c, tol: float = 1e-12):
     for k in range(n):
         diag = np.abs(np.diag(a)[k:])
         j = k + int(np.argmax(diag))
-        if abs(a[j, j]) <= tol * scale:
-            if float(np.max(np.abs(a[k:, k:]))) <= tol * scale:
+        if abs(a[j, j]) <= _PIVOT_CUT * scale:
+            if float(np.max(np.abs(a[k:, k:]))) <= _PIVOT_CUT * scale:
                 break  # factorization complete up to a zero tail
             return Breakdown(step=k)
         if j != k:
@@ -113,9 +115,9 @@ def ldlt_symmetric(c, tol: float = 1e-12):
     return p @ lower, d
 
 
-def factor_via_ldlt(c, tol: float = 1e-12):
+def factor_via_ldlt(c):
     """V = L diag(sqrt(d_i)) from ldlt_symmetric; Breakdown passes through."""
-    result = ldlt_symmetric(c, tol=tol)
+    result = ldlt_symmetric(c)
     if isinstance(result, Breakdown):
         return result
     lower, d = result

@@ -567,6 +567,14 @@ def test_two_by_two_jordan_blocks_factor_within_verify_tol(lam):
     assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
 
 
+@pytest.mark.xfail(strict=True, reason="last-resort levels with |e^T e| ~ 5e-4 raise the block norm past the "
+                                       "O(1) eigenvalues, which then leave through a null split (1.4e-4 worst)")
+@pytest.mark.parametrize("t", [4.0, 4.5, 5.0])
+def test_far_from_normal_inputs_at_n_64_factor_within_verify_tol(t):
+    # |C|_F is 1.7e4 at t = 4 against eigenvalues of modulus 0.06 to 2.5
+    assert factor_symmetric(_boosted(64, t, 1), CFG).relative_residual <= CFG.verify_tol
+
+
 @pytest.mark.parametrize("seed", range(300))
 def test_small_integer_complex_diagonals_factor_within_verify_tol(seed):
     rng = np.random.default_rng(seed)
@@ -581,12 +589,12 @@ def test_far_from_normal_chains_keep_their_accuracy(n, t):
     # every eigenvector of these has |e^T e| = 1/cosh 2t, so the products
     # M = A^T C A and V = A^-T R round relative to |A|^2; a chain walked by
     # reflectors read up to 5.1e-12 at t = 3, one congruence by the
-    # eigenvector matrix reads 1.3e-13
+    # eigenvector matrix 1.3e-13, and with the coupling fold 3.9e-16
     for seed in range(4):
         c = _boosted(n, t, seed)
         r = factor_symmetric(c, CFG)
         assert set(r.trace.branches()) == {BRANCH_CASE_I, "Base"}
-        assert r.relative_residual <= 5e-13, seed
+        assert r.relative_residual <= 1e-14, seed
 
 
 def _level_v(plan, cfg=CFG):
@@ -806,6 +814,25 @@ def test_a_nilpotent_tail_is_tried_rejected_and_walked(monkeypatch):
         assert r.relative_residual <= CFG.verify_tol
 
 
+def test_a_square_chain_that_misses_c_by_more_than_the_floor_is_walked(monkeypatch):
+    # every chain's L is checked against C, whatever A's shape: an L spoiled by 1e-6, which
+    # M = A^T C A and its re-check do not see, leaves C - L M L^T far above the floor, and the
+    # panel walks; taken and folded, the chain would read ~1e-12
+    walks = _count_calls(monkeypatch, factor, "_walk")
+    inner = factor._whole_chain
+
+    def spoiled(*args):
+        a, left, etes = inner(*args)
+        return a, left * (1.0 + 1e-6), etes
+
+    monkeypatch.setattr(factor, "_whole_chain", spoiled)
+    c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=1, kind="DenseSymmetric"))
+    r = factor_symmetric(c, CFG)
+    assert walks
+    assert r.trace.branches() == [BRANCH_CASE_I] * 9 + ["Base"]
+    assert r.relative_residual <= 1e-14
+
+
 def test_drifted_carried_spectrum_reanchors(monkeypatch):
     # carried eigenvectors perturbed far beyond eig_tol: the check on M finds
     # the second level's corner coupled and ends every panel after one level,
@@ -863,7 +890,7 @@ def test_coordinate_eigenvectors_factor_without_warnings(c):
 
 @pytest.mark.parametrize(
     "kind, bound",
-    [("DenseSymmetric", 1e-13), ("RankDeficient", 1e-13), ("IsotropicLambdaZero", 1e-13),
+    [("DenseSymmetric", 5e-15), ("RankDeficient", 1e-13), ("IsotropicLambdaZero", 1e-13),
      ("IsotropicLambdaNonzero", 1e-13)],
 )
 def test_residual_stays_bounded_as_n_grows(kind, bound):
