@@ -4,10 +4,13 @@ Spectra and eigenvectors come from LAPACK (``np.linalg.eigvals`` and
 ``np.linalg.eig``).  Eigenpair candidates are picked from a spectrum: one
 ``np.linalg.eig`` call, or the eigenpairs that a complex-orthogonal
 factorization level carried down from the block above.  A simple eigenvalue
-away from zero takes its eigenvector as it is; a near-zero or clustered one
-takes one SVD (of A, or of A - lambda*I), whose smallest right singular
-vectors give both the eigenvector and an orthonormal basis of the whole
-numerical eigenspace or null space.
+away from zero takes its eigenvector as it is.  A cluster on a fresh spectrum
+whose eig vectors are a well-conditioned basis of a numerical eigenspace
+takes them as they are; any other clustered or near-zero eigenvalue takes
+one SVD (of A, or of A - lambda*I), whose smallest right singular vectors
+give both the eigenvector and an orthonormal basis of the whole numerical
+eigenspace or null space, and whose other right singular vectors complete a
+null space unitarily.
 On top of that: assembly of a complete biorthonormal eigensystem
 {psi, phi} with Phi^* Psi = I for diagonalizable operators, from one
 ``np.linalg.eig`` call; only a repeated eigenvalue takes an SVD of its own.
@@ -42,6 +45,9 @@ _SIMPLE_GAP = 1e-6
 #: eigenspace (or null space); ``factor`` also treats a whole block this small,
 #: relative to the input, as zero
 _EIGENSPACE_CUT = 1e-11
+#: eig's unit vectors of a cluster are its eigenspace's basis only when their Gram matrix
+#: has smallest eigenvalue at least this (condition at most 1e2)
+_MIN_GRAM = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -126,9 +132,9 @@ def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
-def _rayleigh_pair(a: np.ndarray, v: np.ndarray) -> EigenPair:
-    """Unit v with its Rayleigh quotient v^* A v and residual."""
-    av = a @ v
+def _rayleigh_pair(a: np.ndarray, v: np.ndarray, av: np.ndarray | None = None) -> EigenPair:
+    """Unit v with its Rayleigh quotient v^* A v and residual; ``av`` is A v when the caller has it."""
+    av = a @ v if av is None else av
     lam = complex(np.vdot(v, av))
     return EigenPair(value=lam, vector=_phase_canonical(v), residual=frobenius(av - lam * v))
 
@@ -139,7 +145,7 @@ def _simple_and_near_zero(gap, modulus, scale):
 
 
 def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None):
-    """Yield (pair, basis, rest) for each distinct eigenvalue candidate.
+    """Yield (pair, basis, rest, complement) for each distinct eigenvalue candidate.
 
     The candidates are the eigenvalues of ``spectrum`` = (vals, vecs), the
     eigenpairs of A carried down from the level above, or else of one
@@ -153,12 +159,18 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
     Rayleigh quotient, ``basis`` None and ``rest`` the other eigenpairs
     (vals, vecs), when the residual meets eig_tol*|A|_F.  When a carried
     vector misses, the carried spectrum has drifted: the walk stops, and the
-    caller takes a fresh one.  Every other candidate takes one SVD, of A
-    itself when the candidate is near zero and of A - cand*I otherwise.  Its
-    pair is the smallest right singular vector with its Rayleigh quotient,
-    ``basis`` (orthonormal columns) holds the right singular vectors whose
-    singular value is at most max(_EIGENSPACE_CUT*|A|_F, 10*residual): the
-    numerical eigenspace, or null space; ``rest`` is None.  A pair whose
+    caller takes a fresh one.  A clustered candidate away from zero on a
+    fresh spectrum yields the Rayleigh pair of its eigenvector and ``basis``
+    eig's unit vectors of its cluster when ``_semisimple_cluster`` accepts
+    them; these columns are not orthonormal.  Every other candidate takes one
+    SVD, of A itself when the candidate is near zero and of A - cand*I
+    otherwise.  Its pair is the smallest right singular vector with its
+    Rayleigh quotient, ``basis`` (orthonormal columns) holds the right
+    singular vectors whose singular value is at most
+    max(_EIGENSPACE_CUT*|A|_F, 10*residual): the numerical eigenspace, or
+    null space.  ``rest`` is None off the simple route; ``complement`` is
+    None but for a near-zero candidate, where it holds the SVD's other right
+    singular vectors, so that [complement | basis] is unitary.  A pair whose
     residual misses eig_tol*|A|_F is skipped.  Pairs are computed only as
     the caller asks for them.  ``scale`` is |A|_F when the caller has it.
     """
@@ -186,10 +198,17 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
             pair = _rayleigh_pair(a, vecs[:, i] / frobenius(vecs[:, i]))
             if pair.residual <= cfg.eig_tol * scale:
                 rest = (vals[1:], vecs[:, 1:]) if i == 0 else (np.delete(vals, i), np.delete(vecs, i, axis=1))
-                yield pair, None, rest
+                yield pair, None, rest, None
                 continue
             if carried:
                 return
+        if not (simple or near_zero or carried):
+            near = gap <= _SIMPLE_GAP * scale
+            near[i] = True
+            cluster = _semisimple_cluster(a, cfg, vecs, near, i, scale)
+            if cluster is not None:
+                yield (*cluster, None, None)
+                continue
         shifted = a if near_zero else a - cand * np.eye(n, dtype=np.complex128)
         with _lapack("singular value decomposition"):
             _, sv, vh = np.linalg.svd(shifted)
@@ -198,7 +217,36 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
             # the smallest direction always belongs, also when the residual is
             # far below its singular value
             k = max(1, int(np.sum(sv <= max(_EIGENSPACE_CUT * scale, 10.0 * pair.residual))))
-            yield pair, vh[n - k :].conj().T, None
+            yield pair, vh[n - k :].conj().T, None, vh[: n - k].conj().T if near_zero else None
+
+
+def _semisimple_cluster(a: np.ndarray, cfg: ToleranceConfig, vecs: np.ndarray, near: np.ndarray, i: int,
+                        scale: float):
+    """(pair, basis) of candidate i from eig's own unit vectors ``vecs`` of its cluster (``near``
+    marks its members, i among them), or None when they are no well-conditioned basis of a
+    numerical eigenspace.
+
+    The basis B is taken when its Gram matrix B^* B has smallest eigenvalue at least
+    _MIN_GRAM (1 - |b_0^* b_1| for two columns; a defective cluster's vectors are nearly
+    parallel), the Rayleigh pair of column i meets eig_tol*|A|_F, and |A B - lambda B|_F is
+    within the SVD route's cut max(_EIGENSPACE_CUT*|A|_F, 10*residual).
+    """
+    b = vecs[:, near]
+    if b.shape[1] == 2:
+        smallest = 1.0 - abs(complex(np.vdot(b[:, 0], b[:, 1])))
+    else:
+        smallest = float(np.linalg.eigvalsh(b.conj().T @ b)[0])
+    if smallest < _MIN_GRAM:
+        return None
+    ab = a @ b
+    j = int(np.count_nonzero(near[:i]))
+    norm = frobenius(b[:, j])
+    pair = _rayleigh_pair(a, b[:, j] / norm, ab[:, j] / norm)
+    if pair.residual > cfg.eig_tol * scale:
+        return None
+    if frobenius(ab - pair.value * b) > max(_EIGENSPACE_CUT * scale, 10.0 * pair.residual):
+        return None
+    return pair, b
 
 
 def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
@@ -213,7 +261,7 @@ def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
     scale = frobenius(a)
     if scale == 0.0:
         raise ValidationError("eigenpair requires a nonzero matrix")
-    for pair, _, _ in _candidate_pairs(a, cfg, scale=scale):
+    for pair, *_ in _candidate_pairs(a, cfg, scale=scale):
         return pair
     raise ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 

@@ -63,7 +63,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -75,7 +75,7 @@ def as_matrix(a, square: bool = False, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
     if square and arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return arr
 

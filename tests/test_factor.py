@@ -567,9 +567,12 @@ def test_two_by_two_jordan_blocks_factor_within_verify_tol(lam):
     assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
 
 
-@pytest.mark.xfail(strict=True, reason="last-resort levels with |e^T e| ~ 5e-4 raise the block norm past the "
-                                       "O(1) eigenvalues, which then leave through a null split (1.4e-4 worst)")
-@pytest.mark.parametrize("t", [4.0, 4.5, 5.0])
+_LAST_RESORT_NORM_GROWTH = pytest.mark.xfail(
+    strict=True, reason="last-resort levels with |e^T e| ~ 5e-4 raise the block norm past the O(1) eigenvalues, "
+                        "which then leave through a null split (1.8e-5)")
+
+
+@pytest.mark.parametrize("t", [pytest.param(4.0, marks=_LAST_RESORT_NORM_GROWTH), 4.5, 5.0])
 def test_far_from_normal_inputs_at_n_64_factor_within_verify_tol(t):
     # |C|_F is 1.7e4 at t = 4 against eigenvalues of modulus 0.06 to 2.5
     assert factor_symmetric(_boosted(64, t, 1), CFG).relative_residual <= CFG.verify_tol
@@ -610,7 +613,7 @@ def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
 
     c = _clustered(0, 1e-8, False)
     c = c / frobenius(c)
-    _, basis, _ = next(factor.eigen._candidate_pairs(c, CFG))
+    _, basis, _, _ = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is not None  # the top pair is clustered, so it comes from an SVD
     plan = _first_sound_plan(c, CFG)
     assert frobenius(plan.left.T @ plan.left - np.eye(10)) <= 1e-14  # a panel: A is Q, its own A^-T
@@ -641,6 +644,68 @@ def test_simple_eigenvalues_skip_inverse_iteration_and_the_upgrade(monkeypatch):
     c = oracle.gen(oracle.GeneratorSpec(dim=4, seed=299, kind="IsotropicLambdaZero"))
     assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
     assert svds
+
+
+def _jordan_family(m, seed):
+    """C = lam (e conj(e)^T + conj(e) e^T) + G S G^T with e unit isotropic, e^T G = 0 and
+    |G S G^T|_F = |lam|/4: G's columns keep a part along e, so lam is a defective double eigenvalue."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, 2)))
+    e = (q[:, 0] + 1j * q[:, 1]) / np.sqrt(2.0)
+    lam = complex(rng.standard_normal(), rng.standard_normal())
+    x = rng.standard_normal((m, m - 1)) + 1j * rng.standard_normal((m, m - 1))
+    g = x - np.outer(e.conj(), e @ x)
+    s = rng.standard_normal((m - 1, m - 1)) + 1j * rng.standard_normal((m - 1, m - 1))
+    gsg = g @ (s + s.T) @ g.T
+    c = lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e)) + gsg * (abs(lam) / 4 / frobenius(gsg))
+    return 0.5 * (c + c.T)
+
+
+def test_a_semisimple_cluster_takes_eigs_own_vectors_without_an_svd(monkeypatch):
+    # the isotropic eigenvalue's eigenspace is two-dimensional, and eig's two unit vectors
+    # of it are a well-conditioned basis: the upgrade searches them, and no SVD runs
+    c = oracle.gen(oracle.GeneratorSpec(dim=8, seed=1, kind="IsotropicLambdaNonzero"))
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    r = factor_symmetric(c, CFG)
+    assert svds == []
+    assert r.trace.branches()[0] == BRANCH_CASE_II_GENERAL
+    assert r.relative_residual <= 1e-14
+    pair, basis, rest, complement = next(factor.eigen._candidate_pairs(c, CFG))
+    assert basis.shape[1] == 2 and rest is None and complement is None
+    assert frobenius(c @ basis - pair.value * basis) <= 1e-14 * frobenius(c)
+
+
+def test_defective_clusters_keep_the_svd(monkeypatch):
+    # eig's two vectors of a Jordan pair lie ~sqrt(eps) apart: the Gram gate rejects them,
+    # and the candidate takes its SVD as before
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    jordan = [lam * np.eye(2) + np.array([[-1j, 1], [1, 1j]]) for lam in (1.0, 2.0, 1j, -3 + 0.5j)]
+    for c in jordan + [_jordan_family(m, 0) for m in (2, 4, 6)]:
+        vals, vecs = np.linalg.eig(c)
+        gaps = np.abs(vals[:, None] - vals)
+        np.fill_diagonal(gaps, np.inf)
+        i = int(gaps.min(axis=1).argmin())  # a member of the Jordan pair
+        near = gaps[i] <= factor.eigen._SIMPLE_GAP * frobenius(c)
+        assert near.any()
+        near[i] = True
+        assert factor.eigen._semisimple_cluster(c, CFG, vecs, near, i, frobenius(c)) is None
+        svds.clear()
+        factor_symmetric(c, CFG)
+        assert svds
+
+
+def test_a_null_split_takes_its_complement_from_the_svd(monkeypatch):
+    # the SVD that finds N holds R: [R | N] is its unitary right factor, and no QR completes N
+    for n in (4, 6, 10, 32):
+        for seed in range(3):
+            c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind="IsotropicLambdaZero"))
+            qrs = _count_calls(monkeypatch, np.linalg, "qr")
+            plan = factor._first_sound_plan(c, CFG)
+            assert plan.records[0].branch == BRANCH_CASE_II_LAMBDA_ZERO
+            assert frobenius(plan.left.conj().T @ plan.left - np.eye(n)) <= 1e-14
+            r = factor_symmetric(c, CFG)
+            assert qrs == []
+            assert r.relative_residual <= 1e-14
 
 
 def test_choose_x_magnitude_sweep_for_weak_coupling():
@@ -747,7 +812,7 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     q = _expm(0.2 * (s - s.T)) @ o  # complex orthogonal
     c = q @ np.diag([4.0, 3.0j, -2.0, 1.0, 1.0 + 1e-8, 0.5]) @ q.T
     c = 0.5 * (c + c.T) / frobenius(c)
-    pair, basis, rest = next(factor.eigen._candidate_pairs(c, CFG))
+    pair, basis, rest, _ = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis is None
     plan = factor._panel(c, pair, complex(np.dot(pair.vector, pair.vector)), rest, CFG)
     assert [lv.dim for lv in plan.records] == [6, 5, 4]
@@ -814,6 +879,21 @@ def test_a_nilpotent_tail_is_tried_rejected_and_walked(monkeypatch):
         assert r.relative_residual <= CFG.verify_tol
 
 
+@pytest.mark.xfail(strict=True, reason="the perturbed 2x2 nilpotent block's eigenvalues, ~sqrt(u |C| |N|), clear the "
+                                       "near-zero cut of its own norm: a CaseI level on a near-isotropic eigenvector "
+                                       "and a ZeroMatrix rest miss by 0.26 of the block's norm (2.6e-8)")
+@pytest.mark.parametrize("seed", range(4))
+def test_a_nilpotent_block_without_an_exact_null_row_factors_within_verify_tol(seed):
+    # the input of the test above without its exact-null row: blockdiag(diag(lam), eps e e^T),
+    # 5 x 5, rotated by a real orthogonal Q; the trace reads CaseI x 4, then ZeroMatrix
+    c = np.zeros((5, 5), dtype=complex)
+    c[:3, :3] = np.diag([3.0, -2.0 + 1.0j, 1.0j])
+    c[3:, 3:] = 1e-7 * np.outer([1.0, 1.0j], [1.0, 1.0j])
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))
+    c = q @ c @ q.T
+    assert factor_symmetric(0.5 * (c + c.T), CFG).relative_residual <= CFG.verify_tol
+
+
 def test_a_square_chain_that_misses_c_by_more_than_the_floor_is_walked(monkeypatch):
     # every chain's L is checked against C, whatever A's shape: an L spoiled by 1e-6, which
     # M = A^T C A and its re-check do not see, leaves C - L M L^T far above the floor, and the
@@ -845,12 +925,12 @@ def test_drifted_carried_spectrum_reanchors(monkeypatch):
     rng = np.random.default_rng(0)
 
     def drifted(*args):
-        for pair, basis, rest in inner(*args):
+        for pair, basis, rest, complement in inner(*args):
             if rest is not None:
                 vals, vecs = rest
                 noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
                 rest = (vals, vecs + 1e-6 * noise)
-            yield pair, basis, rest
+            yield pair, basis, rest, complement
 
     lengths = []
 
@@ -978,9 +1058,11 @@ def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
     c = c / frobenius(c)
     levels = [(c, _first_sound_plan(c, CFG))]  # null splits, then a lone null vector
     eye = np.eye(4, dtype=complex)
-    for d, null in (([0.0, 3.0, 0.0, 2.0], eye[:, [0, 2]]), ([3.0, 2.0, 1.0, 0.0], eye[:, [3]])):
+    for d, null, r in (([0.0, 3.0, 0.0, 2.0], eye[:, [0, 2]], eye[:, [1, 3]]),
+                       ([3.0, 2.0, 1.0, 0.0], eye[:, [3]], eye[:, :3])):
         c = np.diag(d).astype(complex)
-        levels.append((c, factor._null_split(c, EigenPair(value=0.0, vector=null[:, 0], residual=0.0), null, CFG)))
+        pair = EigenPair(value=0.0, vector=null[:, 0], residual=0.0)
+        levels.append((c, factor._null_split(c, pair, null, r, CFG)))
     e, lam, c = _isotropic_core(6, 6)
     isotropic = [(c, EigenPair(value=lam, vector=e, residual=0.0))]  # CaseII_Degenerate
     w = complement_basis_within(e)
