@@ -1,16 +1,15 @@
 """Dense complex eigensolver.
 
 Spectra and eigenvectors come from LAPACK (``np.linalg.eigvals`` and
-``np.linalg.eig``).  Eigenpair candidates are picked from a spectrum: one
-``np.linalg.eig`` call, or the eigenpairs that a complex-orthogonal
-factorization level carried down from the block above.  A simple eigenvalue
-away from zero takes its eigenvector as it is.  A cluster on a fresh spectrum
-whose eig vectors are a well-conditioned basis of a numerical eigenspace
-takes them as they are; any other clustered or near-zero eigenvalue takes
-one SVD (of A, or of A - lambda*I), whose smallest right singular vectors
-give both the eigenvector and an orthonormal basis of the whole numerical
-eigenspace or null space, and whose other right singular vectors complete a
-null space unitarily.
+``np.linalg.eig``).  Eigenpair candidates are picked from one
+``np.linalg.eig`` call of the block at hand.  A simple eigenvalue away from
+zero takes its eigenvector as it is.  A cluster whose eig vectors are a
+well-conditioned basis of a numerical eigenspace takes them as they are; any
+other clustered or near-zero eigenvalue takes one SVD (of A, or of
+A - lambda*I), whose smallest right singular vectors give both the
+eigenvector and an orthonormal basis of the whole numerical eigenspace or
+null space, and whose other right singular vectors complete a null space
+unitarily.
 On top of that: assembly of a complete biorthonormal eigensystem
 {psi, phi} with Phi^* Psi = I for diagonalizable operators, from one
 ``np.linalg.eig`` call; only a repeated eigenvalue takes an SVD of its own.
@@ -144,47 +143,40 @@ def _simple_and_near_zero(gap, modulus, scale):
     return gap > _SIMPLE_GAP * scale, modulus <= _NEAR_ZERO * scale
 
 
-def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None):
+def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = None):
     """Yield (pair, basis, rest, complement) for each distinct eigenvalue candidate.
 
-    The candidates are the eigenvalues of ``spectrum`` = (vals, vecs), the
-    eigenpairs of A carried down from the level above, or else of one
-    ``np.linalg.eig`` call, ordered largest modulus first (ties by the
-    position in the (real, imag) sort).  Each candidate's gap test is one
-    row |vals - vals[i]|, built when the walk reaches it: the candidate is
-    simple when every other eigenvalue lies farther than _SIMPLE_GAP*|A|_F,
-    and a candidate that is not simple is absorbed (skipped) when it lies
-    within 1e-12*|A|_F of an earlier candidate that was not absorbed.
-    A simple candidate away from zero yields its eigenvector with its
-    Rayleigh quotient, ``basis`` None and ``rest`` the other eigenpairs
-    (vals, vecs), when the residual meets eig_tol*|A|_F.  When a carried
-    vector misses, the carried spectrum has drifted: the walk stops, and the
-    caller takes a fresh one.  A clustered candidate away from zero on a
-    fresh spectrum yields the Rayleigh pair of its eigenvector and ``basis``
-    eig's unit vectors of its cluster when ``_semisimple_cluster`` accepts
-    them; these columns are not orthonormal.  Every other candidate takes one
-    SVD, of A itself when the candidate is near zero and of A - cand*I
-    otherwise.  Its pair is the smallest right singular vector with its
-    Rayleigh quotient, ``basis`` (orthonormal columns) holds the right
-    singular vectors whose singular value is at most
-    max(_EIGENSPACE_CUT*|A|_F, 10*residual): the numerical eigenspace, or
-    null space.  ``rest`` is None off the simple route; ``complement`` is
-    None but for a near-zero candidate, where it holds the SVD's other right
-    singular vectors, so that [complement | basis] is unitary.  A pair whose
-    residual misses eig_tol*|A|_F is skipped.  Pairs are computed only as
-    the caller asks for them.  ``scale`` is |A|_F when the caller has it.
+    The candidates are the eigenvalues of one ``np.linalg.eig`` call, ordered
+    largest modulus first (ties by the position in the (real, imag) sort).
+    Each candidate's gap test is one row |vals - vals[i]|, built when the
+    walk reaches it: the candidate is simple when every other eigenvalue lies
+    farther than _SIMPLE_GAP*|A|_F, and a candidate that is not simple is
+    absorbed (skipped) when it lies within 1e-12*|A|_F of an earlier
+    candidate that was not absorbed.  A simple candidate away from zero
+    yields its eigenvector with its Rayleigh quotient, ``basis`` None and
+    ``rest`` the other eigenpairs (vals, vecs) in candidate order, when the
+    residual meets eig_tol*|A|_F.  A clustered candidate away from zero
+    yields the Rayleigh pair of its eigenvector and ``basis`` eig's unit
+    vectors of its cluster when ``_semisimple_cluster`` accepts them; these
+    columns are not orthonormal.  Every other candidate takes one SVD, of A
+    itself when the candidate is near zero and of A - cand*I otherwise.  Its
+    pair is the smallest right singular vector with its Rayleigh quotient,
+    ``basis`` (orthonormal columns) holds the right singular vectors whose
+    singular value is at most max(_EIGENSPACE_CUT*|A|_F, 10*residual): the
+    numerical eigenspace, or null space.  ``rest`` is None off the simple
+    route; ``complement`` is None but for a near-zero candidate, where it
+    holds the SVD's other right singular vectors, so that [complement | basis]
+    is unitary.  A pair whose residual misses eig_tol*|A|_F is skipped.
+    Pairs are computed only as the caller asks for them.  ``scale`` is |A|_F
+    when the caller has it.
     """
     scale = frobenius(a) if scale is None else scale
     n = a.shape[0]
-    carried = spectrum is not None
-    if carried:  # already in candidate order: a level removes one entry
-        vals, vecs = spectrum
-    else:
-        with _lapack("eigenvalue iteration"):
-            vals, vecs = np.linalg.eig(a)
-        order = np.lexsort((vals.imag, vals.real))
-        order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
-        vals, vecs = vals[order], vecs[:, order]
+    with _lapack("eigenvalue iteration"):
+        vals, vecs = np.linalg.eig(a)
+    order = np.lexsort((vals.imag, vals.real))
+    order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
+    vals, vecs = vals[order], vecs[:, order]
     kept = []  # the candidates visited so far; absorbed ones are not
     for i in range(n):
         gap = np.abs(vals - vals[i])
@@ -200,9 +192,7 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: 
                 rest = (vals[1:], vecs[:, 1:]) if i == 0 else (np.delete(vals, i), np.delete(vecs, i, axis=1))
                 yield pair, None, rest, None
                 continue
-            if carried:
-                return
-        if not (simple or near_zero or carried):
+        if not (simple or near_zero):
             near = gap <= _SIMPLE_GAP * scale
             near[i] = True
             cluster = _semisimple_cluster(a, cfg, vecs, near, i, scale)
@@ -253,8 +243,11 @@ def eigenpair(a, cfg: ToleranceConfig | None = None) -> EigenPair:
     """One eigenpair at the selected eigenvalue.
 
     Selection rule: the largest-modulus eigenvalue whose eigenpair meets
-    eig_tol (directly from LAPACK, or from the SVD), falling back to
-    the next candidate otherwise.
+    eig_tol, falling back to the next candidate otherwise.  The pair comes
+    from one ``np.linalg.eig`` call: a simple eigenvalue's eigenvector as
+    LAPACK gives it, a semisimple cluster's from eig's own unit vectors of
+    it; any other clustered or near-zero candidate's from the SVD of
+    A - lambda*I (of A itself near zero).
     """
     a = as_matrix(a, square=True, name="A")
     cfg = cfg or _DEFAULT_CONFIG

@@ -34,7 +34,8 @@ the null space, so C = L M L^T with L = A (2I - A^T A), one Newton-Schulz step, 
 check bounds by the noise floor; a tail is an exact zero block.  A panel that stops before an
 isotropic level picks each level's reflector from the carried eigenvectors alone, as a walk.
 Each panel forms M = A^T C A in one product, re-checks each level on M, and assembles
-V = A^-T R in one product.
+V = A^-T R in one product.  Every plan starts from one eigendecomposition of its own block:
+a panel carries eigenvectors down its own levels only, and the block it leaves takes a fresh one.
 In exact arithmetic that is the paper's per-level congruence; the panel
 changes the order of the arithmetic, and its cuts compare against the norms
 of M's leading blocks.  Every level works in the input's units; only
@@ -65,6 +66,7 @@ from .matcore import (
     _DEFAULT_CONFIG,
     _EPS,
     _ETE_DANGER,
+    _ISO_FLOOR,
     SingularMatrixError,
     ToleranceConfig,
     ValidationError,
@@ -164,8 +166,8 @@ class LevelPlan:
     block left zero for the factor of ``sub``, the next block (None at the end of the chain).
     ``sound`` is False only for a bordered transform that scored ill-conditioned: some
     coupling blocks (a weak coupling to the corner alone, say) admit no good transform,
-    and another candidate is preferable.  ``spectrum`` holds the eigenpairs
-    (vals, vecs) of ``sub`` that a panel carried down, or None; all in the input's units.
+    and another candidate is preferable.  All in the input's units; ``sub`` takes a fresh
+    eigendecomposition of its own.
     """
 
     records: tuple
@@ -173,7 +175,6 @@ class LevelPlan:
     sub: np.ndarray | None
     b: np.ndarray
     sound: bool = True
-    spectrum: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -209,24 +210,25 @@ def verify_factorization(c, v, cfg: ToleranceConfig | None = None) -> VerifyResu
     cfg = cfg or _DEFAULT_CONFIG
     if v.shape != c.shape:
         raise ValidationError(f"shape mismatch: C is {c.shape}, V is {v.shape}")
-    norm_c, unit = _norm_and_prescale(c)
-    if unit is None:
-        residual = frobenius(c - v @ v.T)
-        relative = residual / max(norm_c, 1.0)
-    else:
-        inner, w = c / unit / unit, v / unit
-        residual = frobenius(inner - w @ w.T) * unit * unit
-        relative = residual / max(frobenius(inner) * unit * unit, 1.0)
+    unit = _norm_and_prescale(c)[1]
+    residual, relative = _residual(c / unit / unit, v / unit, unit)
     return VerifyResult(residual=residual, relative_residual=relative, passed=relative <= cfg.verify_tol)
+
+
+def _residual(inner: np.ndarray, w: np.ndarray, unit: float = 1.0) -> tuple:
+    """(|C - V V^T|_F, that relative to max(|C|_F, 1)) of C = 4^k ``inner`` and V = 2^k ``w``,
+    ``unit`` = 2^k: both norms are taken at the prescaled size and scaled back."""
+    residual = frobenius(inner - w @ w.T) * unit * unit
+    return residual, residual / max(frobenius(inner) * unit * unit, 1.0)
 
 
 def _norm_and_prescale(c: np.ndarray) -> tuple:
     """(|C|_F, 2^k) with C/4^k's largest entry in [1/2, 2) for a nonzero C whose |C|_F lies outside
-    ``_NORM_BAND``; (|C|_F, None) for C = 0 or C in the band."""
+    ``_NORM_BAND``; (|C|_F, 1.0) for C = 0 or C in the band."""
     with np.errstate(over="ignore"):  # an overflow to inf is outside the band
         norm = frobenius(c)
     if _NORM_BAND[0] <= norm <= _NORM_BAND[1] or not c.any():
-        return norm, None
+        return norm, 1.0
     return norm, 2.0 ** (math.frexp(float(np.abs(c).max()))[1] // 2)
 
 
@@ -318,7 +320,7 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, 
     cv = c @ v
     lam = complex(np.vdot(v, cv))
     res = frobenius(cv - lam * v)
-    if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(complex(np.dot(v, v))) <= 1e-12:
+    if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(complex(np.dot(v, v))) <= _ISO_FLOOR:
         return eigen.EigenPair(value=lam, vector=v, residual=res)
     return None
 
@@ -425,8 +427,7 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     b.flat[k * (m + 1) :: m + 1] = root
     records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value), ete=e)
                     for i, (value, e) in enumerate(zip(mu[::-1], etes)))
-    spectrum = None if rest is None or whole is not None else (vals[p - 1 :], z[:k, p - 1 : m - 1])
-    return LevelPlan(records, left, mm[:k, :k], b, spectrum=spectrum)
+    return LevelPlan(records, left, mm[:k, :k], b)
 
 
 def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray, vals: np.ndarray):
@@ -491,30 +492,28 @@ def _walk(pair: eigen.EigenPair, ete: complex, rest: tuple | None, limit: int, w
         f = v / _principal_sqrt(vtv)
 
 
-def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale: float | None = None,
+def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None = None,
                       floor: float = 0.0) -> LevelPlan:
     """Plan of one level, for the first eigenvalue candidate with a sound plan.
 
-    Walks the eigenvalue candidates largest modulus first, from ``spectrum``
-    (eigenpairs carried down by a panel) or a fresh eigendecomposition.  A
-    candidate is taken when it gives an exact route: the null space (one
-    unitary split), an isotropic vector whose plan is sound, or a safely
-    non-isotropic vector, which starts a panel.  Candidates in the
-    ill-conditioned gaps are deferred; nearly nilpotent blocks always hold a
-    clean candidate further down.  A pair taken directly from the spectrum (no
-    ``basis``) belongs to a simple eigenvalue, so e^T e != 0 (e^T is also its
-    left eigenvector), its eigenspace holds no isotropic direction, and its
-    panel carries the other eigenpairs down.  A carried spectrum that gives no
-    plan is replaced by a fresh one.  The last resort, the non-isotropic pair
-    with the largest e^T e in the gap, takes a panel that carries no
-    eigenpairs.  ``scale`` is |C|_F when known, and a block of norm at most
-    ``floor`` is rounding noise.  C, the records and the plan are in the
-    input's units.
+    Walks the eigenvalue candidates of one eigendecomposition of C, largest
+    modulus first.  A candidate is taken when it gives an exact route: the
+    null space (one unitary split), an isotropic vector whose plan is sound,
+    or a safely non-isotropic vector, which starts a panel.  Candidates in
+    the ill-conditioned gaps are deferred; nearly nilpotent blocks always hold
+    a clean candidate further down.  A pair taken directly from the spectrum
+    (no ``basis``) belongs to a simple eigenvalue, so e^T e != 0 (e^T is also
+    its left eigenvector), its eigenspace holds no isotropic direction, and
+    its panel takes the other eigenpairs for its further levels.  The last
+    resort, the non-isotropic pair with the largest e^T e in the gap, takes a
+    panel of one level.  ``scale`` is |C|_F when known, and a block of norm
+    at most ``floor`` is rounding noise.  C, the records and the plan are in
+    the input's units.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # (non-isotropic pair with e^T e in the ill-conditioned gap, e^T e)
     scale = frobenius(c) if scale is None else scale
-    for pair, basis, rest, complement in eigen._candidate_pairs(c, cfg, spectrum, scale):
+    for pair, basis, rest, complement in eigen._candidate_pairs(c, cfg, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:  # a near-zero candidate: its SVD gave the complement
             return _null_split(c, pair, basis, complement, cfg)
         ete = complex(np.dot(pair.vector, pair.vector))
@@ -534,8 +533,6 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, spectrum=None, scale:
             return _panel(c, pair, ete, rest, cfg, floor)
         if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
             fallback_ete = (pair, ete)
-    if spectrum is not None:
-        return _first_sound_plan(c, cfg, scale=scale, floor=floor)
     if fallback_iso is not None:
         iso, plan = fallback_iso
         return plan if plan is not None else _plan(c, iso, cfg, scale)
@@ -653,13 +650,18 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     """Factor a complex symmetric matrix as C = V V^T.
 
     The input may deviate from exact symmetry by at most 1e-12 * |C|_F
-    (it is symmetrized once); larger defects raise NotSymmetricError.
+    (it is symmetrized once); larger defects raise NotSymmetricError.  A nonzero C outside
+    ``_NORM_BAND`` is factored as C' = C/4^k, its largest entry in [1/2, 2) (``unit`` = 2^k).  A
+    power of 4 is exact in binary floating point, and C' lies in the band, where the factorization
+    is exactly scale-equivariant: V = 2^k V' and every trace value is 4^k times that of C', bit for
+    bit (barring subnormal entries).
     """
     c = as_matrix(c, square=True, name="C")
     cfg = cfg or _DEFAULT_CONFIG
     norm_c, unit = _norm_and_prescale(c)
-    if unit is not None:
-        return _prescaled(c, unit, cfg)
+    if unit != 1.0:
+        c = c / unit / unit
+        norm_c = frobenius(c)
     defect = frobenius(c - c.T)
     if defect > _SYM_BAND * max(norm_c, np.finfo(np.float64).tiny):
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
@@ -669,7 +671,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     # a block at the eigenspace cut of the input is rounding noise (a rank-deficient input's remainder
     # once its range has left): it has no null space of its own, and would be walked down level by level
     floor = eigen._EIGENSPACE_CUT * norm_c
-    block, spectrum = c, None
+    block = c
     while True:
         m = block.shape[0]
         scale = frobenius(block)
@@ -682,10 +684,9 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value))
             v = np.array([[principal_sqrt(value)]], dtype=np.complex128)
             break
-        plan = _first_sound_plan(block, cfg, spectrum, scale, floor)
+        plan = _first_sound_plan(block, cfg, scale, floor)
         levels += plan.records
         steps.append((plan.left, plan.b))
-        spectrum = plan.spectrum
         if plan.sub is None:
             v = None
             break
@@ -694,27 +695,9 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         if v is not None:
             b[: len(v), : len(v)] = v.T
         v = left @ b.T
-    residual = frobenius(c - v @ v.T)
-    return FactorizationResult(
-        V=v,
-        residual=residual,
-        relative_residual=residual / max(frobenius(c), 1.0),
-        trace=RecursionTrace(levels=tuple(levels)),
-    )
-
-
-def _prescaled(c: np.ndarray, unit: float, cfg: ToleranceConfig) -> FactorizationResult:
-    """``factor_symmetric`` of a nonzero C outside ``_NORM_BAND``, through C' = C/4^k with its
-    largest entry in [1/2, 2) (``unit`` = 2^k).  A power of 4 is exact in binary floating point, and
-    C' lies in the band, where the factorization is exactly scale-equivariant: V = 2^k V' and every
-    trace value is 4^k times that of C', bit for bit (barring subnormal entries)."""
-    inner = c / unit / unit
-    r = factor_symmetric(inner, cfg)
-    levels = tuple(lv if lv.value is None else replace(lv, value=lv.value * unit * unit) for lv in r.trace.levels)
-    residual = r.residual * unit * unit
-    return FactorizationResult(
-        V=r.V * unit,
-        residual=residual,
-        relative_residual=residual / max(frobenius(inner) * unit * unit, 1.0),
-        trace=RecursionTrace(levels=levels),
-    )
+    residual, relative = _residual(c, v, unit)
+    if unit != 1.0:
+        v = v * unit
+        levels = [lv if lv.value is None else replace(lv, value=lv.value * unit * unit) for lv in levels]
+    return FactorizationResult(V=v, residual=residual, relative_residual=relative,
+                               trace=RecursionTrace(levels=tuple(levels)))

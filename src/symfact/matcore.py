@@ -18,6 +18,9 @@ _EPS = float(np.finfo(np.float64).eps)
 #: |e^T e| of a unit eigenvector below this makes the non-isotropic rescale
 #: e/sqrt(e^T e) too ill-conditioned; iso_tol stays under it
 _ETE_DANGER = 3e-3
+#: an isotropic vector taken from a numerical eigenspace has |e^T e| at most
+#: this; iso_tol stays at or above it, or such a vector is not isotropic enough
+_ISO_FLOOR = 1e-12
 
 
 class ValidationError(ValueError):
@@ -34,7 +37,9 @@ class ToleranceConfig:
 
     eig_tol      relative residual bound accepted for an eigenpair
     iso_tol      threshold on |e^T e| deciding that a unit vector is isotropic,
-                 below 3e-3 (a reflector level takes |e^T e| >= 3e-3)
+                 in [1e-12, 3e-3): a reflector level takes |e^T e| >= 3e-3, and
+                 an isotropic vector found in an eigenspace is only guaranteed
+                 |e^T e| <= 1e-12
     verify_tol   relative Frobenius bound for factorization verification
     seed         echoed in reports; no factorization draws random vectors
     """
@@ -49,8 +54,9 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0 and np.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
-        if self.iso_tol >= _ETE_DANGER:
-            raise ValidationError(f"iso_tol must be below {_ETE_DANGER:g}, got {self.iso_tol!r}")
+        if not _ISO_FLOOR <= self.iso_tol < _ETE_DANGER:
+            raise ValidationError(f"iso_tol must be below {_ETE_DANGER:g} and at least {_ISO_FLOOR:g}, "
+                                  f"that is in [{_ISO_FLOOR:g}, {_ETE_DANGER:g}), got {self.iso_tol!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

@@ -100,6 +100,16 @@ def test_iso_tol_of_one_is_an_input_error(tmp_path, capsys):
     assert main(["factor", path, "--iso-tol", "1e-3"]) == EXIT_PASS
 
 
+def test_iso_tol_below_the_isotropic_floor_is_an_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "c.mat", "1 1\n4\n")
+    assert main(["factor", path, "--iso-tol", "1e-13"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symfact: iso_tol must be below 0.003 and at least 1e-12")
+    assert "[1e-12, 0.003)" in captured.err
+    assert main(["factor", path, "--iso-tol", "1e-12"]) == EXIT_PASS
+
+
 def test_factor_singular_assembly_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     # the first level is a bordered transform D, whose condition is checked
     # (a reflector level is exact and has none); with the unit roundoff

@@ -474,50 +474,69 @@ def _reference_visits(vals, scale):
 
 
 class _WalkSpy:
-    """Candidates ``_candidate_pairs`` visits on diag(vals) with the carried
-    spectrum (vals, I), read off the work it does: the Rayleigh pair of the
-    unit vector e_i for a simple candidate i, else one SVD, of
-    diag(vals - vals[i]) (exactly zero at i and its exact repeats) or, near
-    zero, of the matrix itself."""
+    """Candidates ``_candidate_pairs`` visits on diag(vals), vals in its own candidate order,
+    read off the work it does: the Rayleigh pair of the unit vector e_i for a simple
+    candidate i, eig's unit vectors of a cluster for ``_semisimple_cluster``, else one SVD,
+    of diag(vals - vals[i]) (exactly zero at i and its exact repeats) or, near zero, of the
+    matrix itself.  A candidate is its first position among exact repeats, as in the SVD."""
 
     def __init__(self, monkeypatch):
         self.svd, self.rayleigh = np.linalg.svd, factor.eigen._rayleigh_pair
+        self.cluster = factor.eigen._semisimple_cluster
         monkeypatch.setattr(np.linalg, "svd", self._svd)
         monkeypatch.setattr(factor.eigen, "_rayleigh_pair", self._rayleigh)
+        monkeypatch.setattr(factor.eigen, "_semisimple_cluster", self._cluster)
 
     def visits(self, vals, scale):
-        self.matrix, self.seen, self.after_svd = np.diag(vals), [], False
-        for _ in factor.eigen._candidate_pairs(self.matrix, CFG, (vals, np.eye(len(vals), dtype=complex)), scale):
+        self.vals, self.matrix, self.seen = vals, np.diag(vals), []
+        self.after_svd = self.in_cluster = self.cluster_missed = False
+        for _ in factor.eigen._candidate_pairs(self.matrix, CFG, scale):
             pass
         return self.seen
 
+    def _first(self, v):
+        return int(np.flatnonzero(self.vals == self.vals[np.argmax(np.abs(v))])[0])
+
     def _svd(self, m, *args, **kwargs):
-        self.seen.append(None if m is self.matrix else int(np.flatnonzero(np.diag(m) == 0)[0]))
-        self.after_svd = True
+        if not self.cluster_missed:  # a missed cluster's SVD belongs to the visit recorded with the cluster
+            self.seen.append(None if m is self.matrix else int(np.flatnonzero(np.diag(m) == 0)[0]))
+        self.after_svd, self.cluster_missed = True, False
         return self.svd(m, *args, **kwargs)
 
-    def _rayleigh(self, m, v):
-        if not self.after_svd:  # an SVD's pair belongs to the visit recorded with the SVD
-            self.seen.append(int(np.argmax(np.abs(v))))
+    def _cluster(self, a, cfg, vecs, near, i, scale):
+        self.seen.append(self._first(vecs[:, i]))
+        self.in_cluster = True
+        found = self.cluster(a, cfg, vecs, near, i, scale)
+        self.in_cluster, self.cluster_missed = False, found is None
+        return found
+
+    def _rayleigh(self, m, v, av=None):
+        if not (self.after_svd or self.in_cluster):  # an SVD's or a cluster's pair belongs to the visit recorded there
+            self.seen.append(self._first(v))
         self.after_svd = False
-        return self.rayleigh(m, v)
+        return self.rayleigh(m, v, av)
+
+
+def _candidate_order(vals):
+    """vals in ``_candidate_pairs``' order: largest modulus first, ties by the (real, imag) sort."""
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order[np.argsort(-np.abs(vals[order]), kind="stable")]]
 
 
 def _candidate_spectra():
     """(label, vals in candidate order) around every cut of the walk, at |A|_F = 1."""
     for d in (1e-13, 6e-13, 1e-12, 1e-11):  # chains of pairs around the 1e-12 dedupe cut
         vals = np.array([3.0, 2.0, 2.0 + d, 2.0 + 2 * d, 1.0j, 1.0j + d, 1.0j + d * 1j, 0.5, 0.5 + 3 * d])
-        yield f"cut {d:g}", vals.astype(complex)
+        yield f"cut {d:g}", _candidate_order(vals.astype(complex))
     vals = np.array([2.0, 1.5, 1.5, 1.5, -1.0, -1.0, 1e-7, 1e-7, 0.0, 0.0], dtype=complex)
-    yield "exact repeats", vals
+    yield "exact repeats", _candidate_order(vals)
     spectra = [(f"clustered {seed} {gap:g} {cq}", _clustered(seed, gap, cq))
                for seed in range(4) for gap in (1e-3, 1e-5, 1e-6, 3e-7, 1e-8, 1e-11, 0.0) for cq in (False, True)]
     spectra += [(f"{kind} {seed}", oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind)))
                 for kind in ("IsotropicLambdaZero", "IsotropicLambdaNonzero") for seed in range(40)]
     for label, c in spectra:
         c = c / frobenius(c)
-        vals = np.linalg.eigvals(c)
-        yield label, vals[np.argsort(-np.abs(vals), kind="stable")]
+        yield label, _candidate_order(np.linalg.eigvals(c))
 
 
 def test_candidate_walk_visits_the_candidates_of_the_whole_spectrum_rule(monkeypatch):
@@ -608,7 +627,7 @@ def _level_v(plan, cfg=CFG):
     return plan.left @ b.T
 
 
-def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
+def test_svd_pair_takes_a_reflector_level_of_its_own():
     from symfact.factor import _first_sound_plan
 
     c = _clustered(0, 1e-8, False)
@@ -618,7 +637,7 @@ def test_svd_pair_takes_a_reflector_level_without_a_carried_spectrum():
     plan = _first_sound_plan(c, CFG)
     assert frobenius(plan.left.T @ plan.left - np.eye(10)) <= 1e-14  # a panel: A is Q, its own A^-T
     assert [lv.branch for lv in plan.records] == [BRANCH_CASE_I]  # a panel of one level
-    assert plan.spectrum is None and plan.sub.shape == (9, 9)
+    assert plan.sub.shape == (9, 9)
     assert verify_factorization(c, _level_v(plan), CFG).passed
 
 
@@ -673,6 +692,14 @@ def test_a_semisimple_cluster_takes_eigs_own_vectors_without_an_svd(monkeypatch)
     pair, basis, rest, complement = next(factor.eigen._candidate_pairs(c, CFG))
     assert basis.shape[1] == 2 and rest is None and complement is None
     assert frobenius(c @ basis - pair.value * basis) <= 1e-14 * frobenius(c)
+
+
+@pytest.mark.xfail(strict=True, reason="eig splits the defective pair ~sqrt(eps) apart, and its near-isotropic "
+                                       "eigenvector takes the last-resort reflector: m in (2, 3, 4, 6, 10), seeds "
+                                       "0-49 miss on 250 of 250 inputs, worst 9.1e-2")
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
+def test_the_jordan_family_factors_within_verify_tol(m):
+    assert factor_symmetric(_jordan_family(m, 0), CFG).relative_residual <= CFG.verify_tol
 
 
 def test_defective_clusters_keep_the_svd(monkeypatch):
@@ -804,8 +831,7 @@ def test_a_dense_factorization_takes_one_eigendecomposition(monkeypatch, n):
 
 def test_reflector_level_is_a_similarity_and_a_congruence():
     # the panel walks down 4, 3, 2 and stops at the pair 1, 1 + 1e-8, which
-    # is not simple: Q of three reflectors is a congruence and a similarity,
-    # and the three eigenpairs left carry down to the next block
+    # is not simple: Q of three reflectors is a congruence and a similarity
     rng = np.random.default_rng(3)
     o, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -823,9 +849,6 @@ def test_reflector_level_is_a_similarity_and_a_congruence():
     for p in (3, 4, 5):  # each panel column couples to the block above it by rounding only
         assert frobenius(m[:p, p]) <= CFG.eig_tol
     assert [lv.value for lv in plan.records] == pytest.approx(np.diag(m)[3:][::-1], abs=1e-15)
-    vals, vecs = plan.spectrum
-    assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(plan.sub)), atol=1e-13)
-    assert frobenius(plan.sub @ vecs - vecs * vals) <= 1e-13 * frobenius(vecs)
     assert frobenius(c - _level_v(plan) @ _level_v(plan).T) <= 1e-14  # V = Q R, no solve
 
 
@@ -913,12 +936,35 @@ def test_a_square_chain_that_misses_c_by_more_than_the_floor_is_walked(monkeypat
     assert r.relative_residual <= 1e-14
 
 
+def test_every_plan_takes_one_eigendecomposition_of_its_own_block(monkeypatch):
+    # no plan hands eigenpairs to the next: the block a panel leaves, say where its walk
+    # stopped at a repeated eigenvalue, takes one fresh eig, and no plan takes a second
+    eigs = _count_calls(monkeypatch, np.linalg, "eig")
+    plans = _count_calls(monkeypatch, factor, "_first_sound_plan")
+    inputs = []
+    for seed in range(300):  # the small integer complex diagonals above
+        rng = np.random.default_rng(seed)
+        n = rng.integers(2, 14)
+        inputs.append(np.diag(rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)))
+    inputs += [_clustered(seed, gap, cq) for seed in range(6)
+               for gap in (1e-3, 1e-5, 1e-6, 3e-7, 1e-8, 1e-11, 0.0) for cq in (False, True)]
+    inputs += [_boosted(n, t, seed) for n in (2, 4, 6, 8) for t in (5.0, 5.5, 6.0) for seed in range(5)]
+    inputs += [_boosted(10, 5.5, 4), _boosted(9, 6.0, 9), _boosted(9, 6.5, 3)]
+    total = 0
+    for i, c in enumerate(inputs):
+        eigs.clear()
+        plans.clear()
+        factor_symmetric(c, CFG)
+        assert len(eigs) == len(plans), i
+        total += len(plans)
+    assert total > len(inputs)
+
+
 def test_drifted_carried_spectrum_reanchors(monkeypatch):
     # carried eigenvectors perturbed far beyond eig_tol: the check on M finds
     # the second level's corner coupled and ends every panel after one level,
-    # the next block's walk finds its carried vector missing and takes a fresh
-    # eigendecomposition, and the factorization takes the same branches
-    # within verify_tol
+    # the next block takes its own fresh eigendecomposition, as every plan
+    # does, and the factorization takes the same branches within verify_tol
     c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=2, kind="DenseSymmetric"))
     clean = factor_symmetric(c, CFG)
     inner, panel = factor.eigen._candidate_pairs, factor._panel
@@ -1107,6 +1153,15 @@ def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
     for seed in range(6):  # whole factorizations under the raised cut
         c = oracle.gen(oracle.GeneratorSpec(dim=7, seed=seed, kind="IsotropicLambdaNonzero"))
         assert factor_symmetric(c, cfg).relative_residual <= cfg.verify_tol
+
+
+def test_the_smallest_iso_tol_factors_the_isotropic_family():
+    # at iso_tol = 1e-12, the guarantee of an isotropic vector found in an eigenspace,
+    # every such vector still counts as isotropic; below it, the config is rejected
+    cfg = ToleranceConfig(iso_tol=1e-12)
+    for seed in range(200):
+        c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind="IsotropicLambdaNonzero"))
+        assert factor_symmetric(c, cfg).relative_residual <= cfg.verify_tol, seed
 
 
 def test_the_factorization_path_never_solves(monkeypatch):

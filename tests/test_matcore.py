@@ -131,6 +131,15 @@ def test_iso_tol_must_be_below_one(iso_tol):
     assert ToleranceConfig(iso_tol=2.9e-3).iso_tol == 2.9e-3
 
 
+@pytest.mark.parametrize("iso_tol", [1e-13, 1e-16])
+def test_iso_tol_must_be_at_least_the_isotropic_floor(iso_tol):
+    # an isotropic vector found in an eigenspace is only guaranteed |e^T e| <= 1e-12,
+    # so a smaller iso_tol would reject it as not isotropic on valid inputs
+    with pytest.raises(ValidationError, match=r"\[1e-12, 0.003\)"):
+        ToleranceConfig(iso_tol=iso_tol)
+    assert ToleranceConfig(iso_tol=1e-12).iso_tol == 1e-12
+
+
 @pytest.mark.parametrize("complex_entries", [True, False])
 def test_frobenius_is_numpy_norm_bit_for_bit(complex_entries):
     # entries over 16 decades, so a different summation order shows in the last bits
