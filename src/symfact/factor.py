@@ -19,29 +19,31 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
                           factored in closed form.
 * ``Base`` / ``ZeroMatrix`` terminate the recursion.
 
-``_first_sound_plan`` decides a level's branch; a panel (below) takes
-further levels by the same rules, ``_reflects`` and eigen's candidate tests.
-A plan holds A^-T of its levels' congruence A, built by the planner that chose
-A, the next block, and the part of B (with B^T B = A^T C A) known at these
-levels.  ``factor_symmetric`` walks the blocks down in a loop and assembles
+``_first_sound_plan`` decides a level's branch; a chain (below) takes further
+levels by the same rules, ``_reflects`` and eigen's candidate tests.  A plan
+holds A^-T of its levels' congruence A, built by the planner that chose A, the
+next block, and the part of B (with B^T B = A^T C A) known at these levels.
+``factor_symmetric`` walks the blocks down in a loop and assembles
 V = A^-T B^T bottom-up by one product per plan, so the Python stack does not
-grow with the dimension, and no level solves.  CaseI levels come in panels: a reflector Q
-has Q^T Q = I, so the other eigenvectors carry down through it.  A panel whose carried
-eigenpairs all pass the walk's tests, or pass up to a null tail (a rank-deficient C, its other
-eigenvalues under the noise floor), is one congruence by the m x (r + 1) matrix A of its
-eigenvectors: eigenvectors of distinct eigenvalues are bilinear-orthogonal to each other and to
-the null space, so C = L M L^T with L = A (2I - A^T A), one Newton-Schulz step, up to what a
-check bounds by the noise floor; a tail is an exact zero block.  A panel that stops before an
-isotropic level picks each level's reflector from the carried eigenvectors alone, as a walk.
-Each panel forms M = A^T C A in one product, re-checks each level on M, and assembles
-V = A^-T R in one product.  Every plan starts from one eigendecomposition of its own block:
-a panel carries eigenvectors down its own levels only, and the block it leaves takes a fresh one.
-In exact arithmetic that is the paper's per-level congruence; the panel
-changes the order of the arithmetic, and its cuts compare against the norms
-of M's leading blocks.  Every level works in the input's units; only
-``_plan``, whose bordered transform compares against absolute constants,
-builds its level on the block over its norm.  An input whose |C|_F lies near
-the ends of the float range is factored and verified as 4^-k C, an exact power of 4.
+grow with the dimension, and no level solves.  CaseI levels take exactly two
+forms, a chain or one reflector.  A chain is one congruence by the
+m x (r + 1) matrix A of the block's eigenvectors, taken when every other
+eigenpair passes the planner's tests, or all up to a null tail (a
+rank-deficient C, its other eigenvalues under the noise floor): eigenvectors
+of distinct eigenvalues are bilinear-orthogonal to each other and to the null
+space, so C = L M L^T with L = A (2I - A^T A), one Newton-Schulz step, up to
+what a check bounds by the noise floor; a tail is an exact zero block.  A
+chain forms M = A^T C A in one product, re-checks each level on M, and
+assembles V = A^-T R in one product.  Any other CaseI plan, a chain that
+fails its checks included, is one level by one complex-orthogonal reflector.
+Every plan starts from one eigendecomposition of its own block, and the block
+it leaves takes a fresh one.  In exact arithmetic that is the paper's
+per-level congruence; a chain changes the order of the arithmetic, and its
+cuts compare against the norms of M's leading blocks.  Every level works in
+the input's units; only ``_plan``, whose bordered transform compares against
+absolute constants, builds its level on the block over its norm.  An input
+whose |C|_F lies near the ends of the float range is factored and verified as
+4^-k C, an exact power of 4.
 
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
 It can exceed verify_tol: symmetric 2x2 Jordan blocks at lambda != 0 do; so do
@@ -143,8 +145,8 @@ class ChosenX:
 class LevelRecord:
     """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on the
     isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm.
-    ``ete`` is e^T e of the level's phase-canonical unit eigenvector: in the coordinates of
-    the panel's top block on a chain built from eigenvectors, of the level's own block on a walked panel."""
+    ``ete`` is e^T e of the level's phase-canonical unit eigenvector, in the coordinates of the
+    plan's block: a chain records all its levels' in its top block's."""
 
     dim: int
     branch: str
@@ -158,12 +160,12 @@ class LevelRecord:
 class LevelPlan:
     """Levels decided but not yet assembled, one record each: V = A^-T B^T = ``left`` B^T.
 
-    ``left`` = A^-T: a walked panel's complex orthogonal Q is its own, a chain's m x p
-    eigenvector matrix A gives L = A (2I - A^T A) with the coupling fold of ``_panel``,
+    ``left`` = A^-T: a reflector level's complex orthogonal Q is its own, a chain's m x p
+    eigenvector matrix A gives L = A (2I - A^T A) with the coupling fold of ``_chain``,
     zero-padded to [0 | L] when a null tail is left; a null split's unitary
     [R | N] gives its conjugate; an isotropic A' = [V' | conj(e) | e] gives conj(A') with a
     Gram correction, times D^-T for a bordered transform A' D.  ``b`` is B, its leading
-    block left zero for the factor of ``sub``, the next block (None at the end of the chain).
+    block left zero for the factor of ``sub``, the next block (None at the last plan).
     ``sound`` is False only for a bordered transform that scored ill-conditioned: some
     coupling blocks (a weak coupling to the corner alone, say) admit no good transform,
     and another candidate is preferable.  All in the input's units; ``sub`` takes a fresh
@@ -352,74 +354,20 @@ def _reflects(ete: complex) -> bool:
 
 def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None, cfg: ToleranceConfig,
            floor: float = 0.0) -> LevelPlan:
-    """A panel of CaseI levels by complex-orthogonal congruences, the first on ``pair`` (``ete`` = e^T e).
-
-    The panel takes the other eigenpairs ``rest`` level by level while the next block's walk
-    would take its first candidate by eigen's tests at the Schur bound sqrt(sum |vals|^2) of
-    its norm, past no block of norm at most ``floor`` and on no e^T e that ``_first_sound_plan``
-    would not take by ``_reflects``.  When the passing candidates are all of them (two levels or
-    more), or a prefix of r whose rest has a Schur bound at most ``floor`` (a null tail),
-    ``_whole_chain`` builds the chain's m x (r + 1) congruence A from the eigenvectors.  It is
-    taken only when delta = C - L M L^T, all it leaves out, has |delta|_F <= ``floor``.  With
-    X = delta A - L (A^T delta A)/2, X L^T + L X^T is delta but for its part off A's range on both
-    sides, so L + X diag(M)^-1 keeps delta's coupling to A's range to first order, as a walk keeps
-    M's coupling block.  A null tail's M and L are zero-padded to m x m: the tail is an exact zero
-    block, which the loop records as ``ZeroMatrix``.  Otherwise ``_walk`` builds A = Q from
-    reflectors.  M = A^T C A is one product, and each level but the first is re-checked at its
-    block's norm in M (cumulative sums of |M|^2), with its corner's coupling |M[:p, p]| against
-    eig_tol.  A chain that fails is walked instead, and the first level that fails ends a walk.
-    V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading block, and
-    column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T.
+    """CaseI levels on ``pair`` (``ete`` = e^T e) by one complex-orthogonal congruence A: the chain
+    that ``_chain`` builds from the other eigenpairs ``rest`` and checks, or else ``_walk``'s one
+    reflector A = Q, which leaves a block that takes a fresh eigendecomposition in the next plan.
+    With M = A^T C A, V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading
+    block, and column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T.
     """
     m = c.shape[0]
-    limit = m - 1
-    whole = walk = None
     lower = np.arange(m)[:, None] >= np.arange(m)
-    if rest is not None:  # the walk's tests of candidate i, which level i + 1 takes
-        vals, moduli = rest[0], np.abs(rest[0])
-        schur = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
-        gaps = np.where(lower[1:, 1:], np.inf, np.abs(vals[:, None] - vals)).min(axis=1)
-        simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
-        walk = (schur > floor) & simple & ~near_zero
-        r = m - 1 if walk.all() else int(walk.argmin())  # the passing prefix
-        # the whole spectrum (a chain of one level is its reflector, which costs less) or a null tail
-        if (r == m - 1 and m > 2) or (r < m - 1 and schur[r] <= floor):
-            whole = _whole_chain(pair, ete, rest[1][:, :r], c, vals[:r])
-    while True:
-        if whole is not None:
-            a, left, etes = whole
-            p = min(a.shape[1], m - 1)
-        else:
-            z, etes, p = _walk(pair, ete, rest, limit, walk)
-            a = left = z[:, z.shape[1] - m :].T.copy()
-        k = m - p
-        mm = a.T @ c @ a
-        mm = 0.5 * (mm + mm.T)
-        if whole is not None:
-            delta = c - left @ mm @ left.T
-            if frobenius(delta) > floor:  # what L M L^T leaves out of C must be noise
-                whole = None
-                continue
-            x = delta @ a  # fold delta's coupling to A's range into L (above), in place to spare copies
-            x -= left @ (0.5 * (a.T @ x))
-            left = left + x / np.diagonal(mm)
-        if a.shape[1] < m:  # a null tail: M's leading k x k block and its coupling are exact zeros
-            padded = np.zeros((m, m), dtype=np.complex128)
-            padded[k:, k:] = mm
-            mm, left = padded, np.hstack([np.zeros((m, k), dtype=np.complex128), left])
-        if p == 1:
-            break
-        cols = np.cumsum(mm.real**2 + mm.imag**2, axis=0)
-        corner = np.arange(m - 2, k - 1, -1)  # the coordinate levels 1 .. p-1 split off
-        norms = np.sqrt(np.cumsum(cols, axis=1)[corner, corner])
-        simple, near_zero = eigen._simple_and_near_zero(gaps[: p - 1], moduli[: p - 1], norms)
-        ok = (norms > floor) & simple & ~near_zero & (np.sqrt(cols[corner - 1, corner]) <= cfg.eig_tol * norms)
-        if ok.all():
-            break
-        if whole is not None:
-            whole = None
-        else:
-            limit = 1 + int(np.argmin(ok))
+    chain = None if rest is None else _chain(c, pair, ete, rest, cfg, floor)
+    if chain is None:
+        left = _walk(pair, ete)
+        mm = left.T @ c @ left
+        chain = left, 0.5 * (mm + mm.T), m - 1, [ete]
+    left, mm, k, etes = chain
     mu = np.diagonal(mm)[k:]
     root = np.sqrt(mu + 0.0)  # + 0.0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
     b = np.where(lower, mm, 0.0)  # its leading k x k block is overwritten by V'^T
@@ -430,15 +378,69 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     return LevelPlan(records, left, mm[:k, :k], b)
 
 
+def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg: ToleranceConfig, floor: float):
+    """(A^-T, M, k, e^T e of each level) of the chain on ``pair`` and the eigenpairs ``rest``, whose
+    levels leave a k x k block, or None when the chain is not built or fails a check.
+
+    Candidate i passes when the block after level i would take it first by eigen's tests at the
+    Schur bound sqrt(sum |vals|^2) of its norm, past no block of norm at most ``floor``.  When the
+    passing candidates are all of them (two levels or more), or a prefix of r whose rest has a Schur
+    bound at most ``floor`` (a null tail), ``_whole_chain`` builds the chain's m x (r + 1)
+    congruence A and L from the eigenvectors, unless some e^T e fails ``_reflects``.  It is taken
+    only when delta = C - L M L^T, all it leaves out, has |delta|_F <= ``floor``.  With
+    X = delta A - L (A^T delta A)/2, X L^T + L X^T is delta but for its part off A's range on both
+    sides, so L + X diag(M)^-1 keeps delta's coupling to A's range to first order, as a reflector
+    keeps M's coupling block.  A null tail's M and L are zero-padded to m x m: the tail is an exact
+    zero block, which the loop records as ``ZeroMatrix``.  Each level but the first is then
+    re-checked at its block's norm in M (cumulative sums of |M|^2), with its corner's coupling
+    |M[:p, p]| against eig_tol.
+    """
+    m = c.shape[0]
+    vals, moduli = rest[0], np.abs(rest[0])
+    schur = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
+    later = np.arange(m - 1)[:, None] < np.arange(m - 1)
+    gaps = np.where(later, np.abs(vals[:, None] - vals), np.inf).min(axis=1)
+    simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
+    passing = (schur > floor) & simple & ~near_zero
+    r = m - 1 if passing.all() else int(passing.argmin())
+    # the whole spectrum (a chain of one level is its reflector, which costs less) or a null tail
+    if not ((r == m - 1 and m > 2) or (r < m - 1 and schur[r] <= floor)):
+        return None
+    whole = _whole_chain(pair, ete, rest[1][:, :r], c, vals[:r])
+    if whole is None:
+        return None
+    a, left, etes = whole
+    p = min(a.shape[1], m - 1)
+    k = m - p
+    mm = a.T @ c @ a
+    mm = 0.5 * (mm + mm.T)
+    delta = c - left @ mm @ left.T
+    if frobenius(delta) > floor:  # what L M L^T leaves out of C must be noise
+        return None
+    x = delta @ a  # fold delta's coupling to A's range into L (above), in place to spare copies
+    x -= left @ (0.5 * (a.T @ x))
+    left = left + x / np.diagonal(mm)
+    if a.shape[1] < m:  # a null tail: M's leading k x k block and its coupling are exact zeros
+        padded = np.zeros((m, m), dtype=np.complex128)
+        padded[k:, k:] = mm
+        mm, left = padded, np.hstack([np.zeros((m, k), dtype=np.complex128), left])
+    cols = np.cumsum(mm.real**2 + mm.imag**2, axis=0)
+    corner = np.arange(m - 2, k - 1, -1)  # the coordinate levels 1 .. p-1 split off
+    norms = np.sqrt(np.cumsum(cols, axis=1)[corner, corner])
+    simple, near_zero = eigen._simple_and_near_zero(gaps[: p - 1], moduli[: p - 1], norms)
+    ok = (norms > floor) & simple & ~near_zero & (np.sqrt(cols[corner - 1, corner]) <= cfg.eig_tol * norms)
+    return (left, mm, k, etes) if ok.all() else None
+
+
 def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray, vals: np.ndarray):
-    """(A, A^-T, e^T e of each level) of a panel's chain on ``pair`` and the carried eigenpairs
-    (``vals``, ``vecs``), or None when some carried e^T e fails ``_reflects``.
+    """(A, A^-T, e^T e of each level) of a chain on ``pair`` and the other eigenpairs
+    (``vals``, ``vecs``), or None when some of their e^T e fails ``_reflects``.
 
     Eigenvectors of distinct eigenvalues of a symmetric C are bilinear-orthogonal to each other
     and to C's null space N, so with f = e/sqrt(e^T e), the m x (r + 1) A = [f_r | ... | f_1 | f_0]
     (f_0 of ``pair``, the others of ``vecs`` in reverse) has A^T A = I up to rounding, and
     C = L M L^T with M = A^T C A and L = A (2I - A^T A), one Newton-Schulz step: A^-T when A is
-    square (``vecs`` holds every carried eigenvector), a pseudo-inverse-transpose when N remains.
+    square (``vecs`` holds every other eigenvector), a pseudo-inverse-transpose when N remains.
     A's columns come from C E Lambda^-1, one step of subspace iteration into C's range, whose null
     component is the product's rounding alone.  A level's e^T e is that of eig's phase-canonical
     unit eigenvector.
@@ -456,40 +458,24 @@ def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.nd
     return a, a - a @ defect, etes
 
 
-def _walk(pair: eigen.EigenPair, ete: complex, rest: tuple | None, limit: int, walk: np.ndarray | None):
-    """The reflectors of a panel, at most ``limit`` levels: (z, e^T e of each level, levels).
+def _walk(pair: eigen.EigenPair, ete: complex) -> np.ndarray:
+    """The complex orthogonal Q of one reflector level, which splits off ``pair``'s corner.
 
     f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1, Re(s f_j) <= 0, j maximising
-    |u_j| >= 1) gives H f = s*e_j for H = I - beta u u^T, |beta| <= 1, and P H (P swaps j and
-    the last coordinate) splits off the corner.  P H is a similarity, so the eigenvectors in
-    ``rest`` carry down.  The levels update only z = [carried eigenvectors | Q^T], one rank-1
-    update each; level p goes on while ``walk`` passes its candidate and ``_reflects`` its
-    carried eigenvector.
+    |u_j| >= 1) gives H f = s*e_j for H = I - beta u u^T, |beta| <= 1, and Q^T = P H (P swaps j and
+    the last coordinate) splits off the corner: the swap, then the rank-1 update in the swapped
+    coordinates, applied to I.
     """
-    m = pair.vector.shape[0]
-    # columns: the carried eigenvectors, then Q^T
-    z = np.eye(m, dtype=np.complex128) if rest is None else np.hstack([rest[1], np.eye(m, dtype=np.complex128)])
-    f, etes, p = pair.vector / _principal_sqrt(ete), [ete], 0
-    while True:  # level p splits coordinate k - 1 off the leading k x k block
-        k = m - p
-        signs = np.where(f.real < 0.0, 1.0, -1.0)
-        j = int(np.abs(f - signs).argmax())
-        u = f.copy()
-        u[j], u[-1] = f[-1], f[j] - signs[j]
-        beta = 2.0 / complex(u @ u)
-        live = z[:k, p:]  # the eigenvectors still carried, and Q^T
-        live[[j, k - 1]] = live[[k - 1, j]]
-        live -= (beta * u)[:, None] * (u @ live)[None, :]
-        p += 1
-        if rest is None or p == limit or not walk[p - 1]:
-            return z, etes, p
-        v = z[: k - 1, p - 1]
-        vtv, peak = complex(v @ v), complex(v[np.abs(v).argmax()])
-        unit = vtv / np.vdot(v, v).real  # e^T e of the unit e
-        if not _reflects(unit):
-            return z, etes, p
-        etes.append(unit * (abs(peak) / peak) ** 2)  # of e with its phase fixed, as eigen._phase_canonical
-        f = v / _principal_sqrt(vtv)
+    f = pair.vector / _principal_sqrt(ete)
+    signs = np.where(f.real < 0.0, 1.0, -1.0)
+    j = int(np.abs(f - signs).argmax())
+    u = f.copy()
+    u[j], u[-1] = f[-1], f[j] - signs[j]
+    beta = 2.0 / complex(u @ u)
+    z = np.eye(f.shape[0], dtype=np.complex128)
+    z[[j, -1]] = z[[-1, j]]
+    z -= (beta * u)[:, None] * (u @ z)[None, :]
+    return z.T.copy()
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None = None,
@@ -499,16 +485,16 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
     Walks the eigenvalue candidates of one eigendecomposition of C, largest
     modulus first.  A candidate is taken when it gives an exact route: the
     null space (one unitary split), an isotropic vector whose plan is sound,
-    or a safely non-isotropic vector, which starts a panel.  Candidates in
-    the ill-conditioned gaps are deferred; nearly nilpotent blocks always hold
-    a clean candidate further down.  A pair taken directly from the spectrum
-    (no ``basis``) belongs to a simple eigenvalue, so e^T e != 0 (e^T is also
-    its left eigenvector), its eigenspace holds no isotropic direction, and
-    its panel takes the other eigenpairs for its further levels.  The last
-    resort, the non-isotropic pair with the largest e^T e in the gap, takes a
-    panel of one level.  ``scale`` is |C|_F when known, and a block of norm
-    at most ``floor`` is rounding noise.  C, the records and the plan are in
-    the input's units.
+    or a safely non-isotropic vector, which starts a CaseI panel.  Candidates
+    in the ill-conditioned gaps are deferred; nearly nilpotent blocks always
+    hold a clean candidate further down.  A pair taken directly from the
+    spectrum (no ``basis``) belongs to a simple eigenvalue, so e^T e != 0 (e^T
+    is also its left eigenvector), its eigenspace holds no isotropic direction,
+    and its panel tries a chain on the other eigenpairs; a panel that takes no
+    chain is one reflector level.  The last resort, the non-isotropic pair with
+    the largest e^T e in the gap, takes a reflector level.  ``scale`` is |C|_F
+    when known, and a block of norm at most ``floor`` is rounding noise.  C,
+    the records and the plan are in the input's units.
     """
     fallback_iso = None  # (isotropic pair, its unsound plan or None)
     fallback_ete = None  # (non-isotropic pair with e^T e in the ill-conditioned gap, e^T e)
@@ -669,7 +655,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     levels: list = []
     steps: list = []  # (A^-T, B) of each plan, top down
     # a block at the eigenspace cut of the input is rounding noise (a rank-deficient input's remainder
-    # once its range has left): it has no null space of its own, and would be walked down level by level
+    # once its range has left): it has no null space of its own, and would be taken down one level at a time
     floor = eigen._EIGENSPACE_CUT * norm_c
     block = c
     while True:
