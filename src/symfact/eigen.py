@@ -174,8 +174,7 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = 
     n = a.shape[0]
     with _lapack("eigenvalue iteration"):
         vals, vecs = np.linalg.eig(a)
-    order = np.lexsort((vals.imag, vals.real))
-    order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
+    order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))  # modulus first, then (real, imag)
     vals, vecs = vals[order], vecs[:, order]
     kept = []  # the candidates visited so far; absorbed ones are not
     for i in range(n):

@@ -58,6 +58,7 @@ reports ``status: "fail"`` with exit code 2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -257,15 +258,21 @@ def factor_antidiagonal(lambda_alpha) -> np.ndarray:
 def choose_x(c_tilde_prime, lambda_alpha):
     """Pick the free entries of the bordered transform D.
 
-    x_n is pinned to -1/(lambda*alpha).  The free components are scored all
-    at once: zero, each unit vector e_i, and e_i +- e_j for the largest
-    off-diagonal |c_tilde'_ij| of the leading block (the 1x1 and 2x2 pivots
-    of Bunch & Kaufman).  A rung d with |c_tilde' d| between the all-zero cut
-    of |lambda*alpha| and 1 is scaled to 1/sqrt(|c_tilde' d|) (at most 1e8), so
-    a block weak against lambda*alpha still gives a well-conditioned D.  The
-    best-scoring rung whose |det D| clears ``_DET_TOL`` is taken.  Returns
-    AllZeroSignal when the coupling block vanishes, which routes to the
-    closed-form branch.
+    x_n is pinned to -1/(lambda*alpha).  The free components are scored on a
+    ladder of rungs d: zero, each unit vector e_i, and e_i +- e_j for the
+    largest off-diagonal |c_tilde'_ij| of the leading block (the 1x1 and 2x2
+    pivots of Bunch & Kaufman).  A rung with |c_tilde' d| between the
+    all-zero cut of |lambda*alpha| and 1 is scaled to 1/sqrt(|c_tilde' d|)
+    (at most 1e8), so a block weak against lambda*alpha still gives a
+    well-conditioned D.  The best-scoring rung whose |det D| clears
+    ``_DET_TOL`` is taken.  Returns AllZeroSignal when the coupling block
+    vanishes, which routes to the closed-form branch.
+
+    Each rung scores in closed form, in scalars: with c = c_tilde', c_k its
+    last column, g = c^* c_k, x = [s d; x_n] and y = c x,
+    det D = -x^T y = -(s^2 d^T c d + 2 s x_n d^T c_k + x_n^2 c_kk),
+    |x|^2 = s^2 |d|^2 + |x_n|^2 and |y|^2 = s^2 |c d|^2 + 2 s Re(x_n d^T g) + |x_n|^2 |c_k|^2,
+    so c's diagonal, last column and column norms and g score every rung (a pair's |c d| measured).
     """
     ct = np.asarray(c_tilde_prime, dtype=np.complex128)
     if ct.ndim != 2 or ct.size == 0 or ct.shape[0] != ct.shape[1]:
@@ -274,56 +281,69 @@ def choose_x(c_tilde_prime, lambda_alpha):
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
     # the all-zero test's one scan is also the finiteness check: NaN or Inf makes it non-finite
-    peak = float(np.max(np.abs(ct)))
-    if not np.isfinite(peak):
+    moduli = np.abs(ct)
+    peak = float(moduli.max())
+    if not math.isfinite(peak):
         raise ValidationError("c_tilde_prime contains NaN or Inf entries")
     if peak <= _ALLZERO_CUT * abs(la):
         return AllZeroSignal()
-    k = ct.shape[0] - 1  # rows 0..k-1 of a rung are its free components, row k is x_n
-    rungs = np.zeros((k + 1, k + 1 + 2 * (k > 1)), dtype=np.complex128)
-    rungs[np.arange(k), np.arange(1, k + 1)] = 1.0  # zero, then the unit vectors
-    if k > 1:  # then e_i + e_j and e_i - e_j on the largest off-diagonal entry of the leading block
-        off = np.abs(ct[:k, :k])
+    k = ct.shape[0] - 1  # entries 0..k-1 of x are the rung's, entry k is x_n
+    cols = (moduli * moduli).sum(axis=0)  # |c_i|^2
+    diag, last, norms, g = ct.diagonal().tolist(), ct[:, k].tolist(), cols.tolist(), (ct[:, k] @ ct.conj()).tolist()
+    # (label, entries of d, d^T c d, d^T c_k, |c d|^2, d^T g)
+    rungs = [("zero", (), 0.0, 0.0, 0.0, 0.0)]
+    rungs += [(f"unit:{i}", ((i, 1.0),), diag[i], last[i], norms[i], g[i]) for i in range(k)]
+    if k > 1:  # the pair on the largest off-diagonal entry of the leading block
+        off = moduli[:k, :k].copy()
         off.flat[:: k + 1] = -1.0  # a diagonal block pairs (0, 1)
         i, j = sorted(divmod(int(off.argmax()), k))
-        rungs[[i, j], -2:] = [[1.0, 1.0], [1.0, -1.0]]
-    cd = ct @ rungs
-    weight = np.linalg.norm(cd, axis=0)
-    weak = (weight > _ALLZERO_CUT * abs(la)) & (weight < 1.0)
-    scale = np.minimum(np.where(weak, weight, 1.0) ** -0.5, 1e8)
+        cross = 2.0 * complex(ct[i, j])
+        for sign, op in ((1.0, "+"), (-1.0, "-")):  # |c d| measured: |c_i|^2 + |c_j|^2 +- ... cancels
+            rungs.append((f"pair:{i}{op}{j}", ((i, 1.0), (j, sign)), diag[i] + diag[j] + sign * cross,
+                          last[i] + sign * last[j], frobenius(ct[:, i] + sign * ct[:, j]) ** 2, g[i] + sign * g[j]))
     xn = -1.0 / la
-    x = rungs * scale
-    x[-1] = xn
-    y = cd * scale + xn * ct[:, -1:]
-    det_d = -np.einsum("ij,ij->j", x, y)
-    # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
-    score = np.abs(det_d) / (1.0 + np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0))
-    clears = np.abs(det_d) >= _DET_TOL * max(1.0, frobenius(ct) / abs(la) ** 2)
-    best = int(np.argmax(score + clears))  # score < 1: a rung that clears ranks first
-    label = "zero" if best == 0 else f"unit:{best - 1}" if best <= k else f"pair:{i}{'+-'[best - k - 1]}{j}"
-    if not (clears[best] and score[best] >= 1e-3):
+    xn2, cut = abs(xn) ** 2, _ALLZERO_CUT * abs(la)
+    threshold = _DET_TOL * max(1.0, math.sqrt(sum(norms)) / abs(la) ** 2)
+    best = None
+    for label, entries, quad, along, weight2, dg in rungs:
+        weight = math.sqrt(weight2)
+        s = min(weight**-0.5, 1e8) if cut < weight < 1.0 else 1.0
+        det_d = -(s * (s * quad + 2.0 * xn * along) + xn * xn * last[k])
+        yy = s * (s * weight2 + 2.0 * (xn * dg).real) + xn2 * norms[k]
+        # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
+        score = abs(det_d) / (1.0 + math.sqrt((s * s * len(entries) + xn2) * max(yy, 0.0)))
+        rank = (abs(det_d) >= threshold, score)  # a rung that clears ranks first
+        if best is None or rank > best[0]:
+            best = rank, label, entries, s, det_d
+    (clears, score), label, entries, s, det_d = best
+    x = np.zeros(k + 1, dtype=np.complex128)
+    for index, sign in entries:
+        x[index] = sign * s
+    x[k] = xn
+    if not (clears and score >= 1e-3):
         label = f"fallback:{label}"
-    return ChosenX(x=x[:, best].copy(), det_d=complex(det_d[best]), strategy=label, score=float(score[best]))
+    return ChosenX(x=x, det_d=det_d, strategy=label, score=score)
 
 
 def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, scale: float):
-    """Isotropic eigenvector for pair.value when its eigenspace has one.
+    """(isotropic eigenpair, its e^T e) for pair.value when its eigenspace has one, or None.
 
     A multi-dimensional eigenspace always contains isotropic directions
     (any nonzero quadratic form on C^k, k >= 2, has nontrivial zeros); one is
     taken from ``basis``, the numerical eigenspace that came with the pair;
-    its columns need not be orthonormal, since B z is normalised.
-    Returns an upgraded EigenPair or None.
+    its columns need not be orthonormal, since B z is normalised.  The pair's
+    vector is unit and phase-canonical, as the isotropic level takes it.
     """
     if basis.shape[1] < 2:
         return None
-    bz = basis @ _isotropic_in_subspace(basis.T @ basis)
-    v = eigen._phase_canonical(bz / frobenius(bz))
+    v = eigen._phase_canonical(basis @ _isotropic_in_subspace(basis.T @ basis))
+    v /= frobenius(v)  # after the phase, which rounds |v| off 1
     cv = c @ v
     lam = complex(np.vdot(v, cv))
     res = frobenius(cv - lam * v)
-    if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(complex(np.dot(v, v))) <= _ISO_FLOOR:
-        return eigen.EigenPair(value=lam, vector=v, residual=res)
+    ete = complex(np.dot(v, v))
+    if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(ete) <= _ISO_FLOOR:
+        return eigen.EigenPair(value=lam, vector=v, residual=res), ete
     return None
 
 
@@ -403,8 +423,9 @@ def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg:
     simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
     passing = (schur > floor) & simple & ~near_zero
     r = m - 1 if passing.all() else int(passing.argmin())
-    # the whole spectrum (a chain of one level is its reflector, which costs less) or a null tail
-    if not ((r == m - 1 and m > 2) or (r < m - 1 and schur[r] <= floor)):
+    # the whole spectrum or a null tail, of two levels or more: a chain of one level is its reflector,
+    # which costs less, and the block a reflector leaves under the floor is recorded without an eig
+    if not ((r == m - 1 and m > 2) or (0 < r < m - 1 and schur[r] <= floor)):
         return None
     whole = _whole_chain(pair, ete, rest[1][:, :r], c, vals[:r])
     if whole is None:
@@ -503,16 +524,18 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:  # a near-zero candidate: its SVD gave the complement
             return _null_split(c, pair, basis, complement, cfg)
         ete = complex(np.dot(pair.vector, pair.vector))
-        if abs(ete) <= cfg.iso_tol:
-            iso = pair
+        if abs(ete) <= cfg.iso_tol:  # eig's phase multiply rounds |e| off 1: the level takes a unit e
+            e = pair.vector / frobenius(pair.vector)
+            iso = replace(pair, vector=e), complex(np.dot(e, e))
         else:
             iso = None if basis is None else _isotropic_upgrade(c, pair, basis, scale)
         if iso is not None:
-            in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso.value) < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, iso, cfg, scale)
+            modulus = abs(iso[0].value)
+            in_gap = _LAMBDA_ZERO_CUT * scale < modulus < _LAMBDA_DANGER * scale
+            plan = None if in_gap else _plan(c, *iso, cfg, scale)
             if plan is not None and plan.sound:
                 return plan
-            if fallback_iso is None or abs(iso.value) > abs(fallback_iso[0].value):
+            if fallback_iso is None or modulus > abs(fallback_iso[0][0].value):
                 fallback_iso = (iso, plan)
             continue
         if _reflects(ete):
@@ -521,30 +544,31 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
             fallback_ete = (pair, ete)
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, iso, cfg, scale)
+        return plan if plan is not None else _plan(c, *iso, cfg, scale)
     if fallback_ete is not None:
         return _panel(c, *fallback_ete, None, cfg)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
 
 
 def _isotropic_in_subspace(s: np.ndarray) -> np.ndarray:
-    """Unit z with z^T S z ~ 0 for symmetric S (k >= 2).
+    """z with z^T S z ~ 0 for symmetric S (k >= 2), not normalised.
 
     A negligible diagonal entry gives a coordinate vector; otherwise z is the
-    smaller root of the quadratic form on the two largest diagonal entries.
+    smaller root of the quadratic form on the two largest diagonal entries,
+    taken in scalars.
     """
-    diag = np.abs(np.diag(s))
+    diag = [abs(v) for v in s.diagonal().tolist()]
+    j = min(range(len(diag)), key=diag.__getitem__)  # the first index on a tie, as below
     z = np.zeros(s.shape[0], dtype=np.complex128)
-    j = int(np.argmin(diag))
-    if diag[j] <= 1e-14 * float(np.max(np.abs(s))):
+    if diag[j] <= 1e-14 * float(np.abs(s).max()):
         z[j] = 1.0
         return z
-    i0, i1 = np.argsort(-diag, kind="stable")[:2]
-    a, b, c = s[i0, i0], s[i0, i1], s[i1, i1]
-    disc = complex(np.sqrt(np.complex128(b * b - a * c)))
+    i0, i1 = sorted(range(len(diag)), key=lambda i: -diag[i])[:2]
+    a, b, c = complex(s[i0, i0]), complex(s[i0, i1]), complex(s[i1, i1])
+    disc = cmath.sqrt(b * b - a * c)
     z[i0] = 1.0
     z[i1] = min((-b + disc) / c, (-b - disc) / c, key=abs)
-    return z / frobenius(z)
+    return z
 
 
 def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
@@ -553,53 +577,62 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     Returns (A', C', c_tilde_prime) where A' = [basis of the joint
     complement of {e, conj(e)} | conj(e) | e] is unitary, C' = A'^T C A' has
     its last row and column zero except the antidiagonal corner entries
-    lambda*alpha, and c_tilde_prime is the leading symmetric block.
+    lambda*alpha, and c_tilde_prime is the leading symmetric block.  Any pair
+    is accepted: its vector is made phase-canonical and unit here.
     """
-    return _reduce_case_ii(as_matrix(c, square=True, name="C"), pair, cfg or _DEFAULT_CONFIG)[:3]
-
-
-def _reduce_case_ii(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig):
-    """``reduce_case_ii`` of a validated C, with e^T e of the unit e as a fourth entry."""
+    c = as_matrix(c, square=True, name="C")
     e = eigen._phase_canonical(np.asarray(pair.vector, dtype=np.complex128))
     e = e / frobenius(e)
-    ete = complex(np.dot(e, e))
+    a_prime, c_prime = _reduce_case_ii(c, e, complex(np.dot(e, e)), cfg or _DEFAULT_CONFIG)
+    return a_prime, c_prime, c_prime[:-1, :-1].copy()
+
+
+def _reduce_case_ii(c: np.ndarray, e: np.ndarray, ete: complex, cfg: ToleranceConfig) -> tuple:
+    """(A', C') of ``reduce_case_ii`` for a validated C and a unit, phase-canonical e with e^T e = ``ete``,
+    taken as given: the factor path has them from its eigenpair."""
     if abs(ete) > cfg.iso_tol:
         raise ValidationError("eigenvector is not isotropic; wrong branch")
-    vprime = _complement_basis_within(e)
-    a_prime = np.hstack([vprime, e.conj().reshape(-1, 1), e.reshape(-1, 1)])
+    m = c.shape[0]
+    a_prime = np.empty((m, m), dtype=np.complex128)
+    a_prime[:, :-2] = _complement_basis_within(e)
+    a_prime[:, -2] = e.conj()
+    a_prime[:, -1] = e
     c_prime = a_prime.T @ c @ a_prime
-    c_prime = 0.5 * (c_prime + c_prime.T)
-    return a_prime, c_prime, c_prime[:-1, :-1].copy(), ete
+    return a_prime, 0.5 * (c_prime + c_prime.T)
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: float | None = None) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, cfg: ToleranceConfig,
+          scale: float | None = None) -> LevelPlan:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
-    The level is built on C / |C|_F (``scale`` when the caller has it): the bordered
-    transform compares against absolute constants, and that block is bit for bit the same
-    for C and 4^k*C.  B, the next block and the recorded lambda*alpha come back in C's
-    units; a corner under the lambda = 0 cut is a ``CaseII_LambdaZero`` level.
+    ``pair`` holds the unit, phase-canonical isotropic e that its candidate test measured, and
+    ``ete`` = e^T e; the level takes both as they are.  The level is built on C / |C|_F (``scale``
+    when the caller has it): the bordered transform compares against absolute constants, and that
+    block is bit for bit the same for C and 4^k*C.  B, the next block and the recorded
+    lambda*alpha come back in C's units; a corner under the lambda = 0 cut is a
+    ``CaseII_LambdaZero`` level.
     """
     m = c.shape[0]
     scale = frobenius(c) if scale is None else scale
     b = np.zeros((m, m), dtype=np.complex128)
-    a_prime, c_prime, ct_prime, ete = _reduce_case_ii(c / scale, pair, cfg)
+    a_prime, c_prime = _reduce_case_ii(c / scale, pair.vector, ete, cfg)
+    ct = c_prime[:-1, :-1]  # c_tilde', a view: c_prime is not used past it
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha, at unit norm
     iso = dict(dim=m, value=la * scale, ete=0.0)
     left = _gram_corrected(a_prime, ete)
     if abs(la) <= _LAMBDA_ZERO_CUT:
         record = LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso)
-        return LevelPlan((record,), left, ct_prime * scale, b)
-    chosen = choose_x(ct_prime, la)
+        return LevelPlan((record,), left, ct * scale, b)
+    chosen = choose_x(ct, la)
     allzero = isinstance(chosen, AllZeroSignal)
-    if allzero or frobenius(ct_prime) <= _DROP_CUT:
+    if allzero or frobenius(ct) <= _DROP_CUT:
         b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * np.sqrt(scale)
         record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
                              **iso)
         return LevelPlan((record,), left, None, b)
     # A = A' D, D = [[I, x], [y^T, 0]]; with s = x^T y = -det D, D^-T = [[I - y x^T/s, y/s], [x^T/s, -1/s]]
     x = chosen.x
-    y = ct_prime @ x
+    y = ct @ x
     s = complex(x @ y)
     cond = _bordered_cond(x, y, s)
     if not cond * m * _EPS < 1.0:  # the rule of matcore.solve_linear, on |D|_F |D^-1|_F
@@ -607,19 +640,23 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, cfg: ToleranceConfig, scale: flo
     w = (left[:, :-1] @ y - left[:, -1]) / s
     left[:, :-1] -= np.outer(w, x)
     left[:, -1] = w
-    u = np.zeros(m - 1, dtype=np.complex128)
-    u[-1] = la
-    ct = ct_prime + np.outer(y, u) + np.outer(u, y)
+    # the next block D^T C' D: c_tilde' + y u^T + u y^T with u = lambda*alpha e_k, symmetric as it stands
+    y *= la
+    ct[-1] += y
+    ct[:, -1] += y
     b[m - 1, m - 1] = principal_sqrt(s) * np.sqrt(scale)  # lambda'^2 = s
     record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
-    return LevelPlan((record,), left, 0.5 * (ct + ct.T) * scale, b, sound=chosen.score >= 1e-3)
+    return LevelPlan((record,), left, ct * scale, b, sound=chosen.score >= 1e-3)
 
 
 def _gram_corrected(a: np.ndarray, ete: complex) -> np.ndarray:
     """A^-T = conj(A) blockdiag(I, G^-T) of an isotropic level's A = [V' | conj(e) | e], unit e:
-    A^H A = blockdiag(I, G) with G = [[1, e^T e], [conj(e^T e), 1]]."""
+    A^H A = blockdiag(I, G) with G = [[1, e^T e], [conj(e^T e), 1]].  conj(A)'s last two columns
+    are e and conj(e), A's own in reverse order, so G^-T mixes them in scalars."""
     left = a.conj()
-    left[:, -2:] = left[:, -2:] @ np.array([[1.0, -ete.conjugate()], [-ete, 1.0]]) / (1.0 - abs(ete) ** 2)
+    den = 1.0 - abs(ete) ** 2
+    left[:, -2] = (a[:, -1] - ete * a[:, -2]) / den
+    left[:, -1] = (a[:, -2] - ete.conjugate() * a[:, -1]) / den
     return left
 
 

@@ -9,6 +9,7 @@ points validate shapes and reject non-finite input.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,7 +90,7 @@ def as_matrix(a, square: bool = False, name: str = "matrix") -> np.ndarray:
 def as_scalar(z, name: str = "scalar") -> complex:
     """Coerce to a finite python complex."""
     value = complex(z)
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    if not cmath.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -128,18 +129,6 @@ def _principal_sqrt(value: complex) -> complex:
     return w
 
 
-def _reflector(x: np.ndarray) -> np.ndarray:
-    """Unitary Householder matrix whose first column is a unit multiple of x."""
-    m = x.shape[0]
-    x = x / frobenius(x)
-    phase = x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0 + 0.0j
-    v = x.copy()
-    v[0] += phase  # v = x - alpha*e1 with alpha = -phase, so |v| is never small
-    v /= frobenius(v)
-    # first column comes out as -conj(phase)*x, still a unit multiple of x
-    return np.eye(m, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
-
-
 def complement_basis_within(e) -> np.ndarray:
     """Orthonormal basis (columns) of {w : w^* conj(e) = 0 and w^* e = 0}.
 
@@ -155,18 +144,36 @@ def complement_basis_within(e) -> np.ndarray:
         raise ValidationError("input vector is not isotropic within iso_tol")
     if e.shape[0] < 2:
         raise ValidationError("an isotropic vector needs dimension >= 2")
-    return _complement_basis_within(e)
+    return _complement_basis_within(e / norm_e)
 
 
-def _complement_basis_within(e: np.ndarray) -> np.ndarray:
-    """``complement_basis_within`` of a nonzero complex128 vector, unchecked."""
-    u = e / frobenius(e)
-    p1 = _reflector(u.conj())
-    z = p1.conj().T @ u  # coordinates of u in the completed basis; z[0] ~ e^T e = 0
-    z = z[1:]
-    z /= frobenius(z)
-    p2 = _reflector(z)
-    return p1[:, 1:] @ p2[:, 1:]
+def _complement_basis_within(u: np.ndarray) -> np.ndarray:
+    """``complement_basis_within`` of a unit complex128 vector u, unchecked.
+
+    The basis is P1[:, 1:] P2[:, 1:] for the unitary Householder P1 whose first column is a unit
+    multiple of conj(u), and P2 that of z, u's coordinates in P1's other columns.  With
+    P = I - 2 v v^*, that product is I[:, 2:] - 2 v1 (v1[2:]^* - t v2[1:]^*) - 2 [0; v2] v2[1:]^*,
+    t = 2 v1[1:]^* v2: two rank-1 terms, formed without either reflector matrix.
+    """
+    v1 = _householder_vector(u.conj())
+    z = u[1:] - (2.0 * complex(np.vdot(v1, u))) * v1[1:]  # P1 u = P1^* u without its first entry ~ e^T e = 0
+    v2 = _householder_vector(z)
+    tail = v2[1:].conj()
+    t = 2.0 * complex(np.vdot(v1[1:], v2))
+    w = v1[:, None] * ((t * tail - v1[2:].conj()) * 2.0)
+    w[1:] -= (v2 * 2.0)[:, None] * tail
+    w.flat[2 * w.shape[1] :: w.shape[1] + 1] += 1.0  # + I[:, 2:]
+    return w
+
+
+def _householder_vector(x: np.ndarray) -> np.ndarray:
+    """Unit v with I - 2 v v^* unitary and its first column a unit multiple of x: v = x + phase |x| e1
+    (phase that of x[0]), so |v|^2 = 2 |x| (|x| + |x[0]|) is never small."""
+    norm, head = frobenius(x), complex(x[0])
+    v = x.copy()
+    v[0] += head / abs(head) * norm if head != 0.0 else norm
+    v /= math.sqrt(2.0 * norm * (norm + abs(head)))
+    return v
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -11,6 +11,7 @@ from symfact.cli import EXIT_NUMERIC_FAILURE, format_matrix, main
 from symfact.eigen import (
     ConvergenceError,
     DefectiveOperatorError,
+    _candidate_pairs,
     _phase_canonical,
     biorthonormal_system,
     eigenpair,
@@ -236,6 +237,25 @@ def test_simple_spectrum_takes_one_eig_and_no_eigenvector_svd(tmp_path, monkeypa
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
         assert counts == {"eig": 1, "eigvals": 0, "eigh": 0, "svd": 0}, argv
+
+
+def test_candidates_come_largest_modulus_first_then_by_real_and_imaginary_part():
+    # one three-key lexsort is the two-step order it replaced: (real, imag), then a stable sort
+    # by modulus; pinned on equal moduli and equal real parts, exact repeats included
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        vals = rng.choice([2.0, -2.0, 2j, -2j, 1 + 1j, 1 - 1j, -1 + 1j, 1.0, 1j, 0.0], size=rng.integers(1, 12))
+        two_step = np.lexsort((vals.imag, vals.real))
+        two_step = two_step[np.argsort(-np.abs(vals[two_step]), kind="stable")]
+        assert np.array_equal(np.lexsort((vals.imag, vals.real, -np.abs(vals))), two_step)
+    # and the candidate walk yields them so: a diagonal C's eigenvalues are its entries
+    diag = np.array([1 - 1j, 2j, -2.0, 1 + 1j, -2j, 2.0, 1.0, -1 + 1j])
+    walked = [pair.value for pair, *_ in _candidate_pairs(np.diag(diag), ToleranceConfig())]
+    vals = np.linalg.eigvals(np.diag(diag))
+    order = np.lexsort((vals.imag, vals.real))
+    order = order[np.argsort(-np.abs(vals[order]), kind="stable")]
+    assert walked == list(vals[order])
+    assert walked == [-2.0, -2j, 2j, 2.0, -1 + 1j, 1 - 1j, 1 + 1j, 1.0]
 
 
 def test_simple_levels_take_the_phase_fixed_lapack_eigenvector():

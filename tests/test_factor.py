@@ -224,11 +224,9 @@ def test_dispatch_case_agrees_with_executed_plan():
     # a coupling block of 3e-10 scores well only with x amplified by 1e7;
     # the bordered transform built from it is singular, so the level drops it
     # (the walk defers this near-defective pair, so the plan is asked directly)
-    from symfact.factor import _plan
-
     e, lam, c = _isotropic_core(7, 5)
     c = c + 3e-10 * np.outer(e, e)
-    plan = _plan(c, EigenPair(value=lam, vector=e, residual=0.0), CFG)
+    plan = _isotropic_plan(c, EigenPair(value=lam, vector=e, residual=0.0))
     assert (plan.records[0].branch, plan.records[0].x_strategy) == (BRANCH_CASE_II_DEGENERATE, "dropped")
     assert plan.sub is None
     assert verify_factorization(c, plan.left @ plan.b.T, CFG).passed
@@ -817,8 +815,77 @@ def test_isotropic_in_subspace_takes_a_negligible_diagonal_or_the_root_on_the_tw
     s[1, 1] = 1.0
     s[2, 2] = 3.0
     z = factor._isotropic_in_subspace(s)  # on coordinates 2 and 0, the two largest diagonal entries
-    assert z[1] == 0.0 and np.linalg.norm(z) == pytest.approx(1.0)
+    assert z[1] == 0.0 and z[2] == 1.0
     assert abs(z @ s @ z) <= 1e-15
+    # a two-column eigenspace: a negligible entry on either side (the first when both are), then equal diagonals
+    s = np.array([[1e-15, 0.7 + 0.2j], [0.7 + 0.2j, 2.0 - 1.0j]])
+    assert np.array_equal(factor._isotropic_in_subspace(s), [1.0, 0.0])
+    assert np.array_equal(factor._isotropic_in_subspace(s[::-1, ::-1].copy()), [0.0, 1.0])
+    assert np.array_equal(factor._isotropic_in_subspace(np.zeros((2, 2), dtype=complex)), [1.0, 0.0])
+    s[0, 0] = s[1, 1]
+    z = factor._isotropic_in_subspace(s)
+    assert z[0] == 1.0 and abs(z @ s @ z) <= 1e-15
+
+
+def _isotropic_candidates(c, cfg=CFG):
+    """(pair, e^T e) of every isotropic candidate of C, as ``_first_sound_plan`` takes them."""
+    scale = frobenius(c)
+    for pair, basis, _, _ in factor.eigen._candidate_pairs(c, cfg, scale):
+        ete = complex(pair.vector @ pair.vector)
+        if abs(ete) <= cfg.iso_tol:
+            yield pair, ete
+        elif basis is not None and (upgraded := factor._isotropic_upgrade(c, pair, basis, scale)) is not None:
+            yield upgraded
+
+
+def test_the_factor_path_reduction_agrees_with_reduce_case_ii():
+    # the factor path hands its unit, phase-canonical e and e^T e to the reduction, which takes
+    # them as given; the public reduce_case_ii phase-fixes, normalises and measures them again
+    seen = 0
+    for kind in ("IsotropicLambdaZero", "IsotropicLambdaNonzero"):
+        for seed in range(12):
+            c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind))
+            for pair, ete in _isotropic_candidates(c):
+                e = pair.vector
+                peak = e[np.argmax(np.abs(e))]
+                assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-15)
+                assert peak.real > 0.0 and abs(peak.imag) <= 1e-15  # phase-canonical up to rounding
+                a_prime, c_prime = factor._reduce_case_ii(c, e, ete, CFG)
+                want = reduce_case_ii(c, pair, CFG)
+                assert frobenius(a_prime - want[0]) <= 1e-14
+                assert frobenius(c_prime - want[1]) <= 1e-14 * frobenius(c)
+                assert frobenius(c_prime[:-1, :-1] - want[2]) <= 1e-14 * frobenius(c)
+                seen += 1
+    assert seen >= 20
+
+
+def test_an_isotropic_level_phase_fixes_its_e_once(monkeypatch):
+    # the pair's e is phase-canonical from its candidate test (or the upgrade); the level takes it
+    # as it is rather than fixing its phase again: one call returns a multiple of e
+    plans, calls = [], []
+    inner_plan, inner_phase = factor._plan, factor.eigen._phase_canonical
+
+    def plan(c, pair, *args):
+        plans.append(pair.vector)
+        return inner_plan(c, pair, *args)
+
+    def phase(v):
+        out = inner_phase(v)
+        calls.append(out.copy())
+        return out
+
+    monkeypatch.setattr(factor, "_plan", plan)
+    monkeypatch.setattr(factor.eigen, "_phase_canonical", phase)
+    for n in (4, 6, 8):
+        for seed in range(1, 5):
+            c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind="IsotropicLambdaNonzero"))
+            plans.clear()
+            calls.clear()
+            assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
+            assert plans
+            for e in plans:
+                assert sum(len(out) == len(e) and abs(np.vdot(out, e)) >= (1.0 - 1e-12) * np.linalg.norm(out)
+                           for out in calls) == 1
 
 
 def test_ldlt_agreement_when_it_succeeds():
@@ -898,11 +965,12 @@ def test_rank_deficient_noise_tail_is_one_zero_matrix_level(monkeypatch):
 
 def test_a_nilpotent_tail_is_tried_rejected_and_walked(monkeypatch):
     # blockdiag(diag(lam), s e e^T) with e isotropic, rotated by a real orthogonal Q: the
-    # nilpotent block's eigenvalues sit under the noise floor, so each range level is tried
-    # as one congruence with a null tail, but what it leaves out of C is the block itself, far
-    # above the floor; each range level is then one reflector, and the block it leaves takes a
-    # fresh eig.  The nilpotent block leaves through a null split or, on a rank-1 2 x 2 rest,
-    # through a chain with a null tail
+    # nilpotent block's eigenvalues sit under the noise floor, so each range level with two
+    # levels or more ahead of the tail is tried as one congruence with a null tail, but what it
+    # leaves out of C is the block itself, far above the floor; each range level is then one
+    # reflector, and the block it leaves takes a fresh eig.  A tail of one level is its reflector
+    # from the start.  The nilpotent block leaves through a null split or, on a rank-1 2 x 2
+    # rest, through one more reflector, whose noise block is recorded as ZeroMatrix
     built, chains, walks = [], [], _count_calls(monkeypatch, factor, "_walk")
     inner, checked = factor._whole_chain, factor._chain
 
@@ -933,8 +1001,8 @@ def test_a_nilpotent_tail_is_tried_rejected_and_walked(monkeypatch):
         walks.clear()
         r = factor_symmetric(0.5 * (c + c.T), CFG)
         assert all(rectangular for _, rectangular, _ in chains)  # every A built was rectangular
-        assert [(m, ok) for m, _, ok in chains if m >= 4] == [(6, False), (5, False), (4, False)]  # and rejected
-        assert len(walks) == 3
+        assert [(m, ok) for m, _, ok in chains] == [(6, False), (5, False)]  # and rejected
+        assert len(walks) == (4, 3, 4)[seed]
         assert r.trace.branches() == expected[seed]
         assert r.relative_residual <= CFG.verify_tol
 
@@ -1120,7 +1188,9 @@ def test_choose_x_picks_what_a_loop_over_its_rungs_picks():
     for n in (1, 2, 3, 5, 8):
         for weight in (1.0, 1e-4, 1e-8):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for ct in (weight * (a + a.T), weight * np.diag(np.diag(a))):
+            twin = np.outer(a[0], a[0])  # rank one, with columns 0 and 1 equal: a pair rung with c d = 0
+            twin[:, 1 % n], twin[1 % n] = twin[:, 0], twin[0]
+            for ct in (weight * (a + a.T), weight * np.diag(np.diag(a)), weight * twin):
                 la = complex(rng.standard_normal(), rng.standard_normal())
                 got = choose_x(ct, la)
                 strategy, score = _loop_choose_x(ct, la)
@@ -1141,6 +1211,13 @@ def _near_isotropic(seed, n, ete):
     return _unit(q[:, 0] + 1j * (1.0 + ete) * q[:, 1])
 
 
+def _isotropic_plan(c, pair, cfg=CFG):
+    """``factor._plan`` of an isotropic pair, its vector made unit and phase-canonical and its
+    e^T e measured, as the factor path hands them over."""
+    e = factor.eigen._phase_canonical(pair.vector / np.linalg.norm(pair.vector))
+    return factor._plan(c, EigenPair(value=pair.value, vector=e, residual=pair.residual), complex(e @ e), cfg)
+
+
 def _random_b(plan):
     """The level's B, completed by an arbitrary factor of the next block."""
     b = plan.b.copy()
@@ -1157,7 +1234,7 @@ def _product_and_solve(c, pair, plan, cfg=CFG):
 
 
 def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
-    from symfact.factor import _first_sound_plan, _plan
+    from symfact.factor import _first_sound_plan
 
     c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=1, kind="IsotropicLambdaZero"))
     c = c / frobenius(c)
@@ -1178,7 +1255,7 @@ def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
     assert 5e-10 < abs(complex(e @ e)) < 2e-9
     c = lam * (np.outer(e, e.conj()) + np.outer(e.conj(), e))
     isotropic.append((c, EigenPair(value=lam, vector=e, residual=0.0)))
-    levels += [(c, _plan(c, pair, CFG)) for c, pair in isotropic]
+    levels += [(c, _isotropic_plan(c, pair)) for c, pair in isotropic]
     kinds = [(p.records[0].branch, p.sub is None) for _, p in levels]
     assert kinds == [(BRANCH_CASE_II_LAMBDA_ZERO, False), (BRANCH_CASE_II_LAMBDA_ZERO, False),
                      (BRANCH_CASE_I, False), (BRANCH_CASE_II_DEGENERATE, True),
@@ -1193,8 +1270,6 @@ def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
 
 
 def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
-    from symfact.factor import _plan
-
     cfg = ToleranceConfig(iso_tol=1e-4)
     e = _near_isotropic(3, 7, 2e-5)
     assert 1e-5 < abs(complex(e @ e)) < 4e-5
@@ -1202,7 +1277,7 @@ def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
     s = np.random.default_rng(3).standard_normal((5, 5))
     c = w @ (s + s.T) @ w.T  # C e = 0, so the level is a lambda = 0 congruence
     pair = EigenPair(value=0.0, vector=e, residual=0.0)
-    plan = _plan(c, pair, cfg)
+    plan = _isotropic_plan(c, pair, cfg)
     assert plan.records[0].branch == BRANCH_CASE_II_LAMBDA_ZERO
     got, want = _product_and_solve(c, pair, plan, cfg)
     assert frobenius(got - want) <= 1e-14 * frobenius(want)
@@ -1250,15 +1325,13 @@ def _bordered(x, y):
 
 
 def test_a_bordered_level_carries_the_inverse_transpose_of_its_transform():
-    from symfact.factor import _plan
-
     e, lam, c = _isotropic_core(7, 6)
     w = complement_basis_within(e)
     rng = np.random.default_rng(7)
     s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     c = c + w @ (s + s.T) @ w.T
     pair = EigenPair(value=lam, vector=e, residual=0.0)
-    plan = _plan(c, pair, CFG)
+    plan = _isotropic_plan(c, pair)
     assert plan.records[0].branch == BRANCH_CASE_II_GENERAL and plan.sound
     a_prime, c_prime, ct_prime = reduce_case_ii(c / frobenius(c), pair, CFG)
     x = choose_x(ct_prime, c_prime[-2, -1]).x

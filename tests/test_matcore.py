@@ -7,6 +7,7 @@ from symfact.matcore import (
     SingularMatrixError,
     ToleranceConfig,
     ValidationError,
+    as_scalar,
     bilinear,
     complement_basis_within,
     frobenius,
@@ -56,6 +57,45 @@ def test_complement_basis_within_dim4():
     assert np.allclose(w.conj().T @ w, np.eye(2), atol=1e-13)
     assert np.max(np.abs(e.conj() @ w)) < 1e-12   # w^* e = 0 columnwise
     assert np.max(np.abs(e @ w)) < 1e-12          # w^* conj(e) = 0 columnwise
+
+
+def _householder(x):
+    """Unitary I - 2 v v^* whose first column is a unit multiple of x."""
+    x = x / np.linalg.norm(x)
+    v = x.copy()
+    v[0] += x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0
+    v /= np.linalg.norm(v)
+    return np.eye(len(x)) - 2.0 * np.outer(v, v.conj())
+
+
+def test_complement_basis_within_is_the_two_reflector_product_at_m_2_to_12():
+    # the basis is P1[:, 1:] P2[:, 1:], P1 the reflector of conj(e), P2 that of e's other
+    # coordinates in P1's basis: formed as two rank-1 terms, it is the same matrix
+    for m in range(2, 13):
+        for seed in range(10):
+            rng = np.random.default_rng(100 * m + seed)
+            q, _ = np.linalg.qr(rng.standard_normal((m, 2)))
+            e = (q[:, 0] + 1j * q[:, 1]) / np.sqrt(2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            w = complement_basis_within(3.0 * e)  # any norm; the basis is of e/|e|
+            assert w.shape == (m, m - 2)
+            assert frobenius(w.conj().T @ w - np.eye(m - 2)) <= 1e-14
+            assert np.abs(e @ w).max(initial=0.0) <= 1e-15 and np.abs(e.conj() @ w).max(initial=0.0) <= 1e-15
+            p1 = _householder(e.conj())
+            p2 = _householder((p1.conj().T @ e)[1:])
+            reference = p1[:, 1:] @ p2[:, 1:]
+            assert frobenius(w - reference) <= 1e-14
+            assert frobenius(w @ w.conj().T - reference @ reference.conj().T) <= 1e-14
+
+
+def test_as_scalar_rejects_nan_or_inf_in_either_part():
+    assert as_scalar(np.complex128(1.5 - 2j)) == complex(1.5, -2.0)
+    assert as_scalar(3) == 3.0
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(1.0, np.nan), complex(np.inf, 1.0),
+                complex(1.0, -np.inf), float("nan")):
+        with pytest.raises(ValidationError):
+            as_scalar(bad)
+    with pytest.raises(ValidationError):
+        principal_sqrt(complex(4.0, np.nan))
 
 
 def test_complement_basis_within_rejects_non_isotropic():
