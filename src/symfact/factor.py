@@ -12,8 +12,8 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
                           recorded as ``CaseI``).
 * ``CaseII_General``      isotropic e, lambda != 0, coupling block nonzero:
                           an extra bordered transform D restores the CaseI
-                          shape; the free entries of D are chosen so that
-                          det D is safely nonzero.
+                          shape; the free entries of D are scored, and the
+                          best-scoring choice is taken.
 * ``CaseII_Degenerate``   isotropic e, lambda != 0, coupling block zero or
                           negligible: the remaining 2x2 antidiagonal core is
                           factored in closed form.
@@ -105,9 +105,6 @@ _LAMBDA_ZERO_CUT = 1e-10
 _ALLZERO_CUT = 1e-10
 #: symmetry defect tolerated (and symmetrized away) on input
 _SYM_BAND = 1e-12
-#: lower bound on the accepted |det D| of the bordered transform, relative to
-#: max(1, |c_tilde'|_F / |lambda*alpha|^2)
-_DET_TOL = 1e-10
 #: an isotropic eigenvector with 0 < |lambda| below this fraction of |C|_F
 #: drives the bordered transform (x_n = -1/(lambda*alpha)) toward singularity;
 #: such candidates are deferred the same way
@@ -116,6 +113,9 @@ _LAMBDA_DANGER = 1e-4
 #: through the closed form: that costs at most its own norm, far under
 #: verify_tol, while a bordered transform built on it scores rounding noise
 _DROP_CUT = 5e-9
+#: a bordered transform whose score (|det D| against |x||y|, a 1/cond proxy) is below this is
+#: unsound: ``choose_x`` labels it ``fallback:`` and ``_plan`` marks its plan unsound
+_SOUND_SCORE = 1e-3
 #: ``orthogonal_gauge`` accepts o with |o^T o - I|_F up to this multiple of max(|o|_F^2, 1)
 _GAUGE_TOL = 1e-10
 #: |C|_F outside this band is factored as 4^-k C, largest entry near 1: near the ends of the
@@ -125,13 +125,6 @@ _NORM_BAND = (2.0**-400, 2.0**400)
 
 class NotSymmetricError(ValueError):
     """Input matrix is not symmetric within the accepted band."""
-
-
-class AllZeroSignal:
-    """Returned by choose_x when the coupling block vanishes identically."""
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return "AllZeroSignal()"
 
 
 @dataclass(frozen=True)
@@ -264,9 +257,11 @@ def choose_x(c_tilde_prime, lambda_alpha):
     pivots of Bunch & Kaufman).  A rung with |c_tilde' d| between the
     all-zero cut of |lambda*alpha| and 1 is scaled to 1/sqrt(|c_tilde' d|)
     (at most 1e8), so a block weak against lambda*alpha still gives a
-    well-conditioned D.  The best-scoring rung whose |det D| clears
-    ``_DET_TOL`` is taken.  Returns AllZeroSignal when the coupling block
-    vanishes, which routes to the closed-form branch.
+    well-conditioned D.  The best-scoring rung is taken; one scoring below
+    ``_SOUND_SCORE`` is labelled ``fallback:``.  Whether the coupling block is
+    worth bordering is the caller's decision (``_plan`` drops a negligible one
+    first): on an all-zero block every rung scores 0, and the result is
+    ``fallback:zero`` with det D = 0.
 
     Each rung scores in closed form, in scalars: with c = c_tilde', c_k its
     last column, g = c^* c_k, x = [s d; x_n] and y = c x,
@@ -280,13 +275,9 @@ def choose_x(c_tilde_prime, lambda_alpha):
     la = as_scalar(lambda_alpha, "lambda_alpha")
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
-    # the all-zero test's one scan is also the finiteness check: NaN or Inf makes it non-finite
     moduli = np.abs(ct)
-    peak = float(moduli.max())
-    if not math.isfinite(peak):
+    if not math.isfinite(float(moduli.max())):  # NaN or Inf makes the largest modulus non-finite
         raise ValidationError("c_tilde_prime contains NaN or Inf entries")
-    if peak <= _ALLZERO_CUT * abs(la):
-        return AllZeroSignal()
     k = ct.shape[0] - 1  # entries 0..k-1 of x are the rung's, entry k is x_n
     cols = (moduli * moduli).sum(axis=0)  # |c_i|^2
     diag, last, norms, g = ct.diagonal().tolist(), ct[:, k].tolist(), cols.tolist(), (ct[:, k] @ ct.conj()).tolist()
@@ -303,7 +294,6 @@ def choose_x(c_tilde_prime, lambda_alpha):
                           last[i] + sign * last[j], frobenius(ct[:, i] + sign * ct[:, j]) ** 2, g[i] + sign * g[j]))
     xn = -1.0 / la
     xn2, cut = abs(xn) ** 2, _ALLZERO_CUT * abs(la)
-    threshold = _DET_TOL * max(1.0, math.sqrt(sum(norms)) / abs(la) ** 2)
     best = None
     for label, entries, quad, along, weight2, dg in rungs:
         weight = math.sqrt(weight2)
@@ -312,15 +302,14 @@ def choose_x(c_tilde_prime, lambda_alpha):
         yy = s * (s * weight2 + 2.0 * (xn * dg).real) + xn2 * norms[k]
         # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
         score = abs(det_d) / (1.0 + math.sqrt((s * s * len(entries) + xn2) * max(yy, 0.0)))
-        rank = (abs(det_d) >= threshold, score)  # a rung that clears ranks first
-        if best is None or rank > best[0]:
-            best = rank, label, entries, s, det_d
-    (clears, score), label, entries, s, det_d = best
+        if best is None or score > best[0]:
+            best = score, label, entries, s, det_d
+    score, label, entries, s, det_d = best
     x = np.zeros(k + 1, dtype=np.complex128)
     for index, sign in entries:
         x[index] = sign * s
     x[k] = xn
-    if not (clears and score >= 1e-3):
+    if score < _SOUND_SCORE:
         label = f"fallback:{label}"
     return ChosenX(x=x, det_d=det_d, strategy=label, score=score)
 
@@ -532,7 +521,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
         if iso is not None:
             modulus = abs(iso[0].value)
             in_gap = _LAMBDA_ZERO_CUT * scale < modulus < _LAMBDA_DANGER * scale
-            plan = None if in_gap else _plan(c, *iso, cfg, scale)
+            plan = None if in_gap else _plan(c, *iso, scale)
             if plan is not None and plan.sound:
                 return plan
             if fallback_iso is None or modulus > abs(fallback_iso[0][0].value):
@@ -544,7 +533,7 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
             fallback_ete = (pair, ete)
     if fallback_iso is not None:
         iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, *iso, cfg, scale)
+        return plan if plan is not None else _plan(c, *iso, scale)
     if fallback_ete is not None:
         return _panel(c, *fallback_ete, None, cfg)
     raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
@@ -578,20 +567,21 @@ def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None)
     complement of {e, conj(e)} | conj(e) | e] is unitary, C' = A'^T C A' has
     its last row and column zero except the antidiagonal corner entries
     lambda*alpha, and c_tilde_prime is the leading symmetric block.  Any pair
-    is accepted: its vector is made phase-canonical and unit here.
+    is accepted: its vector is made phase-canonical and unit here, and must
+    then have |e^T e| <= iso_tol.
     """
     c = as_matrix(c, square=True, name="C")
     e = eigen._phase_canonical(np.asarray(pair.vector, dtype=np.complex128))
     e = e / frobenius(e)
-    a_prime, c_prime = _reduce_case_ii(c, e, complex(np.dot(e, e)), cfg or _DEFAULT_CONFIG)
+    if abs(complex(np.dot(e, e))) > (cfg or _DEFAULT_CONFIG).iso_tol:
+        raise ValidationError("eigenvector is not isotropic; wrong branch")
+    a_prime, c_prime = _reduce_case_ii(c, e)
     return a_prime, c_prime, c_prime[:-1, :-1].copy()
 
 
-def _reduce_case_ii(c: np.ndarray, e: np.ndarray, ete: complex, cfg: ToleranceConfig) -> tuple:
-    """(A', C') of ``reduce_case_ii`` for a validated C and a unit, phase-canonical e with e^T e = ``ete``,
-    taken as given: the factor path has them from its eigenpair."""
-    if abs(ete) > cfg.iso_tol:
-        raise ValidationError("eigenvector is not isotropic; wrong branch")
+def _reduce_case_ii(c: np.ndarray, e: np.ndarray) -> tuple:
+    """(A', C') of ``reduce_case_ii`` for a validated C and a unit, phase-canonical e, taken as
+    given: the factor path has them from its eigenpair, whose e^T e its candidate test measured."""
     m = c.shape[0]
     a_prime = np.empty((m, m), dtype=np.complex128)
     a_prime[:, :-2] = _complement_basis_within(e)
@@ -601,21 +591,25 @@ def _reduce_case_ii(c: np.ndarray, e: np.ndarray, ete: complex, cfg: ToleranceCo
     return a_prime, 0.5 * (c_prime + c_prime.T)
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, cfg: ToleranceConfig,
-          scale: float | None = None) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | None = None) -> LevelPlan:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
     ``pair`` holds the unit, phase-canonical isotropic e that its candidate test measured, and
     ``ete`` = e^T e; the level takes both as they are.  The level is built on C / |C|_F (``scale``
     when the caller has it): the bordered transform compares against absolute constants, and that
     block is bit for bit the same for C and 4^k*C.  B, the next block and the recorded
-    lambda*alpha come back in C's units; a corner under the lambda = 0 cut is a
-    ``CaseII_LambdaZero`` level.
+    lambda*alpha come back in C's units.  The route is decided here, once: a corner under the
+    lambda = 0 cut is a ``CaseII_LambdaZero`` level; a coupling block c_tilde' whose largest entry
+    is under the all-zero cut of |lambda*alpha| (``allzero``) or whose norm is under the drop cut
+    (``dropped``) is left out through the closed form, a ``CaseII_Degenerate`` level; any other
+    is bordered by ``choose_x``'s best rung, a ``CaseII_General`` level, sound unless its score is
+    below ``_SOUND_SCORE``.  Neither coupling cut implies the other: a block of many entries each
+    just under the all-zero cut can exceed the drop cut.
     """
     m = c.shape[0]
     scale = frobenius(c) if scale is None else scale
     b = np.zeros((m, m), dtype=np.complex128)
-    a_prime, c_prime = _reduce_case_ii(c / scale, pair.vector, ete, cfg)
+    a_prime, c_prime = _reduce_case_ii(c / scale, pair.vector)
     ct = c_prime[:-1, :-1]  # c_tilde', a view: c_prime is not used past it
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha, at unit norm
     iso = dict(dim=m, value=la * scale, ete=0.0)
@@ -623,13 +617,13 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, cfg: ToleranceConf
     if abs(la) <= _LAMBDA_ZERO_CUT:
         record = LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso)
         return LevelPlan((record,), left, ct * scale, b)
-    chosen = choose_x(ct, la)
-    allzero = isinstance(chosen, AllZeroSignal)
+    allzero = float(np.abs(ct).max()) <= _ALLZERO_CUT * abs(la)
     if allzero or frobenius(ct) <= _DROP_CUT:
         b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * np.sqrt(scale)
         record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
                              **iso)
         return LevelPlan((record,), left, None, b)
+    chosen = choose_x(ct, la)
     # A = A' D, D = [[I, x], [y^T, 0]]; with s = x^T y = -det D, D^-T = [[I - y x^T/s, y/s], [x^T/s, -1/s]]
     x = chosen.x
     y = ct @ x
@@ -646,7 +640,7 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, cfg: ToleranceConf
     ct[:, -1] += y
     b[m - 1, m - 1] = principal_sqrt(s) * np.sqrt(scale)  # lambda'^2 = s
     record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
-    return LevelPlan((record,), left, ct * scale, b, sound=chosen.score >= 1e-3)
+    return LevelPlan((record,), left, ct * scale, b, sound=chosen.score >= _SOUND_SCORE)
 
 
 def _gram_corrected(a: np.ndarray, ete: complex) -> np.ndarray:

@@ -53,12 +53,13 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("eig_tol", "iso_tol", "verify_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0.0 and np.isfinite(value)):
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0.0
+                    and np.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
         if not _ISO_FLOOR <= self.iso_tol < _ETE_DANGER:
             raise ValidationError(f"iso_tol must be below {_ETE_DANGER:g} and at least {_ISO_FLOOR:g}, "
                                   f"that is in [{_ISO_FLOOR:g}, {_ETE_DANGER:g}), got {self.iso_tol!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 

@@ -158,6 +158,12 @@ def test_principal_sqrt_squares_back_on_grid():
 def test_tolerance_config_validation():
     with pytest.raises(ValidationError):
         ToleranceConfig(iso_tol=-1.0)
+    # a bool is an int to isinstance, but True is no tolerance and no seed
+    for name in ("eig_tol", "iso_tol", "verify_tol", "seed"):
+        with pytest.raises(ValidationError, match=name):
+            ToleranceConfig(**{name: True})
+    with pytest.raises(ValidationError, match="seed"):
+        ToleranceConfig(seed=False)
     cfg = ToleranceConfig()
     assert cfg.iso_tol == 1e-8
 

@@ -147,7 +147,7 @@ def test_generator_coverage_forcing():
 def test_gen_complex_orthogonal():
     assert np.allclose(gen_complex_orthogonal(1, 0), [[1.0]])
     for seed in range(10):
-        for dim in (2, 3, 6):
+        for dim in (2, 3, 6, 16, 32, 64):
             o = gen_complex_orthogonal(dim, seed)
             assert frobenius(o.T @ o - np.eye(dim)) <= 1e-10
             assert np.max(np.abs(o.imag)) > 0 or dim == 1  # genuinely complex draws
