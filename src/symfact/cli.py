@@ -174,13 +174,13 @@ def _cnum(z) -> list:
     return [z.real, z.imag]
 
 
-def _cmatrix(mat) -> _RawJson:
-    """A complex matrix as rows of [re, im] pairs, rendered by one template;
-    non-finite entries are quoted strings, as ``_json_scalar`` writes them."""
+def _cmatrix(mat, text: str | None = None) -> _RawJson:
+    """A complex matrix as rows of [re, im] pairs, rendered from ``format_matrix``'s text (``text``
+    when the caller has it), whose "re,im" tokens are the pairs; non-finite entries are quoted
+    strings, as ``_json_scalar`` writes them."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-    rows, cols = mat.shape
-    row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
-    text = ("[" + ",".join([row] * rows) + "]") % _interleaved(mat)
+    rows = (format_matrix(mat) if text is None else text).split("\n")[1:-1]
+    text = "[" + ",".join(["[[" + row.replace(" ", "],[") + "]]" for row in rows]) + "]"
     if not np.isfinite(mat).all():
         text = re.sub(r"-?inf|nan", r'"\g<0>"', text)
     return _RawJson(text)
@@ -249,9 +249,10 @@ def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
     except (eigen.ConvergenceError, SingularMatrixError) as exc:
         return _error_report("factor", digest, cfg, exc), EXIT_NUMERIC_FAILURE
     passed = result.relative_residual <= cfg.verify_tol
+    v_text = format_matrix(result.V)  # the report's V and the --out-v file, formatted once
     payload = {
         "dim": int(c.shape[0]),
-        "V": _cmatrix(result.V),
+        "V": _cmatrix(result.V, v_text),
         "residual": result.residual,
         "relative_residual": result.relative_residual,
         "trace": _trace_dict(result.trace),
@@ -271,7 +272,7 @@ def _cmd_factor(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
     if args.out_v:
         try:
             with open(args.out_v, "w", encoding="utf-8") as fh:
-                fh.write(format_matrix(result.V))
+                fh.write(v_text)
         except OSError as exc:
             return _error_report("factor", digest, cfg, exc), EXIT_INPUT_ERROR
     return _report("factor", digest, cfg, payload, "pass" if passed else "fail"), (

@@ -18,7 +18,6 @@ LAPACK's non-convergence is a ConvergenceError throughout.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +57,22 @@ class DefectiveOperatorError(ValueError):
     """The operator is not diagonalizable to working precision."""
 
 
-@contextmanager
-def _lapack(what: str):
-    """Re-raise LAPACK's non-convergence (LinAlgError) as a ConvergenceError."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"{what} did not converge: {exc}") from exc
+class _lapack:
+    """Context that re-raises LAPACK's non-convergence (LinAlgError) as a ConvergenceError."""
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
+            raise ConvergenceError(f"{self.what} did not converge: {exc}") from exc
+        return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenPair:
     """One eigenvalue with a unit-norm eigenvector and its residual
     |A e - value*e| (absolute, bounded by eig_tol * |A|_F on success)."""
@@ -104,7 +109,7 @@ class BiorthonormalSystem:
 
 def _phase_canonical(v: np.ndarray) -> np.ndarray:
     """Fix the free complex phase: largest-modulus entry made real positive."""
-    i = int(np.argmax(np.abs(v)))
+    i = int(np.abs(v).argmax())
     a = v[i]
     if a == 0.0:
         return v
@@ -135,7 +140,7 @@ def _rayleigh_pair(a: np.ndarray, v: np.ndarray, av: np.ndarray | None = None) -
     """Unit v with its Rayleigh quotient v^* A v and residual; ``av`` is A v when the caller has it."""
     av = a @ v if av is None else av
     lam = complex(np.vdot(v, av))
-    return EigenPair(value=lam, vector=_phase_canonical(v), residual=frobenius(av - lam * v))
+    return EigenPair(lam, _phase_canonical(v), frobenius(av - lam * v))
 
 
 def _simple_and_near_zero(gap, modulus, scale):
@@ -181,7 +186,7 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = 
         gap = np.abs(vals - vals[i])
         gap[i] = np.inf
         cand = complex(vals[i])
-        simple, near_zero = _simple_and_near_zero(gap.min(), abs(cand), scale)
+        simple, near_zero = _simple_and_near_zero(min(gap.tolist()), abs(cand), scale)
         if not simple and (gap[kept] <= 1e-12 * scale).any():  # absorbed by an earlier kept one
             continue
         kept.append(i)

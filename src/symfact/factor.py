@@ -61,6 +61,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -121,6 +122,8 @@ _GAUGE_TOL = 1e-10
 #: |C|_F outside this band is factored as 4^-k C, largest entry near 1: near the ends of the
 #: float range, |C|_F^2 overflows (|C|_F ~ 1.3e154) or underflows
 _NORM_BAND = (2.0**-400, 2.0**400)
+#: the smallest normal float, the symmetry test's least scale
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class NotSymmetricError(ValueError):
@@ -135,7 +138,7 @@ class ChosenX:
     score: float = 1.0  # |det D| relative to the size of D, a 1/cond proxy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelRecord:
     """One level of the trace.  ``value`` (the eigenvalue, lambda*alpha on the
     isotropic branches, the entry at Base) is in the input's units; ``det_d`` at unit norm.
@@ -150,7 +153,7 @@ class LevelRecord:
     x_strategy: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelPlan:
     """Levels decided but not yet assembled, one record each: V = A^-T B^T = ``left`` B^T.
 
@@ -211,11 +214,13 @@ def verify_factorization(c, v, cfg: ToleranceConfig | None = None) -> VerifyResu
     return VerifyResult(residual=residual, relative_residual=relative, passed=relative <= cfg.verify_tol)
 
 
-def _residual(inner: np.ndarray, w: np.ndarray, unit: float = 1.0) -> tuple:
+def _residual(inner: np.ndarray, w: np.ndarray, unit: float = 1.0, norm: float | None = None) -> tuple:
     """(|C - V V^T|_F, that relative to max(|C|_F, 1)) of C = 4^k ``inner`` and V = 2^k ``w``,
-    ``unit`` = 2^k: both norms are taken at the prescaled size and scaled back."""
+    ``unit`` = 2^k: both norms are taken at the prescaled size and scaled back.  ``norm`` is
+    |``inner``|_F when the caller has it."""
     residual = frobenius(inner - w @ w.T) * unit * unit
-    return residual, residual / max(frobenius(inner) * unit * unit, 1.0)
+    norm = frobenius(inner) if norm is None else norm
+    return residual, residual / max(norm * unit * unit, 1.0)
 
 
 def _norm_and_prescale(c: np.ndarray) -> tuple:
@@ -351,23 +356,25 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, r: np.nd
     ct = r.T @ c @ r
     ete = complex(np.dot(pair.vector, pair.vector))
     branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
-    record = LevelRecord(dim=m, branch=branch, value=pair.value, ete=ete)
+    record = LevelRecord(m, branch, pair.value, ete)
     return LevelPlan((record,), np.hstack([r, null]).conj(), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
 
 
 def _reflects(ete: complex) -> bool:
-    """Whether a simple pair with this e^T e is safely non-isotropic (iso_tol is below the cut): a panel level.
-    Elementwise on an array of e^T e."""
+    """Whether a simple pair with this e^T e is safely non-isotropic (iso_tol is below the cut): a panel level."""
     return abs(ete) >= _ETE_DANGER
 
 
 def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | None, cfg: ToleranceConfig,
            floor: float = 0.0) -> LevelPlan:
     """CaseI levels on ``pair`` (``ete`` = e^T e) by one complex-orthogonal congruence A: the chain
-    that ``_chain`` builds from the other eigenpairs ``rest`` and checks, or else ``_walk``'s one
-    reflector A = Q, which leaves a block that takes a fresh eigendecomposition in the next plan.
+    that ``_chain`` builds from the other eigenpairs ``rest`` and checks (its pre-check and its
+    re-check are one helper, ``_passing``, each evaluated once over all the chain's levels), or else
+    ``_walk``'s one reflector A = Q, which leaves a block that takes a fresh eigendecomposition in
+    the next plan.
     With M = A^T C A, V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading
-    block, and column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T.
+    block, and column p of [R12; R22] M[:p, p]/sqrt(M_pp) over sqrt(M_pp); the plan's B is R^T, the
+    lower triangle of M scaled row by row.
     """
     m = c.shape[0]
     lower = np.arange(m)[:, None] >= np.arange(m)
@@ -377,46 +384,55 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
         mm = left.T @ c @ left
         chain = left, 0.5 * (mm + mm.T), m - 1, [ete]
     left, mm, k, etes = chain
-    mu = np.diagonal(mm)[k:]
+    mu = mm.diagonal()[k:]
     root = np.sqrt(mu + 0.0)  # + 0.0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
     b = np.where(lower, mm, 0.0)  # its leading k x k block is overwritten by V'^T
     b[k:] /= root[:, None]
     b.flat[k * (m + 1) :: m + 1] = root
-    records = tuple(LevelRecord(dim=m - i, branch=BRANCH_CASE_I, value=complex(value), ete=e)
-                    for i, (value, e) in enumerate(zip(mu[::-1], etes)))
+    records = tuple(map(LevelRecord, range(m, k, -1), repeat(BRANCH_CASE_I), mu[::-1].tolist(), etes))
     return LevelPlan(records, left, mm[:k, :k], b)
+
+
+def _passing(gaps: np.ndarray, moduli: np.ndarray, norms: np.ndarray, floor: float) -> np.ndarray:
+    """Whether each of a chain's candidates is taken first by eigen's tests (simple at ``gaps`` from
+    the eigenvalues after it, ``moduli`` away from zero) in a block of norm ``norms``, past no block of
+    norm at most ``floor``: ``_chain``'s pre-check at Schur bounds and its re-check at M's norms."""
+    simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, norms)
+    return (norms > floor) & simple & ~near_zero
 
 
 def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg: ToleranceConfig, floor: float):
     """(A^-T, M, k, e^T e of each level) of the chain on ``pair`` and the eigenpairs ``rest``, whose
     levels leave a k x k block, or None when the chain is not built or fails a check.
 
-    Candidate i passes when the block after level i would take it first by eigen's tests at the
-    Schur bound sqrt(sum |vals|^2) of its norm, past no block of norm at most ``floor``.  When the
-    passing candidates are all of them (two levels or more), or a prefix of r whose rest has a Schur
-    bound at most ``floor`` (a null tail), ``_whole_chain`` builds the chain's m x (r + 1)
-    congruence A and L from the eigenvectors, unless some e^T e fails ``_reflects``.  It is taken
-    only when delta = C - L M L^T, all it leaves out, has |delta|_F <= ``floor``.  With
+    Candidate i passes the pre-check when ``_passing`` takes it at the Schur bound
+    sqrt(sum |vals|^2) of the block after level i, its gap measured to the eigenvalues after it.
+    When the passing candidates are all of them (two levels or more), or a prefix of r whose rest
+    has a Schur bound at most ``floor`` (a null tail), ``_whole_chain`` builds the chain's
+    m x (r + 1) congruence A and L from the eigenvectors, unless some e^T e fails ``_reflects``.  It
+    is taken only when delta = C - L M L^T, all it leaves out, has |delta|_F <= ``floor``.  With
     X = delta A - L (A^T delta A)/2, X L^T + L X^T is delta but for its part off A's range on both
     sides, so L + X diag(M)^-1 keeps delta's coupling to A's range to first order, as a reflector
     keeps M's coupling block.  A null tail's M and L are zero-padded to m x m: the tail is an exact
     zero block, which the loop records as ``ZeroMatrix``.  Each level but the first is then
-    re-checked at its block's norm in M (cumulative sums of |M|^2), with its corner's coupling
-    |M[:p, p]| against eig_tol.
+    re-checked by ``_passing`` at its block's norm in M (cumulative sums of |M|^2, read on their
+    diagonals), with its corner's coupling |M[:p, p]| against eig_tol.
     """
     m = c.shape[0]
-    vals, moduli = rest[0], np.abs(rest[0])
-    schur = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
-    later = np.arange(m - 1)[:, None] < np.arange(m - 1)
-    gaps = np.where(later, np.abs(vals[:, None] - vals), np.inf).min(axis=1)
-    simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, schur)
-    passing = (schur > floor) & simple & ~near_zero
-    r = m - 1 if passing.all() else int(passing.argmin())
+    vals, vecs = rest
+    moduli = np.abs(vals)
+    schur = np.sqrt(np.add.accumulate(moduli[::-1] ** 2)[::-1])
+    index = np.arange(m - 1)
+    gaps = np.where(index[:, None] < index, np.abs(vals[:, None] - vals), np.inf).min(axis=1)
+    passing = _passing(gaps, moduli, schur, floor)
+    r = int(passing.argmin())  # the first candidate that fails, or 0 when none does
+    if passing[r]:
+        r = m - 1
     # the whole spectrum or a null tail, of two levels or more: a chain of one level is its reflector,
     # which costs less, and the block a reflector leaves under the floor is recorded without an eig
     if not ((r == m - 1 and m > 2) or (0 < r < m - 1 and schur[r] <= floor)):
         return None
-    whole = _whole_chain(pair, ete, rest[1][:, :r], c, vals[:r])
+    whole = _whole_chain(pair, ete, vecs[:, :r], c, vals[:r])
     if whole is None:
         return None
     a, left, etes = whole
@@ -429,17 +445,19 @@ def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg:
         return None
     x = delta @ a  # fold delta's coupling to A's range into L (above), in place to spare copies
     x -= left @ (0.5 * (a.T @ x))
-    left = left + x / np.diagonal(mm)
+    x /= mm.diagonal()
+    left += x
     if a.shape[1] < m:  # a null tail: M's leading k x k block and its coupling are exact zeros
         padded = np.zeros((m, m), dtype=np.complex128)
         padded[k:, k:] = mm
         mm, left = padded, np.hstack([np.zeros((m, k), dtype=np.complex128), left])
-    cols = np.cumsum(mm.real**2 + mm.imag**2, axis=0)
-    corner = np.arange(m - 2, k - 1, -1)  # the coordinate levels 1 .. p-1 split off
-    norms = np.sqrt(np.cumsum(cols, axis=1)[corner, corner])
-    simple, near_zero = eigen._simple_and_near_zero(gaps[: p - 1], moduli[: p - 1], norms)
-    ok = (norms > floor) & simple & ~near_zero & (np.sqrt(cols[corner - 1, corner]) <= cfg.eig_tol * norms)
-    return (left, mm, k, etes) if ok.all() else None
+    squares = mm.view(np.float64) ** 2  # re^2 and im^2 of each entry, side by side
+    cols = np.add.accumulate(squares[:, ::2] + squares[:, 1::2], axis=0)
+    # the coordinates levels 1 .. p-1 split off are m-2 down to k: their leading blocks and couplings
+    norms = np.sqrt(np.add.accumulate(cols, axis=1).diagonal()[k : m - 1][::-1])
+    coupling = np.sqrt(cols.diagonal(1)[k - 1 : m - 2][::-1])
+    ok = _passing(gaps[: p - 1], moduli[: p - 1], norms, floor) & (coupling <= cfg.eig_tol * norms)
+    return (left, mm, k, etes) if all(ok.tolist()) else None  # in scalars: a reduction call costs more
 
 
 def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray, vals: np.ndarray):
@@ -455,14 +473,15 @@ def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.nd
     component is the product's rounding alone.  A level's e^T e is that of eig's phase-canonical
     unit eigenvector.
     """
-    vtv = np.einsum("ij,ij->j", vecs, vecs)
-    unit = vtv / np.einsum("ij,ij->j", vecs.conj(), vecs).real  # e^T e of the unit e
-    if not _reflects(unit).all():
+    unit = np.einsum("ij,ij->j", vecs, vecs)
+    unit /= np.einsum("ij,ij->j", vecs.conj(), vecs).real  # e^T e of the unit e
+    if not all(map(_reflects, unit.tolist())):
         return None
     peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
     etes = [ete, *(unit * (np.abs(peak) / peak) ** 2).tolist()]  # phase as eigen._phase_canonical
-    e = c @ np.hstack([vecs[:, ::-1], pair.vector[:, None]]) / np.concatenate([vals[::-1], [pair.value]])
-    a = e / np.sqrt(np.einsum("ij,ij->j", e, e) + 0.0)
+    a = c @ np.concatenate((vecs[:, ::-1], pair.vector[:, None]), axis=1)
+    a /= np.concatenate((vals[::-1], [pair.value]))
+    a /= np.sqrt(np.einsum("ij,ij->j", a, a) + 0.0)
     defect = a.T @ a
     defect.flat[:: a.shape[1] + 1] -= 1.0
     return a, a - a @ defect, etes
@@ -680,7 +699,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
         c = c / unit / unit
         norm_c = frobenius(c)
     defect = frobenius(c - c.T)
-    if defect > _SYM_BAND * max(norm_c, np.finfo(np.float64).tiny):
+    if defect > _SYM_BAND * max(norm_c, _TINY):
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
     c = 0.5 * (c + c.T)
     levels: list = []
@@ -689,16 +708,16 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     # once its range has left): it has no null space of its own, and would be taken down one level at a time
     floor = eigen._EIGENSPACE_CUT * norm_c
     block = c
+    scale = norm_sym = frobenius(c)  # the top block's norm is also the residual's
     while True:
         m = block.shape[0]
-        scale = frobenius(block)
         if scale <= floor:
-            levels.append(LevelRecord(dim=m, branch=BRANCH_ZERO_MATRIX))
+            levels.append(LevelRecord(m, BRANCH_ZERO_MATRIX))
             v = np.zeros((m, m), dtype=np.complex128)
             break
         if m == 1:
             value = complex(block[0, 0])
-            levels.append(LevelRecord(dim=1, branch=BRANCH_BASE, value=value))
+            levels.append(LevelRecord(1, BRANCH_BASE, value))
             v = np.array([[principal_sqrt(value)]], dtype=np.complex128)
             break
         plan = _first_sound_plan(block, cfg, scale, floor)
@@ -708,13 +727,13 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
             v = None
             break
         block = plan.sub
+        scale = frobenius(block)
     for left, b in reversed(steps):
         if v is not None:
             b[: len(v), : len(v)] = v.T
         v = left @ b.T
-    residual, relative = _residual(c, v, unit)
+    residual, relative = _residual(c, v, unit, norm_sym)
     if unit != 1.0:
         v = v * unit
         levels = [lv if lv.value is None else replace(lv, value=lv.value * unit * unit) for lv in levels]
-    return FactorizationResult(V=v, residual=residual, relative_residual=relative,
-                               trace=RecursionTrace(levels=tuple(levels)))
+    return FactorizationResult(v, residual, relative, RecursionTrace(tuple(levels)))

@@ -1417,3 +1417,116 @@ def test_the_bordered_condition_formula_matches_numpy():
                 want = np.linalg.cond(_bordered(x, yy), "fro")
                 assert factor._bordered_cond(x, yy, complex(x @ yy)) == pytest.approx(want, rel=1e-6)
     assert factor._bordered_cond(np.ones(2), np.array([1.0, -1.0]), 0j) == np.inf
+
+
+def _reference_chain_taken(c, pair, ete, rest, cfg, floor):
+    """Whether ``factor._chain`` takes the chain on ``pair`` and ``rest``, by a slow walk level by
+    level: eigen's tests at the Schur bound of each level's block choose r, then the congruence of
+    the eigenvectors C e / lambda, normalised bilinearly, is checked against C and, level by level,
+    at the norm of M = A^T C A's leading block, with the coupling |M[:q, q]| of its corner q."""
+    m = c.shape[0]
+    vals, vecs = rest
+
+    def passes(i, norm):
+        gap = min((abs(vals[i] - vals[j]) for j in range(i + 1, m - 1)), default=np.inf)
+        simple, near_zero = factor.eigen._simple_and_near_zero(gap, abs(vals[i]), norm)
+        return norm > floor and simple and not near_zero
+
+    def schur(i):
+        return np.sqrt(sum(abs(v) ** 2 for v in vals[i:]))
+
+    r = next((i for i in range(m - 1) if not passes(i, schur(i))), m - 1)
+    if not ((r == m - 1 and m > 2) or (0 < r < m - 1 and schur(r) <= floor)):
+        return False
+    if any(abs(v @ v) / np.linalg.norm(v) ** 2 < factor._ETE_DANGER for v in vecs[:, :r].T):
+        return False
+    cols = [c @ vecs[:, j] / vals[j] for j in reversed(range(r))] + [c @ pair.vector / pair.value]
+    a = np.column_stack([f / np.sqrt(f @ f + 0j) for f in cols])
+    left = a @ (2.0 * np.eye(r + 1) - a.T @ a)
+    mm = a.T @ c @ a
+    if np.linalg.norm(c - left @ mm @ left.T) > floor:
+        return False
+    full = np.zeros((m, m), dtype=complex)
+    full[m - r - 1 :, m - r - 1 :] = mm
+    for level in range(1, min(r + 1, m - 1)):  # the levels after the first, on corners m-2, m-3, ...
+        q = m - 1 - level
+        norm = np.linalg.norm(full[: q + 1, : q + 1])
+        if not passes(level - 1, norm) or np.linalg.norm(full[:q, q]) > cfg.eig_tol * norm:
+            return False
+    return True
+
+
+def _close_pair(n, position, gap, seed):
+    """Q diag(d) Q^T, Q real orthogonal, whose eigenvalues at ``position`` and the next in the candidate
+    order (largest modulus first) lie ``gap`` * |C|_F apart."""
+    rng = np.random.default_rng(seed)
+    d = np.sort(rng.uniform(1.0, 3.0, n))[::-1] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    d[position + 1] = abs(d[position]) * (1.0 - 1e-9) * np.exp(1j * np.angle(d[position]))
+    d[position + 1] -= gap * np.linalg.norm(d) * np.exp(1j * np.angle(d[position]))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c = q @ np.diag(d) @ q.T
+    return 0.5 * (c + c.T)
+
+
+def _chain_cases():
+    for seed in range(12):
+        yield "dense", oracle.gen(oracle.GeneratorSpec(dim=3 + seed % 8, seed=seed, kind="DenseSymmetric")), False
+    for seed in range(3600, 3612):
+        c = oracle.gen(oracle.GeneratorSpec(dim=10, seed=seed, kind="RankDeficient"))
+        if c.any():  # the generator's rank-0 case is the zero matrix
+            yield "tail", c, False
+    for position in (1, 4, 7):
+        for gap in (0.5e-6, 2e-6):
+            yield f"gap {gap:g} at {position}", _close_pair(10, position, gap, position), False
+    for seed in range(3):
+        yield "drifted", oracle.gen(oracle.GeneratorSpec(dim=8, seed=seed, kind="DenseSymmetric")), True
+
+
+def test_the_chain_decides_as_a_walk_over_its_levels():
+    # the chain's vectorized pre-check, its check against C and its re-check on M decide as one
+    # level at a time would: the Schur bounds choose r, M's leading blocks re-check each level
+    decided = {}
+    rng = np.random.default_rng(0)
+    for label, c, drift in _chain_cases():
+        scale = frobenius(c)
+        floor = factor.eigen._EIGENSPACE_CUT * scale
+        pair, basis, rest, _ = next(factor.eigen._candidate_pairs(c, CFG, scale))
+        assert basis is None and rest is not None  # the simple route, which tries a chain
+        if drift:  # one eigenvector drifted past eig_tol: the re-check finds its corner coupled
+            vals, vecs = rest
+            vecs = vecs.copy()
+            vecs[:, 2] += 1e-8 * (rng.standard_normal(len(vecs)) + 1j * rng.standard_normal(len(vecs)))
+            rest = (vals, vecs)
+        ete = complex(pair.vector @ pair.vector)
+        taken = factor._chain(c, pair, ete, rest, CFG, floor) is not None
+        assert taken == _reference_chain_taken(c, pair, ete, rest, CFG, floor), label
+        decided.setdefault(label.split(" at ")[0], set()).add(taken)
+    assert decided["dense"] == decided["tail"] == {True}
+    assert decided["drifted"] == {False}
+    assert decided["gap 2e-06"] == {True} and False in decided["gap 5e-07"]
+
+
+def test_the_slotted_records_keep_their_dataclass_contract():
+    # frozen, replaceable and picklable: the prescaled trace replaces a level's value, and the
+    # benchmark's checks replace a result's V
+    import dataclasses
+    import pickle
+
+    c = oracle.gen(oracle.GeneratorSpec(dim=6, seed=1, kind="DenseSymmetric"))
+    result = factor_symmetric(c, CFG)
+    level = result.trace.levels[0]
+    pair = eigenpair(c, CFG)
+    plan = factor._first_sound_plan(c, CFG)
+    for record, field in ((level, "value"), (pair, "value"), (plan, "sub"), (result, "V")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, None)
+    assert dataclasses.replace(level, value=2.0) == factor.LevelRecord(level.dim, level.branch, 2.0, level.ete)
+    assert dataclasses.replace(pair, residual=0.0).residual == 0.0
+    assert pickle.loads(pickle.dumps(level)) == level
+    assert pickle.loads(pickle.dumps(result.trace)) == result.trace
+    # a field holding an array compares elementwise, so these compare field by field
+    copy = pickle.loads(pickle.dumps(pair))
+    assert (copy.value, copy.residual) == (pair.value, pair.residual) and np.array_equal(copy.vector, pair.vector)
+    copy = pickle.loads(pickle.dumps(result))
+    assert np.array_equal(copy.V, result.V) and copy.trace == result.trace
+    assert (copy.residual, copy.relative_residual) == (result.residual, result.relative_residual)
