@@ -20,12 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import BiorthonormalSystem, EigenLevel, _lapack, _phase_canonical_columns
+from .eigen import (
+    _EIGENVALUE_ITERATION,
+    _SINGULAR_VALUE_DECOMPOSITION,
+    BiorthonormalSystem,
+    EigenLevel,
+    _phase_canonical_columns,
+)
 from .factor import factor_symmetric
 from .matcore import (
     _DEFAULT_CONFIG,
     ToleranceConfig,
     ValidationError,
+    _inverse,
     as_matrix,
     as_vector,
     frobenius,
@@ -121,7 +128,7 @@ def check_commutes(h, op) -> float:
 
 
 def _condition(m: np.ndarray) -> float:
-    with _lapack("singular value decomposition"):
+    with _SINGULAR_VALUE_DECOMPOSITION:
         s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0.0:
         return np.inf
@@ -143,7 +150,7 @@ def check_pseudo_hermitian(h, g, kind: str = "antilinear") -> float:
         raise ValidationError("G and H must have matching dimensions")
     if kind not in ("linear", "antilinear"):
         raise ValidationError(f"kind must be 'linear' or 'antilinear', got {kind!r}")
-    with _lapack("singular value decomposition"):
+    with _SINGULAR_VALUE_DECOMPOSITION:
         s = np.linalg.svd(g, compute_uv=False)
     if s[-1] <= _SINGULAR_CUT * s[0]:
         raise ValidationError("G is singular to working precision")
@@ -198,7 +205,8 @@ def canonical_T(system: BiorthonormalSystem) -> AntilinearOp:
 
 
 def transform_basis(system: BiorthonormalSystem, v_set) -> BiorthonormalSystem:
-    """Change basis per level: Phi_n -> Phi_n v^(n), Psi_n -> Psi_n (v^(n))^{-*}."""
+    """Change basis per level: Phi_n -> Phi_n v^(n), Psi_n -> Psi_n (v^(n))^{-*}, the inverse by one LU
+    solve against the identity."""
     v_set = [as_matrix(v, square=True, name="v block") for v in v_set]
     if len(v_set) != len(system.levels):
         raise ValidationError(f"{len(v_set)} transform blocks for {len(system.levels)} levels")
@@ -208,7 +216,7 @@ def transform_basis(system: BiorthonormalSystem, v_set) -> BiorthonormalSystem:
             raise ValidationError(f"transform block {v.shape} does not match multiplicity {lv.multiplicity}")
         if _condition(v) > 1e12:
             raise ValidationError("transform block is singular to working precision")
-        inv_star = solve_linear(v.conj().T, np.eye(lv.multiplicity, dtype=np.complex128))
+        inv_star = _inverse(v.conj().T)
         new_levels.append(
             EigenLevel(value=lv.value, multiplicity=lv.multiplicity,
                        psi=lv.psi @ inv_star, phi=lv.phi @ v)
@@ -329,7 +337,7 @@ def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None) -> Antilinear
     scale = max(frobenius(h), np.finfo(np.float64).tiny)
     if frobenius(h - h.conj().T) > _HERM_TOL * scale:
         raise ValidationError("H is not self-adjoint within tolerance")
-    with _lapack("eigenvalue iteration"):
+    with _EIGENVALUE_ITERATION:
         _, psi = np.linalg.eigh(0.5 * (h + h.conj().T))
     _phase_canonical_columns(psi)
     return AntilinearOp(matrix=psi @ psi.T)

@@ -27,9 +27,9 @@ from .matcore import (
     ToleranceConfig,
     ValidationError,
     SingularMatrixError,
+    _inverse,
     as_matrix,
     frobenius,
-    solve_linear,
 )
 
 
@@ -70,6 +70,11 @@ class _lapack:
         if kind is not None and issubclass(kind, np.linalg.LinAlgError):
             raise ConvergenceError(f"{self.what} did not converge: {exc}") from exc
         return False
+
+
+# one context per LAPACK iteration: it holds nothing but its name, so every call shares it
+_EIGENVALUE_ITERATION = _lapack("eigenvalue iteration")
+_SINGULAR_VALUE_DECOMPOSITION = _lapack("singular value decomposition")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +118,7 @@ def _phase_canonical(v: np.ndarray) -> np.ndarray:
     a = v[i]
     if a == 0.0:
         return v
-    return v * (abs(a) / a)
+    return v * complex(abs(a) / a)
 
 
 def _phase_canonical_columns(m: np.ndarray) -> np.ndarray:
@@ -131,14 +136,14 @@ def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     ConvergenceError.
     """
     a = as_matrix(a, square=True, name="A")
-    with _lapack("eigenvalue iteration"):
+    with _EIGENVALUE_ITERATION:
         vals = np.linalg.eigvals(a)
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
 def _rayleigh_pair(a: np.ndarray, v: np.ndarray, av: np.ndarray | None = None) -> EigenPair:
     """Unit v with its Rayleigh quotient v^* A v and residual; ``av`` is A v when the caller has it."""
-    av = a @ v if av is None else av
+    av = a.dot(v) if av is None else av
     lam = complex(np.vdot(v, av))
     return EigenPair(lam, _phase_canonical(v), frobenius(av - lam * v))
 
@@ -177,17 +182,18 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = 
     """
     scale = frobenius(a) if scale is None else scale
     n = a.shape[0]
-    with _lapack("eigenvalue iteration"):
+    with _EIGENVALUE_ITERATION:
         vals, vecs = np.linalg.eig(a)
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))  # modulus first, then (real, imag)
     vals, vecs = vals[order], vecs[:, order]
     kept = []  # the candidates visited so far; absorbed ones are not
     for i in range(n):
-        gap = np.abs(vals - vals[i])
-        gap[i] = np.inf
         cand = complex(vals[i])
-        simple, near_zero = _simple_and_near_zero(min(gap.tolist()), abs(cand), scale)
-        if not simple and (gap[kept] <= 1e-12 * scale).any():  # absorbed by an earlier kept one
+        gap = np.abs(vals - cand)
+        gap[i] = np.inf
+        row = gap.tolist()
+        simple, near_zero = _simple_and_near_zero(min(row), abs(cand), scale)
+        if not simple and any(row[k] <= 1e-12 * scale for k in kept):  # absorbed by an earlier kept one
             continue
         kept.append(i)
         if simple and not near_zero:
@@ -204,14 +210,16 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = 
                 yield (*cluster, None, None)
                 continue
         shifted = a if near_zero else a - cand * np.eye(n, dtype=np.complex128)
-        with _lapack("singular value decomposition"):
+        with _SINGULAR_VALUE_DECOMPOSITION:
             _, sv, vh = np.linalg.svd(shifted)
-        pair = _rayleigh_pair(a, vh[-1].conj())
+        right = vh.conj()  # the right singular vectors, one per row
+        pair = _rayleigh_pair(a, right[-1])
         if pair.residual <= cfg.eig_tol * scale:
             # the smallest direction always belongs, also when the residual is
             # far below its singular value
-            k = max(1, int(np.sum(sv <= max(_EIGENSPACE_CUT * scale, 10.0 * pair.residual))))
-            yield pair, vh[n - k :].conj().T, None, vh[: n - k].conj().T if near_zero else None
+            cut = max(_EIGENSPACE_CUT * scale, 10.0 * pair.residual)
+            k = max(1, sum(map(cut.__ge__, sv.tolist())))  # the singular values <= cut, in scalars
+            yield pair, right[n - k :].T, None, right[: n - k].T if near_zero else None
 
 
 def _semisimple_cluster(a: np.ndarray, cfg: ToleranceConfig, vecs: np.ndarray, near: np.ndarray, i: int,
@@ -232,8 +240,8 @@ def _semisimple_cluster(a: np.ndarray, cfg: ToleranceConfig, vecs: np.ndarray, n
         smallest = float(np.linalg.eigvalsh(b.conj().T @ b)[0])
     if smallest < _MIN_GRAM:
         return None
-    ab = a @ b
-    j = int(np.count_nonzero(near[:i]))
+    ab = a.dot(b)
+    j = near[:i].tolist().count(True)
     norm = frobenius(b[:, j])
     pair = _rayleigh_pair(a, b[:, j] / norm, ab[:, j] / norm)
     if pair.residual > cfg.eig_tol * scale:
@@ -302,8 +310,8 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     orthonormal basis of the null space, and the level is defective when
     fewer singular values than the multiplicity lie under 1e-8*|H|_F.  Every
     psi column has its phase fixed (largest-modulus entry real positive).
-    The dual blocks are the columns of (Psi^{-1})^*, so Phi^* Psi = I holds
-    globally.  Raises DefectiveOperatorError when some eigenspace is smaller
+    The dual blocks are the columns of (Psi^{-1})^*, Psi^{-1} from one LU
+    solve against the identity, so Phi^* Psi = I holds globally.  Raises DefectiveOperatorError when some eigenspace is smaller
     than the eigenvalue's multiplicity, the eigenvector matrix is too
     ill-conditioned or fails to reproduce the action of H, and
     ConvergenceError when a LAPACK iteration does not converge.
@@ -312,7 +320,7 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     cfg = cfg or _DEFAULT_CONFIG
     n = h.shape[0]
     norm_h = frobenius(h)
-    with _lapack("eigenvalue iteration"):
+    with _EIGENVALUE_ITERATION:
         vals, vecs = np.linalg.eig(h)
     levels_meta = _cluster(vals, 1e-8 * norm_h)
     theta = 1e-8 * max(norm_h, np.finfo(np.float64).tiny)
@@ -322,9 +330,9 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     for value, members in levels_meta:
         mult = len(members)
         if mult > 1:
-            with _lapack("singular value decomposition"):
+            with _SINGULAR_VALUE_DECOMPOSITION:
                 _, s, vh = np.linalg.svd(h - value * np.eye(n, dtype=np.complex128))
-            null_dim = int(np.sum(s <= theta))
+            null_dim = sum(value <= theta for value in s.tolist())
             if null_dim < mult:
                 raise DefectiveOperatorError(
                     f"eigenvalue {value:.6g} has multiplicity {mult} but eigenspace dimension {null_dim}"
@@ -333,7 +341,7 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
             psi[:, col : col + mult] = vh[n - mult :, :].conj().T[:, ::-1]
         col += mult
     _phase_canonical_columns(psi)
-    with _lapack("singular value decomposition"):
+    with _SINGULAR_VALUE_DECOMPOSITION:
         cond = float(np.linalg.cond(psi))
     if not np.isfinite(cond) or cond > 1e8:
         raise DefectiveOperatorError(f"eigenvector matrix condition {cond:.3g} exceeds 1e8")
@@ -341,7 +349,7 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     if frobenius(h @ psi - psi * diag) > 1e-8 * max(norm_h, np.finfo(np.float64).tiny):
         raise DefectiveOperatorError("assembled eigenvectors do not reproduce the operator action")
     try:
-        phi = solve_linear(psi, np.eye(n, dtype=np.complex128)).conj().T
+        phi = _inverse(psi).conj().T
     except SingularMatrixError as exc:
         raise DefectiveOperatorError("eigenvector matrix is numerically singular") from exc
     levels = []

@@ -45,6 +45,9 @@ absolute constants, builds its level on the block over its norm.  An input
 whose |C|_F lies near the ends of the float range is factored and verified as
 4^-k C, an exact power of 4.
 
+At small n a numpy call's dispatch, not its arithmetic, sets the time: products use ``ndarray.dot``,
+constants enter ufuncs as 0-d arrays and scalar tests run on ``tolist()``, every bit kept.
+
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
 It can exceed verify_tol: symmetric 2x2 Jordan blocks at lambda != 0 do; so do
 complex-orthogonal similarities far from normal, where last-resort levels raise
@@ -70,7 +73,10 @@ from .matcore import (
     _DEFAULT_CONFIG,
     _EPS,
     _ETE_DANGER,
+    _HALF,
     _ISO_FLOOR,
+    _ONE,
+    _ZERO,
     SingularMatrixError,
     ToleranceConfig,
     ValidationError,
@@ -130,7 +136,7 @@ class NotSymmetricError(ValueError):
     """Input matrix is not symmetric within the accepted band."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChosenX:
     x: np.ndarray
     det_d: complex
@@ -218,7 +224,8 @@ def _residual(inner: np.ndarray, w: np.ndarray, unit: float = 1.0, norm: float |
     """(|C - V V^T|_F, that relative to max(|C|_F, 1)) of C = 4^k ``inner`` and V = 2^k ``w``,
     ``unit`` = 2^k: both norms are taken at the prescaled size and scaled back.  ``norm`` is
     |``inner``|_F when the caller has it."""
-    residual = frobenius(inner - w @ w.T) * unit * unit
+    product = w.dot(w.T)
+    residual = frobenius(np.subtract(inner, product, out=product)) * unit * unit
     norm = frobenius(inner) if norm is None else norm
     return residual, residual / max(norm * unit * unit, 1.0)
 
@@ -281,39 +288,45 @@ def choose_x(c_tilde_prime, lambda_alpha):
     if la == 0.0:
         raise ValidationError("lambda_alpha must be nonzero in this branch")
     moduli = np.abs(ct)
-    if not math.isfinite(float(moduli.max())):  # NaN or Inf makes the largest modulus non-finite
+    if not math.isfinite(np.maximum.reduce(moduli, axis=None)):  # NaN or Inf makes the largest modulus non-finite
         raise ValidationError("c_tilde_prime contains NaN or Inf entries")
     k = ct.shape[0] - 1  # entries 0..k-1 of x are the rung's, entry k is x_n
-    cols = (moduli * moduli).sum(axis=0)  # |c_i|^2
-    diag, last, norms, g = ct.diagonal().tolist(), ct[:, k].tolist(), cols.tolist(), (ct[:, k] @ ct.conj()).tolist()
-    # (label, entries of d, d^T c d, d^T c_k, |c d|^2, d^T g)
-    rungs = [("zero", (), 0.0, 0.0, 0.0, 0.0)]
-    rungs += [(f"unit:{i}", ((i, 1.0),), diag[i], last[i], norms[i], g[i]) for i in range(k)]
+    squares = moduli * moduli
+    norms = np.add.reduce(squares, axis=0).tolist()  # |c_i|^2
+    diag, last, g = ct.diagonal().tolist(), ct[:, k].tolist(), ct[:, k].dot(ct.conj()).tolist()
+    # (rung, entries of d, |d|^2, d^T c d, d^T c_k, |c d|^2, d^T g); the rung is -1 for zero, i for
+    # unit:i and a pair's label, so that only the best rung's label is formatted
+    rungs = [(-1, (), 0, 0.0, 0.0, 0.0, 0.0)]
+    rungs += [(i, ((i, 1.0),), 1, diag[i], last[i], norms[i], g[i]) for i in range(k)]
     if k > 1:  # the pair on the largest off-diagonal entry of the leading block
         off = moduli[:k, :k].copy()
-        off.flat[:: k + 1] = -1.0  # a diagonal block pairs (0, 1)
+        off.reshape(-1)[:: k + 1] = -1.0  # a diagonal block pairs (0, 1)
         i, j = sorted(divmod(int(off.argmax()), k))
         cross = 2.0 * complex(ct[i, j])
-        for sign, op in ((1.0, "+"), (-1.0, "-")):  # |c d| measured: |c_i|^2 + |c_j|^2 +- ... cancels
-            rungs.append((f"pair:{i}{op}{j}", ((i, 1.0), (j, sign)), diag[i] + diag[j] + sign * cross,
-                          last[i] + sign * last[j], frobenius(ct[:, i] + sign * ct[:, j]) ** 2, g[i] + sign * g[j]))
+        # |c d| measured, as |c_i|^2 + |c_j|^2 +- ... cancels; c_i +- c_j squares as c_i +- 1.0 * c_j
+        for sign, op, measured in ((1.0, "+", ct[:, i] + ct[:, j]), (-1.0, "-", ct[:, i] - ct[:, j])):
+            rungs.append((f"pair:{i}{op}{j}", ((i, 1.0), (j, sign)), 2, diag[i] + diag[j] + sign * cross,
+                          last[i] + sign * last[j], frobenius(measured) ** 2, g[i] + sign * g[j]))
     xn = -1.0 / la
     xn2, cut = abs(xn) ** 2, _ALLZERO_CUT * abs(la)
-    best = None
-    for label, entries, quad, along, weight2, dg in rungs:
-        weight = math.sqrt(weight2)
+    # the parts every rung shares, evaluated as the rung's own expression groups them
+    two_xn, corner, tail = 2.0 * xn, xn * xn * last[k], xn2 * norms[k]
+    best, sqrt = None, math.sqrt
+    for rung, entries, count, quad, along, weight2, dg in rungs:
+        weight = sqrt(weight2)
         s = min(weight**-0.5, 1e8) if cut < weight < 1.0 else 1.0
-        det_d = -(s * (s * quad + 2.0 * xn * along) + xn * xn * last[k])
-        yy = s * (s * weight2 + 2.0 * (xn * dg).real) + xn2 * norms[k]
+        det_d = -(s * (s * quad + two_xn * along) + corner)
+        yy = s * (s * weight2 + 2.0 * (xn * dg).real) + tail
         # |det D| <= |x||y| always; a tiny ratio means D is nearly singular
-        score = abs(det_d) / (1.0 + math.sqrt((s * s * len(entries) + xn2) * max(yy, 0.0)))
+        score = abs(det_d) / (1.0 + sqrt((s * s * count + xn2) * (0.0 if yy < 0.0 else yy)))
         if best is None or score > best[0]:
-            best = score, label, entries, s, det_d
-    score, label, entries, s, det_d = best
+            best = score, rung, entries, s, det_d
+    score, rung, entries, s, det_d = best
     x = np.zeros(k + 1, dtype=np.complex128)
     for index, sign in entries:
         x[index] = sign * s
     x[k] = xn
+    label = rung if isinstance(rung, str) else "zero" if rung < 0 else f"unit:{rung}"
     if score < _SOUND_SCORE:
         label = f"fallback:{label}"
     return ChosenX(x=x, det_d=det_d, strategy=label, score=score)
@@ -330,12 +343,12 @@ def _isotropic_upgrade(c: np.ndarray, pair: eigen.EigenPair, basis: np.ndarray, 
     """
     if basis.shape[1] < 2:
         return None
-    v = eigen._phase_canonical(basis @ _isotropic_in_subspace(basis.T @ basis))
+    v = eigen._phase_canonical(basis.dot(_isotropic_in_subspace(basis.T.dot(basis))))
     v /= frobenius(v)  # after the phase, which rounds |v| off 1
-    cv = c @ v
+    cv = c.dot(v)
     lam = complex(np.vdot(v, cv))
     res = frobenius(cv - lam * v)
-    ete = complex(np.dot(v, v))
+    ete = complex(v.dot(v))
     if res <= max(1e-10 * scale, 10.0 * pair.residual) and abs(ete) <= _ISO_FLOOR:
         return eigen.EigenPair(value=lam, vector=v, residual=res), ete
     return None
@@ -353,11 +366,18 @@ def _null_split(c: np.ndarray, pair: eigen.EigenPair, null: np.ndarray, r: np.nd
     is recorded as CaseI.
     """
     m, k = null.shape
-    ct = r.T @ c @ r
-    ete = complex(np.dot(pair.vector, pair.vector))
+    ete = complex(pair.vector.dot(pair.vector))
     branch = BRANCH_CASE_I if k == 1 and abs(ete) > cfg.iso_tol else BRANCH_CASE_II_LAMBDA_ZERO
-    record = LevelRecord(m, branch, pair.value, ete)
-    return LevelPlan((record,), np.hstack([r, null]).conj(), 0.5 * (ct + ct.T), np.zeros((m, m), dtype=np.complex128))
+    left = np.concatenate((r, null), axis=1)
+    np.conjugate(left, out=left)
+    return LevelPlan((LevelRecord(m, branch, pair.value, ete),), left, _symmetrized(r.T.dot(c).dot(r)),
+                     np.zeros((m, m), dtype=np.complex128))
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """0.5 (M + M^T), in the one new array that holds the sum."""
+    s = m + m.T
+    return np.multiply(_HALF, s, out=s)
 
 
 def _reflects(ete: complex) -> bool:
@@ -369,7 +389,7 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
            floor: float = 0.0) -> LevelPlan:
     """CaseI levels on ``pair`` (``ete`` = e^T e) by one complex-orthogonal congruence A: the chain
     that ``_chain`` builds from the other eigenpairs ``rest`` and checks (its pre-check and its
-    re-check are one helper, ``_passing``, each evaluated once over all the chain's levels), or else
+    re-check share one helper, ``_passing``, evaluated level by level in scalars), or else
     ``_walk``'s one reflector A = Q, which leaves a block that takes a fresh eigendecomposition in
     the next plan.
     With M = A^T C A, V = A^-T R, R = [[V', R12], [0, R22]] with V' a factor of ``sub``, M's leading
@@ -381,24 +401,23 @@ def _panel(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple | Non
     chain = None if rest is None else _chain(c, pair, ete, rest, cfg, floor)
     if chain is None:
         left = _walk(pair, ete)
-        mm = left.T @ c @ left
-        chain = left, 0.5 * (mm + mm.T), m - 1, [ete]
+        chain = left, _symmetrized(left.T.dot(c).dot(left)), m - 1, [ete]
     left, mm, k, etes = chain
     mu = mm.diagonal()[k:]
-    root = np.sqrt(mu + 0.0)  # + 0.0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
-    b = np.where(lower, mm, 0.0)  # its leading k x k block is overwritten by V'^T
+    root = np.sqrt(mu + _ZERO)  # + 0 turns an imaginary -0.0 into +0.0: the principal root, as _principal_sqrt
+    b = np.where(lower, mm, _ZERO)  # its leading k x k block is overwritten by V'^T
     b[k:] /= root[:, None]
     b.flat[k * (m + 1) :: m + 1] = root
     records = tuple(map(LevelRecord, range(m, k, -1), repeat(BRANCH_CASE_I), mu[::-1].tolist(), etes))
     return LevelPlan(records, left, mm[:k, :k], b)
 
 
-def _passing(gaps: np.ndarray, moduli: np.ndarray, norms: np.ndarray, floor: float) -> np.ndarray:
-    """Whether each of a chain's candidates is taken first by eigen's tests (simple at ``gaps`` from
-    the eigenvalues after it, ``moduli`` away from zero) in a block of norm ``norms``, past no block of
+def _passing(gap: float, modulus: float, norm: float, floor: float) -> bool:
+    """Whether a chain's candidate is taken first by eigen's tests (simple at ``gap`` from the
+    eigenvalues after it, ``modulus`` away from zero) in a block of norm ``norm``, past no block of
     norm at most ``floor``: ``_chain``'s pre-check at Schur bounds and its re-check at M's norms."""
-    simple, near_zero = eigen._simple_and_near_zero(gaps, moduli, norms)
-    return (norms > floor) & simple & ~near_zero
+    simple, near_zero = eigen._simple_and_near_zero(gap, modulus, norm)
+    return norm > floor and simple and not near_zero
 
 
 def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg: ToleranceConfig, floor: float):
@@ -419,18 +438,22 @@ def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg:
     diagonals), with its corner's coupling |M[:p, p]| against eig_tol.
     """
     m = c.shape[0]
+    if m <= 2:  # a chain of one level is its reflector, which costs less (below)
+        return None
     vals, vecs = rest
-    moduli = np.abs(vals)
-    schur = np.sqrt(np.add.accumulate(moduli[::-1] ** 2)[::-1])
-    index = np.arange(m - 1)
-    gaps = np.where(index[:, None] < index, np.abs(vals[:, None] - vals), np.inf).min(axis=1)
-    passing = _passing(gaps, moduli, schur, floor)
-    r = int(passing.argmin())  # the first candidate that fails, or 0 when none does
-    if passing[r]:
-        r = m - 1
-    # the whole spectrum or a null tail, of two levels or more: a chain of one level is its reflector,
-    # which costs less, and the block a reflector leaves under the floor is recorded without an eig
-    if not ((r == m - 1 and m > 2) or (0 < r < m - 1 and schur[r] <= floor)):
+    # the tests in scalars, on numpy's moduli and distances: a vector call costs more at these sizes
+    moduli = np.abs(vals).tolist()
+    distances = np.abs(vals[:, None] - vals).tolist()
+    gaps = [min(row[i + 1 :]) for i, row in enumerate(distances[:-1])] + [math.inf]
+    schur, total = [], 0.0
+    for modulus in reversed(moduli):  # sqrt of the running sum of |vals|^2 from the end
+        total += modulus * modulus
+        schur.append(math.sqrt(total))
+    schur.reverse()
+    # the first candidate that fails, or m - 1 when none does
+    r = next((i for i in range(m - 1) if not _passing(gaps[i], moduli[i], schur[i], floor)), m - 1)
+    # the whole spectrum or a null tail: the block a reflector leaves under the floor is recorded without an eig
+    if not (r == m - 1 or (0 < r and schur[r] <= floor)):
         return None
     whole = _whole_chain(pair, ete, vecs[:, :r], c, vals[:r])
     if whole is None:
@@ -438,13 +461,12 @@ def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg:
     a, left, etes = whole
     p = min(a.shape[1], m - 1)
     k = m - p
-    mm = a.T @ c @ a
-    mm = 0.5 * (mm + mm.T)
-    delta = c - left @ mm @ left.T
+    mm = _symmetrized(a.T.dot(c).dot(a))
+    delta = c - left.dot(mm).dot(left.T)
     if frobenius(delta) > floor:  # what L M L^T leaves out of C must be noise
         return None
-    x = delta @ a  # fold delta's coupling to A's range into L (above), in place to spare copies
-    x -= left @ (0.5 * (a.T @ x))
+    x = delta.dot(a)  # fold delta's coupling to A's range into L (above), in place to spare copies
+    x -= left.dot(_HALF * a.T.dot(x))
     x /= mm.diagonal()
     left += x
     if a.shape[1] < m:  # a null tail: M's leading k x k block and its coupling are exact zeros
@@ -454,10 +476,12 @@ def _chain(c: np.ndarray, pair: eigen.EigenPair, ete: complex, rest: tuple, cfg:
     squares = mm.view(np.float64) ** 2  # re^2 and im^2 of each entry, side by side
     cols = np.add.accumulate(squares[:, ::2] + squares[:, 1::2], axis=0)
     # the coordinates levels 1 .. p-1 split off are m-2 down to k: their leading blocks and couplings
-    norms = np.sqrt(np.add.accumulate(cols, axis=1).diagonal()[k : m - 1][::-1])
-    coupling = np.sqrt(cols.diagonal(1)[k - 1 : m - 2][::-1])
-    ok = _passing(gaps[: p - 1], moduli[: p - 1], norms, floor) & (coupling <= cfg.eig_tol * norms)
-    return (left, mm, k, etes) if all(ok.tolist()) else None  # in scalars: a reduction call costs more
+    norms = np.sqrt(np.add.accumulate(cols, axis=1).diagonal()[k : m - 1][::-1]).tolist()
+    coupling = np.sqrt(cols.diagonal(1)[k - 1 : m - 2][::-1]).tolist()
+    if all(_passing(gaps[i], moduli[i], norm, floor) and coupling[i] <= cfg.eig_tol * norm
+           for i, norm in enumerate(norms)):
+        return left, mm, k, etes
+    return None
 
 
 def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.ndarray, vals: np.ndarray):
@@ -479,12 +503,12 @@ def _whole_chain(pair: eigen.EigenPair, ete: complex, vecs: np.ndarray, c: np.nd
         return None
     peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
     etes = [ete, *(unit * (np.abs(peak) / peak) ** 2).tolist()]  # phase as eigen._phase_canonical
-    a = c @ np.concatenate((vecs[:, ::-1], pair.vector[:, None]), axis=1)
+    a = c.dot(np.concatenate((vecs[:, ::-1], pair.vector[:, None]), axis=1))
     a /= np.concatenate((vals[::-1], [pair.value]))
-    a /= np.sqrt(np.einsum("ij,ij->j", a, a) + 0.0)
-    defect = a.T @ a
-    defect.flat[:: a.shape[1] + 1] -= 1.0
-    return a, a - a @ defect, etes
+    a /= np.sqrt(np.einsum("ij,ij->j", a, a) + _ZERO)
+    defect = a.T.dot(a)
+    defect.flat[:: a.shape[1] + 1] -= _ONE
+    return a, a - a.dot(defect), etes
 
 
 def _walk(pair: eigen.EigenPair, ete: complex) -> np.ndarray:
@@ -492,19 +516,24 @@ def _walk(pair: eigen.EigenPair, ete: complex) -> np.ndarray:
 
     f = e/sqrt(e^T e) has f^T f = 1, so u = f - s*e_j (s = +-1, Re(s f_j) <= 0, j maximising
     |u_j| >= 1) gives H f = s*e_j for H = I - beta u u^T, |beta| <= 1, and Q^T = P H (P swaps j and
-    the last coordinate) splits off the corner: the swap, then the rank-1 update in the swapped
-    coordinates, applied to I.
+    the last coordinate) splits off the corner.  Q = P - (u^T P)^T (beta u)^T is built directly:
+    P is symmetric, and u^T P is u with entries j and m - 1 swapped.
     """
     f = pair.vector / _principal_sqrt(ete)
     signs = np.where(f.real < 0.0, 1.0, -1.0)
     j = int(np.abs(f - signs).argmax())
+    m = f.shape[0]
     u = f.copy()
     u[j], u[-1] = f[-1], f[j] - signs[j]
-    beta = 2.0 / complex(u @ u)
-    z = np.eye(f.shape[0], dtype=np.complex128)
-    z[[j, -1]] = z[[-1, j]]
-    z -= (beta * u)[:, None] * (u @ z)[None, :]
-    return z.T.copy()
+    beta = 2.0 / complex(u.dot(u))
+    swapped = u.copy()  # u^T P, P = I with rows j and m - 1 swapped, exactly
+    swapped[j], swapped[-1] = u[-1], u[j]
+    q = np.zeros((m, m), dtype=np.complex128)  # P, which is symmetric: Q = P^T - (u^T P)^T (beta u)^T
+    q.flat[:: m + 1] = 1.0
+    q[j, j] = q[-1, -1] = 0.0
+    q[j, -1] = q[-1, j] = 1.0
+    q -= np.multiply(beta * u, swapped[:, None])
+    return q
 
 
 def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None = None,
@@ -531,10 +560,10 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
     for pair, basis, rest, complement in eigen._candidate_pairs(c, cfg, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:  # a near-zero candidate: its SVD gave the complement
             return _null_split(c, pair, basis, complement, cfg)
-        ete = complex(np.dot(pair.vector, pair.vector))
+        ete = complex(pair.vector.dot(pair.vector))
         if abs(ete) <= cfg.iso_tol:  # eig's phase multiply rounds |e| off 1: the level takes a unit e
             e = pair.vector / frobenius(pair.vector)
-            iso = replace(pair, vector=e), complex(np.dot(e, e))
+            iso = replace(pair, vector=e), complex(e.dot(e))
         else:
             iso = None if basis is None else _isotropic_upgrade(c, pair, basis, scale)
         if iso is not None:
@@ -565,14 +594,15 @@ def _isotropic_in_subspace(s: np.ndarray) -> np.ndarray:
     smaller root of the quadratic form on the two largest diagonal entries,
     taken in scalars.
     """
-    diag = [abs(v) for v in s.diagonal().tolist()]
-    j = min(range(len(diag)), key=diag.__getitem__)  # the first index on a tie, as below
-    z = np.zeros(s.shape[0], dtype=np.complex128)
-    if diag[j] <= 1e-14 * float(np.abs(s).max()):
+    rows = s.tolist()
+    diag = [abs(row[i]) for i, row in enumerate(rows)]
+    j = diag.index(min(diag))  # the first index on a tie, as below
+    z = np.zeros(len(rows), dtype=np.complex128)
+    if diag[j] <= 1e-14 * max([abs(v) for row in rows for v in row]):
         z[j] = 1.0
         return z
-    i0, i1 = sorted(range(len(diag)), key=lambda i: -diag[i])[:2]
-    a, b, c = complex(s[i0, i0]), complex(s[i0, i1]), complex(s[i1, i1])
+    i0, i1 = sorted(range(len(diag)), key=diag.__getitem__, reverse=True)[:2]
+    a, b, c = rows[i0][i0], rows[i0][i1], rows[i1][i1]
     disc = cmath.sqrt(b * b - a * c)
     z[i0] = 1.0
     z[i1] = min((-b + disc) / c, (-b - disc) / c, key=abs)
@@ -606,8 +636,7 @@ def _reduce_case_ii(c: np.ndarray, e: np.ndarray) -> tuple:
     a_prime[:, :-2] = _complement_basis_within(e)
     a_prime[:, -2] = e.conj()
     a_prime[:, -1] = e
-    c_prime = a_prime.T @ c @ a_prime
-    return a_prime, 0.5 * (c_prime + c_prime.T)
+    return a_prime, _symmetrized(a_prime.T.dot(c).dot(a_prime))
 
 
 def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | None = None) -> LevelPlan:
@@ -631,34 +660,34 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | Non
     a_prime, c_prime = _reduce_case_ii(c / scale, pair.vector)
     ct = c_prime[:-1, :-1]  # c_tilde', a view: c_prime is not used past it
     la = complex(c_prime[m - 2, m - 1])  # measured corner entry lambda*alpha, at unit norm
-    iso = dict(dim=m, value=la * scale, ete=0.0)
     left = _gram_corrected(a_prime, ete)
     if abs(la) <= _LAMBDA_ZERO_CUT:
-        record = LevelRecord(branch=BRANCH_CASE_II_LAMBDA_ZERO, **iso)
+        record = LevelRecord(m, BRANCH_CASE_II_LAMBDA_ZERO, la * scale, 0.0)
         return LevelPlan((record,), left, ct * scale, b)
-    allzero = float(np.abs(ct).max()) <= _ALLZERO_CUT * abs(la)
+    allzero = np.maximum.reduce(np.abs(ct), axis=None) <= _ALLZERO_CUT * abs(la)
     if allzero or frobenius(ct) <= _DROP_CUT:
-        b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * np.sqrt(scale)
-        record = LevelRecord(branch=BRANCH_CASE_II_DEGENERATE, x_strategy="allzero" if allzero else "dropped",
-                             **iso)
+        b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * math.sqrt(scale)
+        record = LevelRecord(m, BRANCH_CASE_II_DEGENERATE, la * scale, 0.0, None, "allzero" if allzero else "dropped")
         return LevelPlan((record,), left, None, b)
     chosen = choose_x(ct, la)
     # A = A' D, D = [[I, x], [y^T, 0]]; with s = x^T y = -det D, D^-T = [[I - y x^T/s, y/s], [x^T/s, -1/s]]
     x = chosen.x
-    y = ct @ x
-    s = complex(x @ y)
+    y = ct.dot(x)
+    s = complex(x.dot(y))
     cond = _bordered_cond(x, y, s)
     if not cond * m * _EPS < 1.0:  # the rule of matcore.solve_linear, on |D|_F |D^-1|_F
         raise SingularMatrixError(f"bordered transform is singular to working precision (condition {cond:.3g})")
-    w = (left[:, :-1] @ y - left[:, -1]) / s
-    left[:, :-1] -= np.outer(w, x)
+    w = left[:, :-1] @ y  # on this strided view, ndarray.dot would round differently
+    w -= left[:, -1]
+    w /= s
+    left[:, :-1] -= w[:, None] * x
     left[:, -1] = w
     # the next block D^T C' D: c_tilde' + y u^T + u y^T with u = lambda*alpha e_k, symmetric as it stands
     y *= la
     ct[-1] += y
     ct[:, -1] += y
-    b[m - 1, m - 1] = principal_sqrt(s) * np.sqrt(scale)  # lambda'^2 = s
-    record = LevelRecord(branch=BRANCH_CASE_II_GENERAL, det_d=chosen.det_d, x_strategy=chosen.strategy, **iso)
+    b[m - 1, m - 1] = principal_sqrt(s) * math.sqrt(scale)  # lambda'^2 = s
+    record = LevelRecord(m, BRANCH_CASE_II_GENERAL, la * scale, 0.0, chosen.det_d, chosen.strategy)
     return LevelPlan((record,), left, ct * scale, b, sound=chosen.score >= _SOUND_SCORE)
 
 
@@ -701,7 +730,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     defect = frobenius(c - c.T)
     if defect > _SYM_BAND * max(norm_c, _TINY):
         raise NotSymmetricError(f"matrix is not symmetric: |C - C^T| = {defect:.3g}")
-    c = 0.5 * (c + c.T)
+    c = _symmetrized(c)
     levels: list = []
     steps: list = []  # (A^-T, B) of each plan, top down
     # a block at the eigenspace cut of the input is rounding noise (a rank-deficient input's remainder
@@ -731,7 +760,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
     for left, b in reversed(steps):
         if v is not None:
             b[: len(v), : len(v)] = v.T
-        v = left @ b.T
+        v = left.dot(b.T)
     residual, relative = _residual(c, v, unit, norm_sym)
     if unit != 1.0:
         v = v * unit

@@ -24,6 +24,17 @@ _ETE_DANGER = 3e-3
 _ISO_FLOOR = 1e-12
 
 
+def _scalar(value: complex) -> np.ndarray:
+    """``value`` as a read-only complex 0-d array, which a ufunc takes as it is: a Python number is
+    converted on every call.  The arithmetic is the same."""
+    arr = np.array(value, dtype=np.complex128)
+    arr.flags.writeable = False
+    return arr
+
+
+_ZERO, _HALF, _ONE, _TWO = map(_scalar, (0.0, 0.5, 1.0, 2.0))
+
+
 class ValidationError(ValueError):
     """Input rejected at a module boundary (bad shape, NaN/Inf, empty)."""
 
@@ -161,20 +172,20 @@ def _complement_basis_within(u: np.ndarray) -> np.ndarray:
     v2 = _householder_vector(z)
     tail = v2[1:].conj()
     t = 2.0 * complex(np.vdot(v1[1:], v2))
-    w = v1[:, None] * ((t * tail - v1[2:].conj()) * 2.0)
-    w[1:] -= (v2 * 2.0)[:, None] * tail
-    w.flat[2 * w.shape[1] :: w.shape[1] + 1] += 1.0  # + I[:, 2:]
+    w = v1[:, None] * ((t * tail - v1[2:].conj()) * _TWO)
+    w[1:] -= (v2 * _TWO)[:, None] * tail
+    w.flat[2 * w.shape[1] :: w.shape[1] + 1] += _ONE  # + I[:, 2:]
     return w
 
 
 def _householder_vector(x: np.ndarray) -> np.ndarray:
     """Unit v with I - 2 v v^* unitary and its first column a unit multiple of x: v = x + phase |x| e1
-    (phase that of x[0]), so |v|^2 = 2 |x| (|x| + |x[0]|) is never small."""
+    (phase that of x[0]), so |v|^2 = 2 |x| (|x| + |x[0]|) is never small.  Built in place in x,
+    which every caller passes as a fresh array."""
     norm, head = frobenius(x), complex(x[0])
-    v = x.copy()
-    v[0] += head / abs(head) * norm if head != 0.0 else norm
-    v /= math.sqrt(2.0 * norm * (norm + abs(head)))
-    return v
+    x[0] = head + (head / abs(head) * norm if head != 0.0 else complex(norm))  # as x[0] += ..., in scalars
+    x /= math.sqrt(2.0 * norm * (norm + abs(head)))
+    return x
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -191,12 +202,27 @@ def solve_linear(a, b) -> np.ndarray:
     b_arr = as_matrix(b_arr.reshape(-1, 1) if vector_rhs else b_arr, name="B")
     if b_arr.shape[0] != a.shape[0]:
         raise ValidationError(f"B has {b_arr.shape[0]} rows, expected {a.shape[0]}")
-    m, k = a.shape[0], b_arr.shape[1]
+    k = b_arr.shape[1]
+    x = _solve_checked(a, np.hstack([b_arr, np.eye(a.shape[0], dtype=np.complex128)]))
+    return x[:, 0] if vector_rhs else x[:, :k]
+
+
+def _inverse(a) -> np.ndarray:
+    """A^{-1} by one LU solve against I, singular by the rule of ``solve_linear`` (whose [I | I] would
+    solve each column twice)."""
+    a = as_matrix(a, square=True, name="A")
+    return _solve_checked(a, np.eye(a.shape[0], dtype=np.complex128))
+
+
+def _solve_checked(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with A X = ``rhs`` for a validated square A and ``rhs`` ending in I: SingularMatrixError at a
+    zero pivot or a 1-norm condition of 1/(m eps) or more."""
+    m = a.shape[0]
     try:
-        x = np.linalg.solve(a, np.hstack([b_arr, np.eye(m, dtype=np.complex128)]))
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is singular to working precision (zero pivot)") from exc
-    cond = float(np.abs(a).sum(axis=0).max() * np.abs(x[:, k:]).sum(axis=0).max())
+    cond = float(np.abs(a).sum(axis=0).max() * np.abs(x[:, -m:]).sum(axis=0).max())
     if not cond * m * _EPS < 1.0:  # also catches an inf or nan inverse
         raise SingularMatrixError(f"matrix is singular to working precision (condition {cond:.3g})")
-    return x[:, 0] if vector_rhs else x[:, :k]
+    return x

@@ -985,6 +985,99 @@ def test_a_dense_factorization_takes_one_eigendecomposition(monkeypatch, n):
         assert lv.ete == pytest.approx(e @ e, abs=1e-10)
 
 
+def _isotropic_route(kind, n, seed):
+    """(route, branches, eig calls, SVD calls) of the isotropic mix's input, by the generator's rule."""
+    if kind == "IsotropicLambdaZero":
+        if n >= 4 and seed % 4 == 3:  # a rank-2 nilpotent core: its 2 x 2 range is a reflector level
+            return "rank-2 core", [BRANCH_CASE_II_LAMBDA_ZERO, BRANCH_CASE_I, "Base"], 2, 1
+        return "rank 1", [BRANCH_CASE_II_LAMBDA_ZERO, "Base"], 1, 1
+    if n >= 3 and seed % 2 == 1:  # a bulk on the joint complement of e and conj(e): one chain below the level
+        return "with bulk", [BRANCH_CASE_II_GENERAL] + [BRANCH_CASE_I] * (n - 2) + ["Base"], 2, 0
+    return "no bulk", [BRANCH_CASE_II_DEGENERATE], 1, 0
+
+
+def test_each_route_of_the_isotropic_mix_keeps_its_shape_and_its_lapack_calls(monkeypatch):
+    # the benchmark's isotropic mix, both families at n = 2 + s % 9: each input takes one of four
+    # routes, with a fixed trace and a fixed number of LAPACK calls (a null space takes its SVD,
+    # a cluster eig's own vectors, and every plan one eig of its own block)
+    eigs = _count_calls(monkeypatch, np.linalg, "eig")
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    routes = {}
+    for kind in ("IsotropicLambdaZero", "IsotropicLambdaNonzero"):
+        for seed in range(144):
+            n = 2 + seed % 9
+            c = oracle.gen(oracle.GeneratorSpec(dim=n, seed=seed, kind=kind))
+            eigs.clear()
+            svds.clear()
+            r = factor_symmetric(c, CFG)
+            route, branches, eig_calls, svd_calls = _isotropic_route(kind, n, seed)
+            assert (r.trace.branches(), len(eigs), len(svds)) == (branches, eig_calls, svd_calls), (kind, n, seed)
+            assert r.relative_residual <= 1e-14, (kind, n, seed)
+            routes[route] = routes.get(route, 0) + 1
+    assert routes == {"rank 1": 116, "rank-2 core": 28, "no bulk": 80, "with bulk": 64}
+
+
+def _frozen(a):
+    """A read-only copy of ``a``: a write to it raises."""
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+def _same(x, y):
+    """Whether two results of a public entry point agree bit for bit, field by field."""
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same, x, y))
+    if hasattr(x, "__dataclass_fields__"):
+        return type(x) is type(y) and all(_same(getattr(x, f), getattr(y, f)) for f in x.__dataclass_fields__)
+    return x == y
+
+
+def _outcome(call, *args):
+    """What ``call`` returns on ``args``, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_public_entry_points_never_write_to_their_arguments():
+    # every entry point takes its array arguments read-only: called on read-only copies it returns
+    # what it returns on writable ones, bit for bit, so no in-place update reaches a caller's array
+    from symfact import antisym, eigen
+
+    checked = 0
+    for kind in ("DenseSymmetric", "RankDeficient", "IsotropicLambdaZero", "IsotropicLambdaNonzero"):
+        for seed in range(60):
+            c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind))
+            r = factor_symmetric(c.copy(), CFG)
+            assert _same(factor_symmetric(_frozen(c), CFG), r), (kind, seed)
+            verified = verify_factorization(c.copy(), r.V.copy(), CFG)
+            assert _same(verify_factorization(_frozen(c), _frozen(r.V), CFG), verified), (kind, seed)
+            assert _same(_outcome(eigenpair, _frozen(c), CFG), _outcome(eigenpair, c.copy(), CFG)), (kind, seed)
+            checked += 1
+    for seed in range(40):
+        n = 2 + seed % 9
+        e, lam, c = _isotropic_core(seed, n)
+        rng = np.random.default_rng(seed)
+        ct = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ct = ct + ct.T
+        assert _same(reduce_case_ii(_frozen(c), EigenPair(lam, _frozen(e), 0.0), CFG),
+                     reduce_case_ii(c.copy(), EigenPair(lam, e.copy(), 0.0), CFG)), seed
+        assert _same(choose_x(_frozen(ct), lam), choose_x(ct.copy(), lam)), seed
+        assert _same(complement_basis_within(_frozen(e)), complement_basis_within(e.copy())), seed
+    for seed in range(20):
+        h = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind="PairedSpectrum"))
+        assert _same(_outcome(eigen.biorthonormal_system, _frozen(h), CFG),
+                     _outcome(eigen.biorthonormal_system, h.copy(), CFG)), seed
+        h = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind="HermitianDense"))
+        assert _same(antisym.canonical_T_selfadjoint(_frozen(h), CFG), antisym.canonical_T_selfadjoint(h.copy(), CFG))
+        checked += 2
+    assert checked == 240 + 40
+
+
 def test_reflector_level_is_a_similarity_and_a_congruence():
     # the pair 1, 1 + 1e-8 is not simple, so no chain is built: the panel is one
     # reflector level, and its Q is a congruence and a similarity
