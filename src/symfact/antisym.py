@@ -25,6 +25,7 @@ from .eigen import (
     _SINGULAR_VALUE_DECOMPOSITION,
     BiorthonormalSystem,
     EigenLevel,
+    _condition,
     _phase_canonical_columns,
 )
 from .factor import factor_symmetric
@@ -127,14 +128,6 @@ def check_commutes(h, op) -> float:
     return frobenius(h @ m - m @ h.conj()) / denom
 
 
-def _condition(m: np.ndarray) -> float:
-    with _SINGULAR_VALUE_DECOMPOSITION:
-        s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
 def check_pseudo_hermitian(h, g, kind: str = "antilinear") -> float:
     """Defect of H^* = G H G^{-1}, in inverse-free multiplied-through form.
 
@@ -155,10 +148,8 @@ def check_pseudo_hermitian(h, g, kind: str = "antilinear") -> float:
     if s[-1] <= _SINGULAR_CUT * s[0]:
         raise ValidationError("G is singular to working precision")
     denom = max(frobenius(h) * frobenius(g), np.finfo(np.float64).tiny)
-    if kind == "antilinear":
-        defect = h.conj().T @ g - g @ h.conj()
-    else:
-        defect = h.conj().T @ g - g @ h
+    h_conj = h.conj()
+    defect = h_conj.T @ g - g @ (h_conj if kind == "antilinear" else h)
     return frobenius(defect) / denom
 
 
@@ -335,9 +326,10 @@ def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None) -> Antilinear
     """
     h = as_matrix(h, square=True, name="H")
     scale = max(frobenius(h), np.finfo(np.float64).tiny)
-    if frobenius(h - h.conj().T) > _HERM_TOL * scale:
+    h_dagger = h.conj().T
+    if frobenius(h - h_dagger) > _HERM_TOL * scale:
         raise ValidationError("H is not self-adjoint within tolerance")
     with _EIGENVALUE_ITERATION:
-        _, psi = np.linalg.eigh(0.5 * (h + h.conj().T))
+        _, psi = np.linalg.eigh(0.5 * (h + h_dagger))
     _phase_canonical_columns(psi)
     return AntilinearOp(matrix=psi @ psi.T)

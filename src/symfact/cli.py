@@ -19,16 +19,19 @@ Exit codes: 0 pass, 1 input/usage error, 2 numerical contract failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import re
+import shutil
 import sys
 
 import numpy as np
 
 from . import antisym, eigen, factor, oracle
-from .matcore import _DEFAULT_CONFIG, SingularMatrixError, ToleranceConfig, ValidationError
+from .matcore import _DEFAULT_CONFIG, SingularMatrixError, ToleranceConfig, ValidationError, frobenius
 
 EXIT_PASS = 0
 EXIT_INPUT_ERROR = 1
@@ -84,18 +87,38 @@ def _row_error(line: str, lineno: int, cols: int) -> ParseError:
     return ParseError(f"expected {cols} entries in row, found {count}", lineno, 1)
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Parse the matrix text format; raises ParseError with line/column info."""
-    rows = cols = None
+def _row_values(lines: list, cols: int) -> list:
+    """The floats of each data row in ``lines``, (line number, line) pairs in file order, row by row:
+    the first malformed row raises its ParseError."""
     data = []
-    data_lines = 0
+    for lineno, line in lines:
+        try:
+            data.append(_row_floats(line, cols))
+        except ValueError:
+            raise _row_error(line, lineno, cols) from None
+    return data
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Parse the matrix text format; raises ParseError with line/column info.
+
+    The data rows are collected with their token counts checked.  When every
+    token is "re,im", one comma in each, all floats are converted by one
+    ``map(float, ...)`` into one array; any other file, a bad number
+    included, is converted row by row by ``_row_floats``, which names the
+    first bad token.  Errors keep file order: a bad row above an extra, short
+    or missing row is the one reported.
+    """
+    rows = cols = None
+    lines = []  # (line number, line) of the data rows read so far
+    tokens = []
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         last_line = lineno
-        if data_lines == 0:
+        if rows is None:
             header = line.split()
             if len(header) != 2:
                 raise ParseError("header must be 'ROWS COLS'", lineno, 1)
@@ -105,20 +128,31 @@ def parse_matrix(text: str) -> np.ndarray:
                 raise ParseError(f"bad dimension token {header[0]!r} {header[1]!r}", lineno, 1) from None
             if rows < 1 or cols < 1:
                 raise ParseError("dimensions must be positive", lineno, 1)
-            data_lines += 1
             continue
-        if len(data) == rows:
+        if len(lines) == rows:
+            _row_values(lines, cols)  # a bad row above comes first
             raise ParseError(f"expected {rows} data rows, found more", lineno, 1)
-        try:
-            data.append(_row_floats(line, cols))
-        except ValueError:
-            raise _row_error(line, lineno, cols) from None
-        data_lines += 1
-    if data_lines == 0:
+        lines.append((lineno, line))
+        row = line.split()
+        if len(row) != cols:
+            _row_values(lines, cols)  # raises, at this row at the latest
+        tokens += row
+    if rows is None:
         raise ParseError("empty file (no header)", 1, 1)
-    if len(data) != rows:
-        raise ParseError(f"expected {rows} data rows, found {len(data)}", last_line, 1)
-    return np.array(data, dtype=np.float64).view(np.complex128)
+    if len(lines) != rows:
+        _row_values(lines, cols)
+        raise ParseError(f"expected {rows} data rows, found {len(lines)}", last_line, 1)
+    values = None
+    if all("," in tok for tok in tokens):
+        parts = ",".join(tokens).split(",")
+        if len(parts) == 2 * len(tokens):  # so no token holds a second comma
+            try:
+                values = np.fromiter(map(float, parts), np.float64, len(parts))
+            except ValueError:  # named by the per-row path
+                pass
+    if values is None:
+        values = np.array(_row_values(lines, cols), dtype=np.float64)
+    return values.reshape(rows, 2 * cols).view(np.complex128)
 
 
 def _interleaved(mat) -> tuple:
@@ -135,6 +169,8 @@ def format_matrix(mat: np.ndarray) -> str:
 
 
 def _json_scalar(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}" if math.isfinite(value) else json.dumps(str(value))
     if value is None:
         return "null"
     if value is True:
@@ -143,10 +179,6 @@ def _json_scalar(value) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return json.dumps(str(value))
-        return f"{value:.17g}"
     return json.dumps(value)
 
 
@@ -163,24 +195,34 @@ def _dump_json(obj) -> str:
     if isinstance(obj, _RawJson):
         return obj
     if isinstance(obj, dict):
-        return "{" + ",".join(f'"{k}":{_dump_json(v)}' for k, v in sorted(obj.items())) + "}"
+        return "{" + ",".join([f'"{k}":{_dump_json(v)}' for k, v in sorted(obj.items())]) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dump_json(v) for v in obj) + "]"
+        return "[" + ",".join([_dump_json(v) for v in obj]) + "]"
     return _json_scalar(obj)
 
 
-def _cnum(z) -> list:
+def _cnum(z) -> _RawJson:
+    """A complex number as its JSON pair [re, im]."""
     z = complex(z)
-    return [z.real, z.imag]
+    return _RawJson(f"[{_json_scalar(z.real)},{_json_scalar(z.imag)}]")
 
 
 def _cmatrix(mat, text: str | None = None) -> _RawJson:
-    """A complex matrix as rows of [re, im] pairs, rendered from ``format_matrix``'s text (``text``
-    when the caller has it), whose "re,im" tokens are the pairs; non-finite entries are quoted
-    strings, as ``_json_scalar`` writes them."""
+    """A complex matrix as rows of [re, im] pairs.
+
+    They are rewritten from ``format_matrix``'s text when the caller has it
+    (``text``), whose "re,im" tokens are the pairs, and are otherwise
+    rendered by one %-format of every entry.  Non-finite entries are quoted
+    strings, as ``_json_scalar`` writes them.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-    rows = (format_matrix(mat) if text is None else text).split("\n")[1:-1]
-    text = "[" + ",".join(["[[" + row.replace(" ", "],[") + "]]" for row in rows]) + "]"
+    if text is None:
+        rows, cols = mat.shape
+        row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
+        text = ("[" + ",".join([row] * rows) + "]") % _interleaved(mat)
+    else:
+        lines = text.split("\n")[1:-1]
+        text = "[" + ",".join(["[[" + line.replace(" ", "],[") + "]]" for line in lines]) + "]"
     if not np.isfinite(mat).all():
         text = re.sub(r"-?inf|nan", r'"\g<0>"', text)
     return _RawJson(text)
@@ -196,15 +238,11 @@ def _config_dict(cfg: ToleranceConfig) -> dict:
 
 
 def _trace_dict(trace: factor.RecursionTrace) -> list:
-    out = []
-    for lv in trace.levels:
-        entry = {"dim": lv.dim, "branch": lv.branch}
-        entry["lambda"] = _cnum(lv.value) if lv.value is not None else None
-        entry["ete"] = _cnum(lv.ete) if lv.ete is not None else None
-        entry["detD"] = _cnum(lv.det_d) if lv.det_d is not None else None
-        entry["x_strategy"] = lv.x_strategy
-        out.append(entry)
-    return out
+    return [{"dim": lv.dim, "branch": lv.branch,
+             "lambda": None if lv.value is None else _cnum(lv.value),
+             "ete": None if lv.ete is None else _cnum(lv.ete),
+             "detD": None if lv.det_d is None else _cnum(lv.det_d),
+             "x_strategy": lv.x_strategy} for lv in trace.levels]
 
 
 def _read(path: str) -> tuple[str, bytes]:
@@ -309,14 +347,14 @@ def _cmd_analyze(path: str, cfg: ToleranceConfig) -> tuple[dict, int]:
     payload: dict = {"dim": int(h.shape[0])}
     payload["diagonalizable"] = system is not None
     if system is None:
-        clustered = eigen._cluster(values, 1e-8 * max(1.0, float(np.linalg.norm(h))))
+        clustered = eigen._cluster(values, 1e-8 * max(1.0, frobenius(h)))
         payload["eigenvalues"] = [
             {"value": _cnum(v), "multiplicity": len(members)} for v, members in clustered
         ]
         return _report("analyze", digest, cfg, payload), EXIT_PASS
-    payload["eigenvalues"] = [
-        {"value": _cnum(lv.value), "multiplicity": lv.multiplicity} for lv in system.levels
-    ]
+    # one record per level, keys in sorted order as _dump_json writes them
+    records = [f'{{"multiplicity":{lv.multiplicity},"value":{_cnum(lv.value)}}}' for lv in system.levels]
+    payload["eigenvalues"] = _RawJson("[" + ",".join(records) + "]")
     tol = 1e-8 * max(1.0, max(abs(lv.value) for lv in system.levels))
     pairing = antisym.spectrum_pairing(system, tol=tol)
     if isinstance(pairing, antisym.Unpairable):
@@ -350,12 +388,12 @@ def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
     except eigen.ConvergenceError as exc:
         return _error_report("canonical", digest, cfg, exc), EXIT_NUMERIC_FAILURE
     m = op.matrix
-    scale = max(float(np.linalg.norm(m)), np.finfo(np.float64).tiny)
+    scale = max(frobenius(m), np.finfo(np.float64).tiny)
     payload = {
         "dim": int(h.shape[0]),
         "M": _cmatrix(m),
         "pseudo_hermiticity_residual": pseudo_hermiticity,
-        "hermiticity_residual": float(np.linalg.norm(m - m.T)) / scale,
+        "hermiticity_residual": frobenius(m - m.T) / scale,
     }
     if args.selfadjoint:
         payload["involution_residual"] = antisym.check_involution(op)
@@ -421,16 +459,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Rejected(Exception):
+    """An argv that a command's own parser leaves to the full parser."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, which prints nothing: it has no ``-h``, and a usage error raises
+    _Rejected in place of printing and exiting."""
+
+    def error(self, message):
+        raise _Rejected(message)
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """``argv`` by its command's parser alone, which prints as its sub-parser
-    does; by the full parser if argv[0] is no command or words are left."""
+    """``argv`` by its command's parser alone when that takes every word;
+    otherwise (no command, ``-h``, a usage error, words left over) by the full
+    parser, which prints help and errors as argparse does.
+
+    The command's parser is built on every call.  Its formatters, which
+    ``add_argument`` builds to check ``nargs``, take the help width probed
+    once per call, where argparse probes the terminal for each of them.
+    """
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"symfact {argv[0]}")
+        width = shutil.get_terminal_size().columns - 2  # as argparse.HelpFormatter computes it
+        parser = _CommandParser(prog=f"symfact {argv[0]}", add_help=False,
+                                formatter_class=functools.partial(argparse.HelpFormatter, width=width))
         _add_arguments(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
+        try:
+            args, rest = parser.parse_known_args(argv[1:])
+        except _Rejected:
+            pass
+        else:
+            if not rest:
+                args.command = argv[0]
+                return args
     return _build_parser().parse_args(argv)
 
 

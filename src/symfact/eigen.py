@@ -128,6 +128,15 @@ def _phase_canonical_columns(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _condition(m: np.ndarray) -> float:
+    """2-norm condition number of a finite matrix, as ``np.linalg.cond`` gives it: inf when singular."""
+    with _SINGULAR_VALUE_DECOMPOSITION:
+        s = np.linalg.svd(m, compute_uv=False)
+    if s[-1] == 0.0:
+        return np.inf
+    return float(s[0] / s[-1])
+
+
 def eigenvalues(a, cfg: ToleranceConfig | None = None) -> list:
     """All eigenvalues (with multiplicity), sorted by (real, imag).
 
@@ -177,15 +186,17 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = 
     route; ``complement`` is None but for a near-zero candidate, where it
     holds the SVD's other right singular vectors, so that [complement | basis]
     is unitary.  A pair whose residual misses eig_tol*|A|_F is skipped.
-    Pairs are computed only as the caller asks for them.  ``scale`` is |A|_F
-    when the caller has it.
+    Pairs are computed only as the caller asks for them, and eig's vectors
+    are put in candidate order only when a candidate away from zero first
+    reads them.  ``scale`` is |A|_F when the caller has it.
     """
     scale = frobenius(a) if scale is None else scale
     n = a.shape[0]
     with _EIGENVALUE_ITERATION:
         vals, vecs = np.linalg.eig(a)
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))  # modulus first, then (real, imag)
-    vals, vecs = vals[order], vecs[:, order]
+    vals = vals[order]
+    ordered = None  # eig's vectors in candidate order, taken when a candidate first reads them
     kept = []  # the candidates visited so far; absorbed ones are not
     for i in range(n):
         cand = complex(vals[i])
@@ -196,16 +207,18 @@ def _candidate_pairs(a: np.ndarray, cfg: ToleranceConfig, scale: float | None = 
         if not simple and any(row[k] <= 1e-12 * scale for k in kept):  # absorbed by an earlier kept one
             continue
         kept.append(i)
+        if ordered is None and not near_zero:  # a near-zero candidate takes the SVD route alone
+            ordered = vecs[:, order]
         if simple and not near_zero:
-            pair = _rayleigh_pair(a, vecs[:, i] / frobenius(vecs[:, i]))
+            pair = _rayleigh_pair(a, ordered[:, i] / frobenius(ordered[:, i]))
             if pair.residual <= cfg.eig_tol * scale:
-                rest = (vals[1:], vecs[:, 1:]) if i == 0 else (np.delete(vals, i), np.delete(vecs, i, axis=1))
+                rest = (vals[1:], ordered[:, 1:]) if i == 0 else (np.delete(vals, i), np.delete(ordered, i, axis=1))
                 yield pair, None, rest, None
                 continue
         if not (simple or near_zero):
             near = gap <= _SIMPLE_GAP * scale
             near[i] = True
-            cluster = _semisimple_cluster(a, cfg, vecs, near, i, scale)
+            cluster = _semisimple_cluster(a, cfg, ordered, near, i, scale)
             if cluster is not None:
                 yield (*cluster, None, None)
                 continue
@@ -275,27 +288,31 @@ def _cluster(values, eps: float):
     """Group eigenvalues closer than eps into levels (connected components).
 
     Returns (mean, members) per level, sorted by the mean's (real, imag);
-    ``members`` are indices into ``values``, ascending.
+    ``members`` are indices into ``values``, ascending.  When no two values
+    lie within eps, each is its own level, with no union-find; its mean is
+    still sum([v]) / 1, which turns an imaginary -0.0 into +0.0.
     """
     n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     vals = np.asarray(values, dtype=np.complex128)
-    for i, j in zip(*np.nonzero(np.triu(np.abs(vals[:, None] - vals[None, :]) <= eps, 1))):
-        parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    levels = []
-    for members in groups.values():
-        mean = sum(values[i] for i in members) / len(members)
-        levels.append((complex(mean), members))
+    close = np.triu(np.abs(vals[:, None] - vals[None, :]) <= eps, 1)
+    if not close.any():
+        levels = [(complex(sum([v]) / 1), [i]) for i, v in enumerate(values)]
+    else:
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, j in zip(*np.nonzero(close)):
+            parent[find(i)] = find(j)
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        levels = [(complex(sum(values[i] for i in members) / len(members)), members)
+                  for members in groups.values()]
     levels.sort(key=lambda t: (t[0].real, t[0].imag))
     return levels
 
@@ -311,7 +328,9 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     fewer singular values than the multiplicity lie under 1e-8*|H|_F.  Every
     psi column has its phase fixed (largest-modulus entry real positive).
     The dual blocks are the columns of (Psi^{-1})^*, Psi^{-1} from one LU
-    solve against the identity, so Phi^* Psi = I holds globally.  Raises DefectiveOperatorError when some eigenspace is smaller
+    solve against the identity, so Phi^* Psi = I holds globally; each level's
+    blocks are views of its columns of Psi and Phi, which no one else holds.
+    Raises DefectiveOperatorError when some eigenspace is smaller
     than the eigenvalue's multiplicity, the eigenvector matrix is too
     ill-conditioned or fails to reproduce the action of H, and
     ConvergenceError when a LAPACK iteration does not converge.
@@ -341,11 +360,10 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
             psi[:, col : col + mult] = vh[n - mult :, :].conj().T[:, ::-1]
         col += mult
     _phase_canonical_columns(psi)
-    with _SINGULAR_VALUE_DECOMPOSITION:
-        cond = float(np.linalg.cond(psi))
+    cond = _condition(psi)
     if not np.isfinite(cond) or cond > 1e8:
         raise DefectiveOperatorError(f"eigenvector matrix condition {cond:.3g} exceeds 1e8")
-    diag = np.concatenate([[value] * len(members) for value, members in levels_meta])
+    diag = np.array([value for value, members in levels_meta for _ in members], dtype=np.complex128)
     if frobenius(h @ psi - psi * diag) > 1e-8 * max(norm_h, np.finfo(np.float64).tiny):
         raise DefectiveOperatorError("assembled eigenvectors do not reproduce the operator action")
     try:
@@ -356,13 +374,6 @@ def biorthonormal_system(h, cfg: ToleranceConfig | None = None) -> Biorthonormal
     col = 0
     for value, members in levels_meta:
         mult = len(members)
-        levels.append(
-            EigenLevel(
-                value=value,
-                multiplicity=mult,
-                psi=psi[:, col : col + mult].copy(),
-                phi=phi[:, col : col + mult].copy(),
-            )
-        )
+        levels.append(EigenLevel(value, mult, psi[:, col : col + mult], phi[:, col : col + mult]))
         col += mult
     return BiorthonormalSystem(levels=tuple(levels), dim=n)

@@ -81,6 +81,12 @@ def ldlt_symmetric(c):
     (L is unit lower triangular up to that row permutation).  Breakdown is
     returned when every remaining diagonal is below ``_PIVOT_CUT`` * max|C|
     while the remaining block is not.
+
+    Step k reads only the trailing block a[k:, k:]: a pivot move swaps rows
+    and columns there alone, by plain copies, and an eliminated row and
+    column are left as they are.  The rank-1 update keeps ``np.outer``'s
+    operand shapes, (m, 1) times (1, m): a 1-D right operand takes another
+    numpy loop, whose products can differ in the last bit.
     """
     c = as_matrix(c, square=True, name="C")
     scale = max(float(np.max(np.abs(c))), np.finfo(np.float64).tiny)
@@ -90,26 +96,23 @@ def ldlt_symmetric(c):
     a = c.copy()
     lower = np.eye(n, dtype=np.complex128)
     d = np.zeros(n, dtype=np.complex128)
-    perm = np.arange(n)
+    perm = list(range(n))
     for k in range(n):
-        diag = np.abs(np.diag(a)[k:])
-        j = k + int(np.argmax(diag))
+        j = k + int(np.abs(a.diagonal()[k:]).argmax())
         if abs(a[j, j]) <= _PIVOT_CUT * scale:
             if float(np.max(np.abs(a[k:, k:]))) <= _PIVOT_CUT * scale:
                 break  # factorization complete up to a zero tail
             return Breakdown(step=k)
         if j != k:
-            a[[k, j]] = a[[j, k]]
-            a[:, [k, j]] = a[:, [j, k]]
-            lower[[k, j], :k] = lower[[j, k], :k]
-            perm[[k, j]] = perm[[j, k]]
+            a[k, k:], a[j, k:] = a[j, k:].copy(), a[k, k:].copy()
+            a[k:, k], a[k:, j] = a[k:, j].copy(), a[k:, k].copy()
+            lower[k, :k], lower[j, :k] = lower[j, :k].copy(), lower[k, :k].copy()
+            perm[k], perm[j] = perm[j], perm[k]
         d[k] = a[k, k]
         if k + 1 < n:
             col = a[k + 1 :, k] / d[k]
             lower[k + 1 :, k] = col
-            a[k + 1 :, k + 1 :] -= np.outer(col, a[k, k + 1 :])
-            a[k + 1 :, k] = 0.0
-            a[k, k + 1 :] = 0.0
+            a[k + 1 :, k + 1 :] -= col[:, None] * a[k, k + 1 :][None, :]
     p = np.zeros((n, n), dtype=np.complex128)
     p[perm, np.arange(n)] = 1.0
     return p @ lower, d
@@ -121,7 +124,7 @@ def factor_via_ldlt(c):
     if isinstance(result, Breakdown):
         return result
     lower, d = result
-    return lower * np.array([principal_sqrt(v) for v in d], dtype=np.complex128)
+    return lower * np.array([principal_sqrt(v) for v in d.tolist()], dtype=np.complex128)
 
 
 def _isotropic_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

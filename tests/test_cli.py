@@ -348,11 +348,16 @@ def _exit_output(capsys, parse) -> tuple:
     return exc.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("command", ["factor", "verify", "analyze", "canonical"])
-def test_command_help_matches_the_full_parser(capsys, command):
-    full = _exit_output(capsys, lambda: cli._build_parser().parse_args([command, "--help"]))
-    assert full[0] == 0 and f"usage: symfact {command}" in full[1]
-    assert _exit_output(capsys, lambda: main([command, "--help"])) == full
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [
+    ["factor", "--help"], ["verify", "--help"], ["analyze", "--help"], ["canonical", "--help"],
+    ["verify", "-h"], ["canonical", "-h", "--selfadjoint"], ["factor", "--he", "c.mat"],
+])
+def test_command_help_matches_the_full_parser(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert full[0] == 0 and f"usage: symfact {argv[0]}" in full[1]
+    assert _exit_output(capsys, lambda: main(argv)) == full
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
@@ -372,8 +377,12 @@ def test_top_level_help_lists_every_command(capsys, argv):
     # rejected by it
     ["factor", "--tol", "abc", "c.mat"], ["factor", "--seed", "1.5", "c.mat"], ["factor", "--format", "xml", "c.mat"],
     ["factor", "--o", "c.mat"], ["factor", "c.mat", "--tol"], ["verify", "c.mat"],
+    # -h where the full parser makes it an error
+    ["factor", "c.mat", "-hx"], ["factor", "--tol", "-h", "c.mat"], ["factor", "c.mat", "--out-v"],
 ])
-def test_usage_errors_match_the_full_parser(capsys, argv):
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_usage_errors_match_the_full_parser(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
     full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
     assert full[0] == 2 and full[2].startswith("usage: symfact ")
     assert _exit_output(capsys, lambda: main(argv)) == (EXIT_INPUT_ERROR, full[1], full[2])
@@ -543,6 +552,104 @@ def test_parse_matrix_row_errors_keep_line_and_column(row, column, message):
         parse_matrix("# comment\n1 2\n" + row + "\n")
     assert (err.value.line, err.value.column) == (3, column)
     assert str(err.value) == f"3:{column}: {message}"
+
+
+def _reference_first_defect(text: str):
+    """(line, column, message) of the first defect of matrix text, or None, by a per-row parser:
+    each data row is parsed as it is read, so the defects are met in file order."""
+    rows = cols = None
+    count = 0
+    last = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        last = lineno
+        if rows is None:
+            header = line.split()
+            if len(header) != 2:
+                return lineno, 1, "header must be 'ROWS COLS'"
+            try:
+                rows, cols = int(header[0]), int(header[1])
+            except ValueError:
+                return lineno, 1, f"bad dimension token {header[0]!r} {header[1]!r}"
+            if rows < 1 or cols < 1:
+                return lineno, 1, "dimensions must be positive"
+            continue
+        if count == rows:
+            return lineno, 1, f"expected {rows} data rows, found more"
+        entries = 0
+        start = 0
+        for tok in line.split():
+            start = line.index(tok, start)
+            parts = tok.split(",")
+            try:
+                if len(parts) > 2:
+                    raise ValueError(tok)
+                for part in parts:
+                    float(part)
+            except ValueError:
+                return lineno, start + 1, f"bad token {tok!r}"
+            start += len(tok)
+            entries += 1
+        if entries != cols:
+            return lineno, 1, f"expected {cols} entries in row, found {entries}"
+        count += 1
+    if rows is None:
+        return 1, 1, "empty file (no header)"
+    if count != rows:
+        return last, 1, f"expected {rows} data rows, found {count}"
+    return None
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\n1 x\n3 4\n",  # a bad token, then an extra row
+    "1 2\n1 2\n3 x\n",  # an extra row holding a bad token
+    "2 2\n1 2\n3 4\n5 6\n7 x\n",  # an extra row, then a bad token
+    "2 2\n1\n2 x\n",  # a short row, then a bad token
+    "2 2\n1 2 3\n2 x\n",  # a long row, then a bad token
+    "2 2\n1 x\n2\n",  # a bad token, then a short row
+    "3 2\n1 x\n",  # too few rows after a bad token
+    "3 2\n1 2\n3 4,x\n",
+    "2 2\n1 2\n1,2,3 4\n",  # a token of three parts
+    "2 2\n1,2,3 4\n5 6\n7 8\n",  # then an extra row
+    "2 2\n1 ,5\n1 2 3\n",  # an empty real part, then a long row
+    "2 2\n5, 1\n1\n",  # an empty imaginary part, then a short row
+    "2 2\n1,2 3,4\n5,6 7,\n",
+    "2 2\n1,2 ,\n3,4 5,6\n",
+    "2 2\n1,2,3 4\n5,6\n",  # one comma too many and one too few on the same count
+    "# a comment\n2\t2 # dims\n\n1,2\t3,4 # first\n# between\n  5,x\t7\n9 9\n",
+    "# only\n\t\n2 2\n1,0 0,1\n\t# tab then comment\n0,1\t1,0\n# trailing\n3,3 3,3\n",
+    "2 2\n1,1 1,1\n",
+    "2 2\n\t1,1 1,1\n1,1 1,1 1,1 x\n",
+    "",
+    "# nothing but comments\n",
+    "2 x\n1 2\n",
+    "2\n",
+    "0 2\n",
+])
+def test_a_malformed_file_reports_its_first_defect_in_file_order(text):
+    expected = _reference_first_defect(text)
+    assert expected is not None
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert (err.value.line, err.value.column, err.value.reason) == expected
+    assert str(err.value) == f"{expected[0]}:{expected[1]}: {expected[2]}"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["analyze"], "3 3\n1 0 0\n0 2 0\n0 0 3\n"),
+    (["analyze"], "2 2\n0,1 0\n0 0,-1\n"),
+    (["analyze"], "2 2\n0,1 0\n0 2\n"),  # unpairable
+    (["analyze"], "2 2\n0 1\n0 0\n"),  # not diagonalizable
+    (["canonical"], "2 2\n1 0,1\n0,1 2\n"),
+    (["canonical", "--selfadjoint"], "2 2\n2 0,1\n0,-1 2\n"),
+])
+def test_reports_match_the_per_entry_renderer(tmp_path, capsys, argv, text):
+    path = _write(tmp_path, "h.mat", text)
+    assert main(argv + [path]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert out == _reference_json(json.loads(out)) + "\n"
 
 
 # ---------------------------------------------------------------- LAPACK failures are typed
