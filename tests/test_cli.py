@@ -348,16 +348,25 @@ def _exit_output(capsys, parse) -> tuple:
     return exc.value.code, captured.out, captured.err
 
 
+def _assert_help_matches_the_full_parser(capsys, argv):
+    full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert full[0] == 0 and f"usage: symfact {argv[0]}" in full[1]
+    assert _exit_output(capsys, lambda: main(argv)) == full
+
+
+@pytest.mark.parametrize("command", ["factor", "verify", "analyze", "canonical"])
+def test_command_help_matches_the_full_parser(capsys, command):
+    _assert_help_matches_the_full_parser(capsys, [command, "--help"])
+
+
 @pytest.mark.parametrize("columns", ["40", "200"])
 @pytest.mark.parametrize("argv", [
     ["factor", "--help"], ["verify", "--help"], ["analyze", "--help"], ["canonical", "--help"],
     ["verify", "-h"], ["canonical", "-h", "--selfadjoint"], ["factor", "--he", "c.mat"],
 ])
-def test_command_help_matches_the_full_parser(capsys, monkeypatch, argv, columns):
+def test_command_help_matches_the_full_parser_at_any_width(capsys, monkeypatch, argv, columns):
     monkeypatch.setenv("COLUMNS", columns)
-    full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
-    assert full[0] == 0 and f"usage: symfact {argv[0]}" in full[1]
-    assert _exit_output(capsys, lambda: main(argv)) == full
+    _assert_help_matches_the_full_parser(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
@@ -369,7 +378,7 @@ def test_top_level_help_lists_every_command(capsys, argv):
         assert f"    {command} " in out
 
 
-@pytest.mark.parametrize("argv", [
+_USAGE_ERRORS = [
     ["frobnicate", "c.mat"], [], ["--seed", "1", "factor"],
     # left over by the command's own parser
     ["factor", "c.mat", "--bogus"], ["factor", "-x", "c.mat"], ["verify", "c.mat", "v.mat", "extra.mat"],
@@ -377,15 +386,28 @@ def test_top_level_help_lists_every_command(capsys, argv):
     # rejected by it
     ["factor", "--tol", "abc", "c.mat"], ["factor", "--seed", "1.5", "c.mat"], ["factor", "--format", "xml", "c.mat"],
     ["factor", "--o", "c.mat"], ["factor", "c.mat", "--tol"], ["verify", "c.mat"],
+]
+
+
+def _assert_usage_error_matches_the_full_parser(capsys, argv):
+    full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert full[0] == 2 and full[2].startswith("usage: symfact ")
+    assert _exit_output(capsys, lambda: main(argv)) == (EXIT_INPUT_ERROR, full[1], full[2])
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS)
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    _assert_usage_error_matches_the_full_parser(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS + [
     # -h where the full parser makes it an error
     ["factor", "c.mat", "-hx"], ["factor", "--tol", "-h", "c.mat"], ["factor", "c.mat", "--out-v"],
 ])
 @pytest.mark.parametrize("columns", ["40", "200"])
-def test_usage_errors_match_the_full_parser(capsys, monkeypatch, columns, argv):
+def test_usage_errors_match_the_full_parser_at_any_width(capsys, monkeypatch, columns, argv):
     monkeypatch.setenv("COLUMNS", columns)
-    full = _exit_output(capsys, lambda: cli._build_parser().parse_args(argv))
-    assert full[0] == 2 and full[2].startswith("usage: symfact ")
-    assert _exit_output(capsys, lambda: main(argv)) == (EXIT_INPUT_ERROR, full[1], full[2])
+    _assert_usage_error_matches_the_full_parser(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [
