@@ -28,19 +28,18 @@ from .eigen import (
     _condition,
     _phase_canonical_columns,
 )
-from .factor import factor_symmetric
+from .factor import _norm_and_prescale, factor_symmetric
 from .matcore import (
     _DEFAULT_CONFIG,
     ToleranceConfig,
     ValidationError,
     _inverse,
     as_matrix,
-    as_vector,
     frobenius,
     solve_linear,
 )
 
-#: relative defect |M - M^T|_F (``is_hermitian``) or |H - H^dagger|_F (``canonical_T_selfadjoint``) accepted
+#: relative defect |H - H^dagger|_F that ``canonical_T_selfadjoint`` accepts
 _HERM_TOL = 1e-10
 #: ``check_pseudo_hermitian`` calls G singular when its singular values span more than 1/this
 _SINGULAR_CUT = 1e-12
@@ -96,22 +95,6 @@ def _op_matrix(op) -> np.ndarray:
     return as_matrix(op, square=True, name="operator matrix")
 
 
-def apply(op: AntilinearOp, zeta) -> np.ndarray:
-    """Act on a vector: M @ conj(zeta)."""
-    m = _op_matrix(op)
-    zeta = as_vector(zeta, "zeta")
-    if zeta.shape[0] != m.shape[0]:
-        raise ValidationError(f"dimension mismatch: operator is {m.shape[0]}, vector is {zeta.shape[0]}")
-    return m @ zeta.conj()
-
-
-def is_hermitian(op) -> bool:
-    """Hermitian antilinear operator test: M = M^T within ``_HERM_TOL`` * |M|_F."""
-    m = _op_matrix(op)
-    scale = max(frobenius(m), np.finfo(np.float64).tiny)
-    return frobenius(m - m.T) <= _HERM_TOL * scale
-
-
 def check_involution(op) -> float:
     """|M conj(M) - I|_F, the defect of T^2 = I."""
     m = _op_matrix(op)
@@ -128,11 +111,9 @@ def check_commutes(h, op) -> float:
     return frobenius(h @ m - m @ h.conj()) / denom
 
 
-def check_pseudo_hermitian(h, g, kind: str = "antilinear") -> float:
-    """Defect of H^* = G H G^{-1}, in inverse-free multiplied-through form.
-
-    antilinear G (matrix M):  |H^dagger M - M conj(H)|_F / (|H|_F |M|_F)
-    linear G:                 |H^dagger G - G H|_F / (|H|_F |G|_F)
+def check_pseudo_hermitian(h, g) -> float:
+    """Defect of H^* = G H G^{-1} for an antilinear G of matrix M, in inverse-free
+    multiplied-through form: |H^dagger M - M conj(H)|_F / (|H|_F |M|_F).
 
     ``_SINGULAR_CUT`` is the relative singular-value cutoff below which G
     counts as singular (the identity requires an invertible G).
@@ -141,16 +122,13 @@ def check_pseudo_hermitian(h, g, kind: str = "antilinear") -> float:
     g = _op_matrix(g)
     if g.shape != h.shape:
         raise ValidationError("G and H must have matching dimensions")
-    if kind not in ("linear", "antilinear"):
-        raise ValidationError(f"kind must be 'linear' or 'antilinear', got {kind!r}")
     with _SINGULAR_VALUE_DECOMPOSITION:
         s = np.linalg.svd(g, compute_uv=False)
     if s[-1] <= _SINGULAR_CUT * s[0]:
         raise ValidationError("G is singular to working precision")
     denom = max(frobenius(h) * frobenius(g), np.finfo(np.float64).tiny)
     h_conj = h.conj()
-    defect = h_conj.T @ g - g @ (h_conj if kind == "antilinear" else h)
-    return frobenius(defect) / denom
+    return frobenius(h_conj.T @ g - g @ h_conj) / denom
 
 
 def _validate_coeffs(system: BiorthonormalSystem, coeffs: CoefficientSet) -> None:
@@ -322,12 +300,14 @@ def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None) -> Antilinear
     symmetrized H, each column's phase fixed (largest-modulus entry real
     positive).  With an orthonormal eigenbasis the operator is Hermitian,
     commutes with H, satisfies the pseudo-Hermiticity identity, and squares
-    to the identity.  ``cfg`` is accepted for a uniform call signature.
+    to the identity.  ``cfg`` is accepted for a uniform call signature.  It works on H/4^k,
+    ``factor_symmetric``'s exact prescale (k = 0 in its band): no norm or sum over- or underflows.
     """
     h = as_matrix(h, square=True, name="H")
-    scale = max(frobenius(h), np.finfo(np.float64).tiny)
+    unit = _norm_and_prescale(h)[1]
+    h = h / unit / unit
     h_dagger = h.conj().T
-    if frobenius(h - h_dagger) > _HERM_TOL * scale:
+    if frobenius(h - h_dagger) > _HERM_TOL * frobenius(h):
         raise ValidationError("H is not self-adjoint within tolerance")
     with _EIGENVALUE_ITERATION:
         _, psi = np.linalg.eigh(0.5 * (h + h_dagger))

@@ -382,7 +382,7 @@ def _cmd_canonical(path: str, cfg: ToleranceConfig, args) -> tuple[dict, int]:
             op = antisym.canonical_T_selfadjoint(h, cfg)
         else:
             op = antisym.canonical_T(eigen.biorthonormal_system(h, cfg))
-        pseudo_hermiticity = antisym.check_pseudo_hermitian(h, op, kind="antilinear")
+        pseudo_hermiticity = antisym.check_pseudo_hermitian(h, op)
     except (OSError, ParseError, ValidationError, eigen.DefectiveOperatorError) as exc:
         return _error_report("canonical", digest, cfg, exc), EXIT_INPUT_ERROR
     except eigen.ConvergenceError as exc:

@@ -125,7 +125,7 @@ _DROP_CUT = 5e-9
 _SOUND_SCORE = 1e-3
 #: ``orthogonal_gauge`` accepts o with |o^T o - I|_F up to this multiple of max(|o|_F^2, 1)
 _GAUGE_TOL = 1e-10
-#: |C|_F outside this band is factored as 4^-k C, largest entry near 1: near the ends of the
+#: |C|_F outside this band is factored as 4^-k C, largest part near 1: near the ends of the
 #: float range, |C|_F^2 overflows (|C|_F ~ 1.3e154) or underflows
 _NORM_BAND = (2.0**-400, 2.0**400)
 #: the smallest normal float, the symmetry test's least scale
@@ -141,7 +141,7 @@ class ChosenX:
     x: np.ndarray
     det_d: complex
     strategy: str
-    score: float = 1.0  # |det D| relative to the size of D, a 1/cond proxy
+    score: float  # |det D| relative to the size of D, a 1/cond proxy
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,13 +231,15 @@ def _residual(inner: np.ndarray, w: np.ndarray, unit: float = 1.0, norm: float |
 
 
 def _norm_and_prescale(c: np.ndarray) -> tuple:
-    """(|C|_F, 2^k) with C/4^k's largest entry in [1/2, 2) for a nonzero C whose |C|_F lies outside
-    ``_NORM_BAND``; (|C|_F, 1.0) for C = 0 or C in the band."""
+    """(|C|_F, 2^k) with C/4^k's largest real or imaginary part in [1/2, 2) for a nonzero C whose |C|_F
+    lies outside ``_NORM_BAND``; (|C|_F, 1.0) for C = 0 or C in the band.  Parts, not moduli: a
+    modulus can overflow where its parts do not."""
     with np.errstate(over="ignore"):  # an overflow to inf is outside the band
         norm = frobenius(c)
     if _NORM_BAND[0] <= norm <= _NORM_BAND[1] or not c.any():
         return norm, 1.0
-    return norm, 2.0 ** (math.frexp(float(np.abs(c).max()))[1] // 2)
+    peak = np.maximum(np.abs(c.real), np.abs(c.imag)).max()
+    return norm, 2.0 ** (math.frexp(float(peak))[1] // 2)
 
 
 def orthogonal_gauge(v, o) -> np.ndarray:
@@ -250,14 +252,6 @@ def orthogonal_gauge(v, o) -> np.ndarray:
     if defect > _GAUGE_TOL * max(frobenius(o) ** 2, 1.0):
         raise ValidationError(f"gauge matrix is not orthogonal: |o^T o - I| = {defect:.3g}")
     return v @ o
-
-
-def factor_antidiagonal(lambda_alpha) -> np.ndarray:
-    """Closed-form 2x2 factor m with m^T m = [[0, la], [la, 0]]."""
-    la = as_scalar(lambda_alpha, "lambda_alpha")
-    if la == 0.0:
-        raise ValidationError("lambda_alpha must be nonzero")
-    return np.array([[1.0, la / 2.0], [1.0j, -1.0j * la / 2.0]], dtype=np.complex128)
 
 
 def choose_x(c_tilde_prime, lambda_alpha):
@@ -609,28 +603,11 @@ def _isotropic_in_subspace(s: np.ndarray) -> np.ndarray:
     return z
 
 
-def reduce_case_ii(c, pair: eigen.EigenPair, cfg: ToleranceConfig | None = None):
-    """Congruence data for the isotropic branch.
-
-    Returns (A', C', c_tilde_prime) where A' = [basis of the joint
-    complement of {e, conj(e)} | conj(e) | e] is unitary, C' = A'^T C A' has
-    its last row and column zero except the antidiagonal corner entries
-    lambda*alpha, and c_tilde_prime is the leading symmetric block.  Any pair
-    is accepted: its vector is made phase-canonical and unit here, and must
-    then have |e^T e| <= iso_tol.
-    """
-    c = as_matrix(c, square=True, name="C")
-    e = eigen._phase_canonical(np.asarray(pair.vector, dtype=np.complex128))
-    e = e / frobenius(e)
-    if abs(complex(np.dot(e, e))) > (cfg or _DEFAULT_CONFIG).iso_tol:
-        raise ValidationError("eigenvector is not isotropic; wrong branch")
-    a_prime, c_prime = _reduce_case_ii(c, e)
-    return a_prime, c_prime, c_prime[:-1, :-1].copy()
-
-
 def _reduce_case_ii(c: np.ndarray, e: np.ndarray) -> tuple:
-    """(A', C') of ``reduce_case_ii`` for a validated C and a unit, phase-canonical e, taken as
-    given: the factor path has them from its eigenpair, whose e^T e its candidate test measured."""
+    """(A', C') of the isotropic branch: A' = [orthonormal basis of the joint complement of
+    {e, conj(e)} | conj(e) | e] and C' = A'^T C A', whose last row and column are zero but for the
+    corner entries lambda*alpha when C e = lambda e.  C is validated and e unit and phase-canonical,
+    taken as given: the factor path has them from its eigenpair, whose e^T e it measured."""
     m = c.shape[0]
     a_prime = np.empty((m, m), dtype=np.complex128)
     a_prime[:, :-2] = _complement_basis_within(e)
@@ -666,7 +643,8 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | Non
         return LevelPlan((record,), left, ct * scale, b)
     allzero = np.maximum.reduce(np.abs(ct), axis=None) <= _ALLZERO_CUT * abs(la)
     if allzero or frobenius(ct) <= _DROP_CUT:
-        b[m - 2 :, m - 2 :] = factor_antidiagonal(la) * math.sqrt(scale)
+        # the closed form m^T m = [[0, la], [la, 0]]; la is nonzero past the lambda = 0 cut
+        b[m - 2 :, m - 2 :] = np.array([[1.0, la / 2.0], [1.0j, -1.0j * la / 2.0]]) * math.sqrt(scale)
         record = LevelRecord(m, BRANCH_CASE_II_DEGENERATE, la * scale, 0.0, None, "allzero" if allzero else "dropped")
         return LevelPlan((record,), left, None, b)
     chosen = choose_x(ct, la)
@@ -716,7 +694,7 @@ def factor_symmetric(c, cfg: ToleranceConfig | None = None) -> FactorizationResu
 
     The input may deviate from exact symmetry by at most 1e-12 * |C|_F
     (it is symmetrized once); larger defects raise NotSymmetricError.  A nonzero C outside
-    ``_NORM_BAND`` is factored as C' = C/4^k, its largest entry in [1/2, 2) (``unit`` = 2^k).  A
+    ``_NORM_BAND`` is factored as C' = C/4^k, its largest part in [1/2, 2) (``unit`` = 2^k).  A
     power of 4 is exact in binary floating point, and C' lies in the band, where the factorization
     is exactly scale-equivariant: V = 2^k V' and every trace value is 4^k times that of C', bit for
     bit (barring subnormal entries).

@@ -1,7 +1,7 @@
 """Dense complex linear-algebra substrate.
 
-Everything else in the package is built on the operations here: the
-bilinear product u^T v, reflector-based complement bases, linear solves
+Everything else in the package is built on the operations here: input
+validation, the Frobenius norm, reflector-based complement bases, linear solves
 (LAPACK through numpy, with a conditioning check that keeps singular systems
 a typed error), and the principal complex square root.  All public entry
 points validate shapes and reject non-finite input.
@@ -117,15 +117,6 @@ def frobenius(a) -> float:
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(x.dot(x))
-
-
-def bilinear(u, v) -> complex:
-    """Non-conjugated product u^T v.  Vanishes on isotropic pairs."""
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape != v.shape:
-        raise ValidationError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.dot(u, v))
 
 
 def principal_sqrt(z) -> complex:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,18 @@ def test_canonical_selfadjoint_rejects_non_hermitian(tmp_path, capsys):
     code = main(["canonical", path, "--selfadjoint"])
     assert code == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+def test_canonical_selfadjoint_rejects_a_non_hermitian_h_whose_norm_overflows(tmp_path, capsys):
+    # |H - H^dagger|_F and |H|_F both overflow here; the diagonal entry is not real
+    path = _write(tmp_path, "h.mat", "1 1\n1e308,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["canonical", "--selfadjoint", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INPUT_ERROR
+    assert report["status"] == "error"
+    assert report["result"]["message"] == "H is not self-adjoint within tolerance"
 
 
 def test_batch_mode_order_and_exit_code(tmp_path, capsys):

@@ -17,16 +17,13 @@ from symfact.factor import (
     BRANCH_CASE_II_LAMBDA_ZERO,
     NotSymmetricError,
     choose_x,
-    factor_antidiagonal,
     factor_symmetric,
     orthogonal_gauge,
-    reduce_case_ii,
     verify_factorization,
 )
 from symfact.matcore import (
     ToleranceConfig,
     ValidationError,
-    bilinear,
     complement_basis_within,
     frobenius,
     solve_linear,
@@ -38,6 +35,11 @@ CFG = ToleranceConfig()
 def _unit(v):
     v = np.asarray(v, dtype=complex)
     return v / np.linalg.norm(v)
+
+
+def _canonical(e):
+    """e made unit and phase-canonical, as the factor path hands an isotropic level its vector."""
+    return factor.eigen._phase_canonical(np.asarray(e, dtype=complex) / np.linalg.norm(e))
 
 
 def _isotropic_core(seed, n):
@@ -109,7 +111,7 @@ def test_dispatch_case_examples():
 def test_dispatch_case_threshold():
     eps = 1e-5
     e = _unit([1.0, eps * 1j])
-    assert abs(bilinear(e, e)) > CFG.iso_tol
+    assert abs(e @ e) > CFG.iso_tol
     assert factor_symmetric(np.outer(e, e), CFG).trace.branches()[0] == BRANCH_CASE_I
 
 
@@ -121,8 +123,8 @@ def test_assemble_case_i_full_pipeline_diag():
 
 def test_reduce_case_ii_structure():
     c = np.array([[1, 1j], [1j, -1]], dtype=complex)
-    pair = EigenPair(value=0.0, vector=_unit([1, 1j]), residual=0.0)
-    a_prime, c_prime, ct_prime = reduce_case_ii(c, pair, CFG)
+    a_prime, c_prime = factor._reduce_case_ii(c, _canonical([1, 1j]))
+    ct_prime = c_prime[:-1, :-1]
     assert abs(c_prime[1, 1]) < 1e-12          # e^T C e = lambda e^T e = 0
     assert abs(c_prime[0, 1]) < 1e-12          # lambda = 0 here
     assert ct_prime.shape == (1, 1)
@@ -134,23 +136,15 @@ def test_reduce_case_ii_structural_zeros_general():
     rng = np.random.default_rng(32)
     for dim in (4, 6):
         c = oracle.gen(oracle.GeneratorSpec(dim=dim, seed=17, kind="IsotropicLambdaNonzero"))
-        pair = eigenpair(c, CFG)
-        e = pair.vector
-        if abs(bilinear(e, e)) > CFG.iso_tol:
+        e = _canonical(eigenpair(c, CFG).vector)
+        if abs(e @ e) > CFG.iso_tol:
             # the eigensolver may land on a non-isotropic mix; construct the
             # isotropic member directly from the generator's eigenvalue
             continue
-        a_prime, c_prime, ct_prime = reduce_case_ii(c, pair, CFG)
+        a_prime, c_prime = factor._reduce_case_ii(c, e)
         n = dim - 1
         assert np.max(np.abs(c_prime[: n - 1, n])) <= 1e-10 * frobenius(c)
         assert abs(c_prime[n, n]) <= 1e-10 * frobenius(c)
-
-
-def test_reduce_case_ii_rejects_non_isotropic():
-    c = np.eye(2)
-    pair = EigenPair(value=1.0, vector=np.array([1.0, 0.0], dtype=complex), residual=0.0)
-    with pytest.raises(ValidationError):
-        reduce_case_ii(c, pair, CFG)
 
 
 def test_choose_x_allzero():
@@ -178,16 +172,6 @@ def test_choose_x_linear_term():
     x, det_d = got.x, got.det_d
     y = ct @ x
     assert det_d == pytest.approx(-(x @ y))
-
-
-def test_factor_antidiagonal_closed_form():
-    m = factor_antidiagonal(1.0)
-    assert np.allclose(m, [[1, 0.5], [1j, -0.5j]])
-    assert np.allclose(m.T @ m, [[0, 1], [1, 0]], atol=1e-15)
-    m2 = factor_antidiagonal(2.0)
-    assert np.allclose(m2.T @ m2, [[0, 2], [2, 0]], atol=1e-15)
-    with pytest.raises(ValidationError):
-        factor_antidiagonal(0.0)
 
 
 def test_assemble_case_ii_degenerate_pipeline():
@@ -398,6 +382,8 @@ def test_inputs_near_the_ends_of_the_float_range_factor_by_an_exact_prescale():
         r = factor_symmetric(scale * c, CFG)
         assert r.trace.branches() == [BRANCH_CASE_I] * 3 + ["Base"]
         assert r.relative_residual <= 1e-15
+    # an entry whose modulus overflows though its parts are finite: the prescale reads the parts
+    assert factor_symmetric([[1.7e308 + 1.7e308j]], CFG).relative_residual <= 1e-15
 
 
 def test_nilpotent_blocks_factor_to_their_null_directions():
@@ -835,7 +821,7 @@ def test_a_flat_coupling_under_the_all_zero_cut_takes_the_closed_form(monkeypatc
     # at m = 96, a flat c_tilde' at 0.9 times the all-zero cut has |c_tilde'|_F above the drop cut:
     # the max-entry rule alone sends it to the closed form, and no rung is scored
     c, pair, ete = _flat_coupling(96, 0.9)
-    ct = reduce_case_ii(c, pair, CFG)[2]
+    ct = factor._reduce_case_ii(c, pair.vector)[1][:-1, :-1]
     assert frobenius(ct) > factor._DROP_CUT * frobenius(c)
     calls = _count_calls(monkeypatch, factor, "choose_x")
     plan = factor._plan(c, pair, ete)
@@ -902,10 +888,9 @@ def _isotropic_candidates(c, cfg=CFG):
             yield upgraded
 
 
-def test_the_factor_path_reduction_agrees_with_reduce_case_ii():
+def test_the_factor_path_hands_the_reduction_a_unit_phase_canonical_e():
     # the factor path hands its unit, phase-canonical e, whose e^T e its candidate test measured, to
-    # the reduction, which takes it as given; the public reduce_case_ii phase-fixes, normalises and
-    # measures it again
+    # the reduction, which takes it as given
     seen = 0
     for kind in ("IsotropicLambdaZero", "IsotropicLambdaNonzero"):
         for seed in range(12):
@@ -916,11 +901,6 @@ def test_the_factor_path_reduction_agrees_with_reduce_case_ii():
                 assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-15)
                 assert peak.real > 0.0 and abs(peak.imag) <= 1e-15  # phase-canonical up to rounding
                 assert ete == complex(e @ e) and abs(ete) <= CFG.iso_tol
-                a_prime, c_prime = factor._reduce_case_ii(c, e)
-                want = reduce_case_ii(c, pair, CFG)
-                assert frobenius(a_prime - want[0]) <= 1e-14
-                assert frobenius(c_prime - want[1]) <= 1e-14 * frobenius(c)
-                assert frobenius(c_prime[:-1, :-1] - want[2]) <= 1e-14 * frobenius(c)
                 seen += 1
     assert seen >= 20
 
@@ -1064,8 +1044,6 @@ def test_public_entry_points_never_write_to_their_arguments():
         rng = np.random.default_rng(seed)
         ct = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ct = ct + ct.T
-        assert _same(reduce_case_ii(_frozen(c), EigenPair(lam, _frozen(e), 0.0), CFG),
-                     reduce_case_ii(c.copy(), EigenPair(lam, e.copy(), 0.0), CFG)), seed
         assert _same(choose_x(_frozen(ct), lam), choose_x(ct.copy(), lam)), seed
         assert _same(complement_basis_within(_frozen(e)), complement_basis_within(e.copy())), seed
     for seed in range(20):
@@ -1372,7 +1350,7 @@ def _near_isotropic(seed, n, ete):
 def _isotropic_plan(c, pair):
     """``factor._plan`` of an isotropic pair, its vector made unit and phase-canonical and its
     e^T e measured, as the factor path hands them over."""
-    e = factor.eigen._phase_canonical(pair.vector / np.linalg.norm(pair.vector))
+    e = _canonical(pair.vector)
     return factor._plan(c, EigenPair(value=pair.value, vector=e, residual=pair.residual), complex(e @ e))
 
 
@@ -1385,10 +1363,10 @@ def _random_b(plan):
     return b
 
 
-def _product_and_solve(c, pair, plan, cfg=CFG):
+def _product_and_solve(c, pair, plan):
     """An isotropic level's V = A^-T B^T by its product and by a solve with its A' (B from ``_random_b``)."""
     b = _random_b(plan)
-    return plan.left @ b.T, solve_linear(reduce_case_ii(c, pair, cfg)[0].T, b.T)
+    return plan.left @ b.T, solve_linear(factor._reduce_case_ii(c, _canonical(pair.vector))[0].T, b.T)
 
 
 def test_unitary_levels_assemble_by_a_product_that_matches_the_solve():
@@ -1437,9 +1415,9 @@ def test_a_raised_iso_tol_is_assembled_through_the_gram_correction():
     pair = EigenPair(value=0.0, vector=e, residual=0.0)
     plan = _isotropic_plan(c, pair)
     assert plan.records[0].branch == BRANCH_CASE_II_LAMBDA_ZERO
-    got, want = _product_and_solve(c, pair, plan, cfg)
+    got, want = _product_and_solve(c, pair, plan)
     assert frobenius(got - want) <= 1e-14 * frobenius(want)
-    uncorrected = reduce_case_ii(c, pair, cfg)[0].conj() @ _random_b(plan).T  # A' taken as unitary
+    uncorrected = factor._reduce_case_ii(c, _canonical(e))[0].conj() @ _random_b(plan).T  # A' taken as unitary
     assert frobenius(uncorrected - want) > 1e-6 * frobenius(want)
     assert verify_factorization(c, _level_v(plan, cfg), cfg).relative_residual <= 1e-14
     for seed in range(6):  # whole factorizations under the raised cut
@@ -1491,7 +1469,8 @@ def test_a_bordered_level_carries_the_inverse_transpose_of_its_transform():
     pair = EigenPair(value=lam, vector=e, residual=0.0)
     plan = _isotropic_plan(c, pair)
     assert plan.records[0].branch == BRANCH_CASE_II_GENERAL and plan.sound
-    a_prime, c_prime, ct_prime = reduce_case_ii(c / frobenius(c), pair, CFG)
+    a_prime, c_prime = factor._reduce_case_ii(c / frobenius(c), _canonical(e))
+    ct_prime = c_prime[:-1, :-1]
     x = choose_x(ct_prime, c_prime[-2, -1]).x
     a = a_prime @ _bordered(x, ct_prime @ x)  # the level's congruence A = A' D
     assert frobenius(plan.left.T @ a - np.eye(6)) <= 1e-13

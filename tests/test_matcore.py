@@ -8,35 +8,11 @@ from symfact.matcore import (
     ToleranceConfig,
     ValidationError,
     as_scalar,
-    bilinear,
     complement_basis_within,
     frobenius,
     principal_sqrt,
     solve_linear,
 )
-
-
-def test_bilinear_examples():
-    assert bilinear([1, 0], [0, 1]) == 0
-    assert abs(bilinear([1, 1j], [1, 1j])) == 0  # isotropic: 1 + i^2
-    assert bilinear([1, 1j], [2, 3]) == pytest.approx(2 + 3j)
-
-
-def test_bilinear_symmetric_property():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert bilinear(u, v) == pytest.approx(bilinear(v, u))
-
-
-def test_inner_products_reject_mismatch_and_nonfinite():
-    with pytest.raises(ValidationError):
-        bilinear([1, 2], [1, 2, 3])
-    with pytest.raises(ValidationError):
-        bilinear([np.nan, 0], [1, 0])
-    with pytest.raises(ValidationError):
-        bilinear([1, 0], [np.inf, 0])
 
 
 def test_complement_basis_within_small_cases():
