@@ -101,19 +101,30 @@ def check_involution(op) -> float:
     return frobenius(m @ m.conj() - np.eye(m.shape[0]))
 
 
+def _prescaled(a: np.ndarray) -> tuple:
+    """(|A'|_F, A') for A' = A/4^k, ``factor_symmetric``'s exact prescale (A' is A in its band): no norm,
+    product or sum of A' over- or underflows, and each identity below is homogeneous in H and in M."""
+    norm, unit = _norm_and_prescale(a)
+    if unit == 1.0:
+        return norm, a
+    a = a / unit / unit
+    return frobenius(a), a
+
+
 def check_commutes(h, op) -> float:
-    """Commutation defect |H M - M conj(H)|_F / (|H|_F |M|_F)."""
+    """Commutation defect |H M - M conj(H)|_F / (|H|_F |M|_F), taken on H and M prescaled."""
     h = as_matrix(h, square=True, name="H")
     m = _op_matrix(op)
     if m.shape != h.shape:
         raise ValidationError("operator and H must have matching dimensions")
-    denom = max(frobenius(h) * frobenius(m), np.finfo(np.float64).tiny)
+    (norm_h, h), (norm_m, m) = _prescaled(h), _prescaled(m)
+    denom = max(norm_h * norm_m, np.finfo(np.float64).tiny)
     return frobenius(h @ m - m @ h.conj()) / denom
 
 
 def check_pseudo_hermitian(h, g) -> float:
     """Defect of H^* = G H G^{-1} for an antilinear G of matrix M, in inverse-free
-    multiplied-through form: |H^dagger M - M conj(H)|_F / (|H|_F |M|_F).
+    multiplied-through form: |H^dagger M - M conj(H)|_F / (|H|_F |M|_F), taken on H and M prescaled.
 
     ``_SINGULAR_CUT`` is the relative singular-value cutoff below which G
     counts as singular (the identity requires an invertible G).
@@ -122,11 +133,12 @@ def check_pseudo_hermitian(h, g) -> float:
     g = _op_matrix(g)
     if g.shape != h.shape:
         raise ValidationError("G and H must have matching dimensions")
+    (norm_h, h), (norm_g, g) = _prescaled(h), _prescaled(g)
     with _SINGULAR_VALUE_DECOMPOSITION:
         s = np.linalg.svd(g, compute_uv=False)
     if s[-1] <= _SINGULAR_CUT * s[0]:
         raise ValidationError("G is singular to working precision")
-    denom = max(frobenius(h) * frobenius(g), np.finfo(np.float64).tiny)
+    denom = max(norm_h * norm_g, np.finfo(np.float64).tiny)
     h_conj = h.conj()
     return frobenius(h_conj.T @ g - g @ h_conj) / denom
 
@@ -300,14 +312,12 @@ def canonical_T_selfadjoint(h, cfg: ToleranceConfig | None = None) -> Antilinear
     symmetrized H, each column's phase fixed (largest-modulus entry real
     positive).  With an orthonormal eigenbasis the operator is Hermitian,
     commutes with H, satisfies the pseudo-Hermiticity identity, and squares
-    to the identity.  ``cfg`` is accepted for a uniform call signature.  It works on H/4^k,
-    ``factor_symmetric``'s exact prescale (k = 0 in its band): no norm or sum over- or underflows.
+    to the identity.  ``cfg`` is accepted for a uniform call signature.  It works on H prescaled
+    (``_prescaled``).
     """
-    h = as_matrix(h, square=True, name="H")
-    unit = _norm_and_prescale(h)[1]
-    h = h / unit / unit
+    norm, h = _prescaled(as_matrix(h, square=True, name="H"))
     h_dagger = h.conj().T
-    if frobenius(h - h_dagger) > _HERM_TOL * frobenius(h):
+    if frobenius(h - h_dagger) > _HERM_TOL * norm:
         raise ValidationError("H is not self-adjoint within tolerance")
     with _EIGENVALUE_ITERATION:
         _, psi = np.linalg.eigh(0.5 * (h + h_dagger))

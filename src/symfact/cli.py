@@ -57,57 +57,33 @@ def _tokens(line: str):
         col += len(tok)
 
 
-def _row_floats(line: str, cols: int) -> list:
-    """Interleaved re, im floats of one data row; ValueError if it is malformed.
-
-    Every token gives two or more floats, so with ``cols`` tokens exactly
-    2*cols floats means every token was "re" or "re,im".
-    """
-    toks = line.split()
-    vals = [float(x) for tok in toks for x in (tok.split(",") if "," in tok else (tok, "0"))]
-    if len(toks) != cols or len(vals) != 2 * cols:
-        raise ValueError("malformed row")
-    return vals
-
-
-def _row_error(line: str, lineno: int, cols: int) -> ParseError:
-    """The error of a row that ``_row_floats`` rejected: its first bad token
-    with its column, else its entry count."""
-    count = 0
-    for tok, col in _tokens(line):
-        parts = tok.split(",")
-        try:
-            if len(parts) > 2:
-                raise ValueError(tok)
-            for part in parts:
-                float(part)
-        except ValueError:
-            return ParseError(f"bad token {tok!r}", lineno, col)
-        count += 1
-    return ParseError(f"expected {cols} entries in row, found {count}", lineno, 1)
-
-
-def _row_values(lines: list, cols: int) -> list:
-    """The floats of each data row in ``lines``, (line number, line) pairs in file order, row by row:
-    the first malformed row raises its ParseError."""
-    data = []
+def _raise_first_bad_row(lines: list, cols: int) -> None:
+    """Raise the ParseError of the first malformed row of ``lines``, (line number, line) pairs in file
+    order: its first bad token with its column, else its entry count."""
     for lineno, line in lines:
-        try:
-            data.append(_row_floats(line, cols))
-        except ValueError:
-            raise _row_error(line, lineno, cols) from None
-    return data
+        count = 0
+        for tok, col in _tokens(line):
+            parts = tok.split(",")
+            try:
+                if len(parts) > 2:
+                    raise ValueError(tok)
+                for part in parts:
+                    float(part)
+            except ValueError:
+                raise ParseError(f"bad token {tok!r}", lineno, col) from None
+            count += 1
+        if count != cols:
+            raise ParseError(f"expected {cols} entries in row, found {count}", lineno, 1)
 
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the matrix text format; raises ParseError with line/column info.
 
-    The data rows are collected with their token counts checked.  When every
-    token is "re,im", one comma in each, all floats are converted by one
-    ``map(float, ...)`` into one array; any other file, a bad number
-    included, is converted row by row by ``_row_floats``, which names the
-    first bad token.  Errors keep file order: a bad row above an extra, short
-    or missing row is the one reported.
+    The data rows are collected with their token counts checked, and all
+    floats are converted by one ``map(float, ...)`` into one array, a "re"
+    token read as "re,0".  Only a file that fails is scanned row by row, to
+    name its first bad token.  Errors keep file order: a bad row above an
+    extra, short or missing row is the one reported.
     """
     rows = cols = None
     lines = []  # (line number, line) of the data rows read so far
@@ -130,28 +106,26 @@ def parse_matrix(text: str) -> np.ndarray:
                 raise ParseError("dimensions must be positive", lineno, 1)
             continue
         if len(lines) == rows:
-            _row_values(lines, cols)  # a bad row above comes first
+            _raise_first_bad_row(lines, cols)  # a bad row above comes first
             raise ParseError(f"expected {rows} data rows, found more", lineno, 1)
         lines.append((lineno, line))
         row = line.split()
         if len(row) != cols:
-            _row_values(lines, cols)  # raises, at this row at the latest
+            _raise_first_bad_row(lines, cols)  # at this row at the latest
         tokens += row
     if rows is None:
         raise ParseError("empty file (no header)", 1, 1)
     if len(lines) != rows:
-        _row_values(lines, cols)
+        _raise_first_bad_row(lines, cols)
         raise ParseError(f"expected {rows} data rows, found {len(lines)}", last_line, 1)
-    values = None
-    if all("," in tok for tok in tokens):
-        parts = ",".join(tokens).split(",")
-        if len(parts) == 2 * len(tokens):  # so no token holds a second comma
-            try:
-                values = np.fromiter(map(float, parts), np.float64, len(parts))
-            except ValueError:  # named by the per-row path
-                pass
-    if values is None:
-        values = np.array(_row_values(lines, cols), dtype=np.float64)
+    parts = ",".join([tok if "," in tok else tok + ",0" for tok in tokens]).split(",")
+    try:
+        if len(parts) != 2 * len(tokens):  # some token holds a second comma
+            raise ValueError(parts)
+        values = np.fromiter(map(float, parts), np.float64, len(parts))
+    except ValueError:
+        _raise_first_bad_row(lines, cols)
+        raise
     return values.reshape(rows, 2 * cols).view(np.complex128)
 
 

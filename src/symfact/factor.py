@@ -18,6 +18,9 @@ whether e is isotropic (e^T e = 0, possible only over the complex field):
                           negligible: the remaining 2x2 antidiagonal core is
                           factored in closed form.
 * ``Base`` / ``ZeroMatrix`` terminate the recursion.
+* ``Takagi``              a block where no eigenpair has a sound route ends in its
+                          Autonne-Takagi factor (``_takagi``); the paper's
+                          induction has no such step.
 
 ``_first_sound_plan`` decides a level's branch; a chain (below) takes further
 levels by the same rules, ``_reflects`` and eigen's candidate tests.  A plan
@@ -49,14 +52,11 @@ At small n a numpy call's dispatch, not its arithmetic, sets the time: products 
 constants enter ufuncs as 0-d arrays and scalar tests run on ``tolist()``, every bit kept.
 
 The returned factor's ``relative_residual`` is |C - V V^T|_F / max(|C|_F, 1).
-It can exceed verify_tol: symmetric 2x2 Jordan blocks at lambda != 0 do; so do
-complex-orthogonal similarities far from normal, where last-resort levels raise
-the block norm until the O(1) eigenvalues fall under the near-zero cut (of the
-boosted n = 64 inputs in the tests, t = 4 misses at |C|_F = 1.7e4 against
-eigenvalues of modulus 0.06 to 2.5, while t = 4.5 and 5 pass); and so does a
-perturbed 2x2 nilpotent block above the noise floor, whose eigenvalues
-~sqrt(eps |C| |N|) clear the near-zero cut of its own norm.  The CLI then
-reports ``status: "fail"`` with exit code 2.
+It can exceed verify_tol where an isotropic level's coupling block is weak: a
+coupling of the bulk to the corner alone takes a bordered transform that scores
+just above ``_SOUND_SCORE``, and a flat block under the all-zero cut is dropped
+at more than verify_tol from m ~ 150.  The CLI then reports ``status: "fail"``
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ BRANCH_CASE_II_LAMBDA_ZERO = "CaseII_LambdaZero"
 BRANCH_CASE_II_GENERAL = "CaseII_General"
 BRANCH_CASE_II_DEGENERATE = "CaseII_Degenerate"
 BRANCH_ZERO_MATRIX = "ZeroMatrix"
+#: the Autonne-Takagi terminal, kept out of ``ALL_BRANCHES``: no generator family reaches it
+BRANCH_TAKAGI = "Takagi"
 
 ALL_BRANCHES = (
     BRANCH_BASE,
@@ -121,7 +123,7 @@ _LAMBDA_DANGER = 1e-4
 #: verify_tol, while a bordered transform built on it scores rounding noise
 _DROP_CUT = 5e-9
 #: a bordered transform whose score (|det D| against |x||y|, a 1/cond proxy) is below this is
-#: unsound: ``choose_x`` labels it ``fallback:`` and ``_plan`` marks its plan unsound
+#: unsound: ``choose_x`` labels it ``fallback:`` and ``_plan`` builds no plan on it
 _SOUND_SCORE = 1e-3
 #: ``orthogonal_gauge`` accepts o with |o^T o - I|_F up to this multiple of max(|o|_F^2, 1)
 _GAUGE_TOL = 1e-10
@@ -168,18 +170,15 @@ class LevelPlan:
     zero-padded to [0 | L] when a null tail is left; a null split's unitary
     [R | N] gives its conjugate; an isotropic A' = [V' | conj(e) | e] gives conj(A') with a
     Gram correction, times D^-T for a bordered transform A' D.  ``b`` is B, its leading
-    block left zero for the factor of ``sub``, the next block (None at the last plan).
-    ``sound`` is False only for a bordered transform that scored ill-conditioned: some
-    coupling blocks (a weak coupling to the corner alone, say) admit no good transform,
-    and another candidate is preferable.  All in the input's units; ``sub`` takes a fresh
-    eigendecomposition of its own.
+    block left zero for the factor of ``sub``, the next block (None at the last plan).  The
+    Takagi terminal's ``left`` is its V and ``b`` is I.  All in the input's units; ``sub`` takes a
+    fresh eigendecomposition of its own.
     """
 
     records: tuple
     left: np.ndarray
     sub: np.ndarray | None
     b: np.ndarray
-    sound: bool = True
 
 
 @dataclass(frozen=True)
@@ -538,18 +537,15 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
     modulus first.  A candidate is taken when it gives an exact route: the
     null space (one unitary split), an isotropic vector whose plan is sound,
     or a safely non-isotropic vector, which starts a CaseI panel.  Candidates
-    in the ill-conditioned gaps are deferred; nearly nilpotent blocks always
-    hold a clean candidate further down.  A pair taken directly from the
+    in the ill-conditioned gaps are deferred.  A pair taken directly from the
     spectrum (no ``basis``) belongs to a simple eigenvalue, so e^T e != 0 (e^T
     is also its left eigenvector), its eigenspace holds no isotropic direction,
     and its panel tries a chain on the other eigenpairs; a panel that takes no
-    chain is one reflector level.  The last resort, the non-isotropic pair with
-    the largest e^T e in the gap, takes a reflector level.  ``scale`` is |C|_F
-    when known, and a block of norm at most ``floor`` is rounding noise.  C,
-    the records and the plan are in the input's units.
+    chain is one reflector level.  A block where no candidate has a sound route
+    ends in ``_takagi``.  ``scale`` is |C|_F when known, and a block of norm at
+    most ``floor`` is rounding noise.  C, the records and the plan are in the
+    input's units.
     """
-    fallback_iso = None  # (isotropic pair, its unsound plan or None)
-    fallback_ete = None  # (non-isotropic pair with e^T e in the ill-conditioned gap, e^T e)
     scale = frobenius(c) if scale is None else scale
     for pair, basis, rest, complement in eigen._candidate_pairs(c, cfg, scale):
         if abs(pair.value) <= _LAMBDA_ZERO_CUT * scale:  # a near-zero candidate: its SVD gave the complement
@@ -561,24 +557,25 @@ def _first_sound_plan(c: np.ndarray, cfg: ToleranceConfig, scale: float | None =
         else:
             iso = None if basis is None else _isotropic_upgrade(c, pair, basis, scale)
         if iso is not None:
-            modulus = abs(iso[0].value)
-            in_gap = _LAMBDA_ZERO_CUT * scale < modulus < _LAMBDA_DANGER * scale
+            in_gap = _LAMBDA_ZERO_CUT * scale < abs(iso[0].value) < _LAMBDA_DANGER * scale
             plan = None if in_gap else _plan(c, *iso, scale)
-            if plan is not None and plan.sound:
+            if plan is not None:
                 return plan
-            if fallback_iso is None or modulus > abs(fallback_iso[0][0].value):
-                fallback_iso = (iso, plan)
-            continue
-        if _reflects(ete):
+        elif _reflects(ete):
             return _panel(c, pair, ete, rest, cfg, floor)
-        if fallback_ete is None or abs(ete) > abs(fallback_ete[1]):
-            fallback_ete = (pair, ete)
-    if fallback_iso is not None:
-        iso, plan = fallback_iso
-        return plan if plan is not None else _plan(c, *iso, scale)
-    if fallback_ete is not None:
-        return _panel(c, *fallback_ete, None, cfg)
-    raise eigen.ConvergenceError("no eigenvalue candidate gave an eigenpair within eig_tol")
+    return _takagi(c)
+
+
+def _takagi(c: np.ndarray) -> LevelPlan:
+    """One ``Takagi`` level for the whole block: C = U Sigma U^T, U unitary and Sigma >= 0 (Horn &
+    Johnson, Matrix Analysis, Cor. 4.4.4), so V = U Sigma^1/2.  E = [[Re C, Im C], [Im C, -Re C]] is
+    u -> C conj(u) on the parts of u, with eigenvalues +-sigma: the eigenvectors [x; y] of its m
+    largest give U's columns x + iy.  A zero sigma adds nothing, so a null space needs no care."""
+    m = c.shape[0]
+    with eigen._EIGENVALUE_ITERATION:
+        sigma, vecs = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
+    v = (vecs[:m, m:] + 1j * vecs[m:, m:]) * np.sqrt(np.maximum(sigma[m:], 0.0))
+    return LevelPlan((LevelRecord(m, BRANCH_TAKAGI),), v, None, np.eye(m, dtype=np.complex128))
 
 
 def _isotropic_in_subspace(s: np.ndarray) -> np.ndarray:
@@ -616,7 +613,7 @@ def _reduce_case_ii(c: np.ndarray, e: np.ndarray) -> tuple:
     return a_prime, _symmetrized(a_prime.T.dot(c).dot(a_prime))
 
 
-def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | None = None) -> LevelPlan:
+def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | None = None) -> LevelPlan | None:
     """Decide the isotropic branch of one level for ``pair`` and build its congruence.
 
     ``pair`` holds the unit, phase-canonical isotropic e that its candidate test measured, and
@@ -627,9 +624,10 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | Non
     lambda = 0 cut is a ``CaseII_LambdaZero`` level; a coupling block c_tilde' whose largest entry
     is under the all-zero cut of |lambda*alpha| (``allzero``) or whose norm is under the drop cut
     (``dropped``) is left out through the closed form, a ``CaseII_Degenerate`` level; any other
-    is bordered by ``choose_x``'s best rung, a ``CaseII_General`` level, sound unless its score is
-    below ``_SOUND_SCORE``.  Neither coupling cut implies the other: a block of many entries each
-    just under the all-zero cut can exceed the drop cut.
+    is bordered by ``choose_x``'s best rung, a ``CaseII_General`` level.  A best rung that scores
+    below ``_SOUND_SCORE`` builds no plan: None, and the caller takes another candidate.  Neither
+    coupling cut implies the other: a block of many entries each just under the all-zero cut can
+    exceed the drop cut.
     """
     m = c.shape[0]
     scale = frobenius(c) if scale is None else scale
@@ -648,6 +646,8 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | Non
         record = LevelRecord(m, BRANCH_CASE_II_DEGENERATE, la * scale, 0.0, None, "allzero" if allzero else "dropped")
         return LevelPlan((record,), left, None, b)
     chosen = choose_x(ct, la)
+    if chosen.score < _SOUND_SCORE:
+        return None
     # A = A' D, D = [[I, x], [y^T, 0]]; with s = x^T y = -det D, D^-T = [[I - y x^T/s, y/s], [x^T/s, -1/s]]
     x = chosen.x
     y = ct.dot(x)
@@ -666,7 +666,7 @@ def _plan(c: np.ndarray, pair: eigen.EigenPair, ete: complex, scale: float | Non
     ct[:, -1] += y
     b[m - 1, m - 1] = principal_sqrt(s) * math.sqrt(scale)  # lambda'^2 = s
     record = LevelRecord(m, BRANCH_CASE_II_GENERAL, la * scale, 0.0, chosen.det_d, chosen.strategy)
-    return LevelPlan((record,), left, ct * scale, b, sound=chosen.score >= _SOUND_SCORE)
+    return LevelPlan((record,), left, ct * scale, b)
 
 
 def _gram_corrected(a: np.ndarray, ete: complex) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symfact import oracle
+from symfact import antisym, oracle
 from symfact.antisym import (
     AntilinearOp,
     CoefficientSet,
@@ -22,6 +22,7 @@ from symfact.antisym import (
     transform_coeffs,
 )
 from symfact.eigen import biorthonormal_system
+from symfact.factor import FactorizationResult, RecursionTrace, verify_factorization
 from symfact.matcore import ToleranceConfig, ValidationError, frobenius
 
 CFG = ToleranceConfig()
@@ -221,11 +222,20 @@ def test_canonicalize_scalar_level():
     assert frobenius(op.matrix - m_before) <= 1e-9 * frobenius(m_before)
 
 
-def test_canonicalize_raises_when_a_block_factor_misses_verify_tol():
-    # a symmetric 2x2 Jordan block at 1: its factor misses verify_tol by
-    # orders of magnitude, and the operator built on it would be off by as much
+def test_canonicalize_raises_when_a_block_factor_misses_verify_tol(monkeypatch):
+    # a symmetric 2x2 Jordan block at 1 factors within verify_tol; a factor spoiled by 1e-6 misses
+    # it, and the operator built on it would be off by as much
     system = biorthonormal_system(np.eye(2), CFG)
     coeffs = CoefficientSet(blocks=(np.array([[1 - 1j, 1], [1, 1 + 1j]]),))
+    canonicalize(system, coeffs, CFG)
+    inner = antisym.factor_symmetric
+
+    def spoiled(c, cfg):
+        v = inner(c, cfg).V * (1.0 + 1e-6)
+        check = verify_factorization(c, v, cfg)
+        return FactorizationResult(v, check.residual, check.relative_residual, RecursionTrace(()))
+
+    monkeypatch.setattr(antisym, "factor_symmetric", spoiled)
     with pytest.raises(ValidationError, match="coefficient block 0 misses verify_tol"):
         canonicalize(system, coeffs, CFG)
 
@@ -349,6 +359,25 @@ def test_canonical_T_selfadjoint_tests_self_adjointness_at_any_scale():
     assert np.array_equal(canonical_T_selfadjoint([[5e-324]], CFG).matrix, [[1]])
     big = canonical_T_selfadjoint(1e308 * np.array([[1, 1 + 1j], [1 - 1j, -1]]), CFG)  # H + H^dagger overflows
     assert check_involution(big) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [-270, -210, 210, 270])
+def test_the_commutation_and_pseudo_hermiticity_checks_read_the_same_at_any_scale(k):
+    # each identity is homogeneous in H and in M, and 4^k is exact: a check at 4^k H or 4^k M, outside
+    # the norm band where an unscaled |H|_F over- or underflows, equals its value at H and M, bit for bit
+    h = oracle.gen(oracle.GeneratorSpec(dim=8, seed=2, kind="PairedSpectrum"))
+    system = biorthonormal_system(h, CFG)
+    pairing = spectrum_pairing(system, tol=1e-8 * max(1.0, max(abs(lv.value) for lv in system.levels)))
+    symmetry = build_antilinear_symmetry(system, pairing).matrix
+    other = np.random.default_rng(2).standard_normal((8, 8))  # a real G that is no symmetry of H
+    scale = 4.0**k
+    for check in (check_commutes, check_pseudo_hermitian):
+        for m in (symmetry, canonical_T(system).matrix, other):
+            want = check(h, m)
+            assert check(scale * h, m) == want
+            assert check(h, scale * m) == want
+            assert check(scale * h, m / scale) == want
+        assert check(scale * h, other) > 0.1  # a non-symmetry reads its defect at every scale
 
 
 def test_unpaired_spectra_have_no_invertible_commutant():

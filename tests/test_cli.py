@@ -254,6 +254,22 @@ def test_canonical_selfadjoint_rejects_a_non_hermitian_h_whose_norm_overflows(tm
     assert report["result"]["message"] == "H is not self-adjoint within tolerance"
 
 
+@pytest.mark.parametrize("k", [-500, -270, 270, 510])
+def test_canonical_selfadjoint_reports_the_same_at_any_scale(tmp_path, capsys, k):
+    # at 4^k H, outside the norm band, the report equals the one at H: the checks take H prescaled,
+    # where an unscaled |H|_F read a nan residual near 1e308 and 0 near 1e-200
+    h = np.array([[1, 1 + 1j], [1 - 1j, -1]])
+    results = []
+    for scale in (1.0, 4.0**k):
+        path = _write(tmp_path, "h.mat", cli.format_matrix(scale * h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["canonical", "--selfadjoint", path]) == EXIT_PASS
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[1] == results[0]
+    assert 0.0 < results[0]["pseudo_hermiticity_residual"] <= 1e-15
+
+
 def test_batch_mode_order_and_exit_code(tmp_path, capsys):
     good = _write(tmp_path, "good.mat", "2 2\n1 0\n0 1\n")
     bad = _write(tmp_path, "bad.mat", "2 2\n0 1\n0 0\n")
@@ -699,6 +715,7 @@ def test_reports_match_the_per_entry_renderer(tmp_path, capsys, argv, text):
         ("svd", ["canonical"], "2 2\n1 0\n0 2\n"),  # coefficient and pseudo-Hermiticity checks
         ("eigh", ["canonical", "--selfadjoint"], "2 2\n1 0\n0 2\n"),
         ("svd", ["canonical", "--selfadjoint"], "2 2\n1 0\n0 2\n"),
+        ("eigh", ["factor"], "2 2\n1,-1 1\n1 1,1\n"),  # a 2x2 Jordan block, which the Takagi terminal takes
     ],
 )
 def test_lapack_failure_is_a_numeric_failure_report(tmp_path, capsys, monkeypatch, patched, argv, text):

@@ -15,6 +15,7 @@ from symfact.factor import (
     BRANCH_CASE_II_DEGENERATE,
     BRANCH_CASE_II_GENERAL,
     BRANCH_CASE_II_LAMBDA_ZERO,
+    BRANCH_TAKAGI,
     NotSymmetricError,
     choose_x,
     factor_symmetric,
@@ -275,6 +276,36 @@ def test_gauge_invariance_many_seeds():
         w = orthogonal_gauge(v, o)
         prod = v @ v.T
         assert frobenius(w @ w.T - prod) <= 1e-9 * frobenius(prod)
+
+
+def _takagi_reference(c):
+    """V = U Sigma^1/2 of the Autonne-Takagi factorization C = U Sigma U^T (U unitary, Sigma >= 0): the
+    columns u = x + iy of the eigenvectors [x; y] of [[Re C, Im C], [Im C, -Re C]] at its m largest
+    eigenvalues sigma, the map u -> C conj(u) on real and imaginary parts."""
+    m = len(c)
+    sigma, w = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
+    return (w[:m, m:] + 1j * w[m:, m:]) * np.sqrt(np.clip(sigma[m:], 0.0, None))
+
+
+@pytest.mark.parametrize("kind", ["DenseSymmetric", "IsotropicLambdaNonzero"])
+def test_two_factors_of_an_invertible_block_differ_by_a_complex_orthogonal_gauge(kind):
+    # the paper's uniqueness: V V^T = W W^T with W invertible makes o = W^-1 V complex orthogonal.  W is
+    # a Takagi factor local to this test, and no input here takes the library's Takagi terminal
+    checked = 0
+    for seed in range(40):
+        c = oracle.gen(oracle.GeneratorSpec(dim=2 + seed % 9, seed=seed, kind=kind))
+        s = np.linalg.svd(c, compute_uv=False)
+        if s[-1] <= 1e-6 * s[0]:  # a singular C: V is unique only up to its null space
+            continue
+        r = factor_symmetric(c, CFG)
+        assert BRANCH_TAKAGI not in r.trace.branches()
+        w = _takagi_reference(c)
+        assert verify_factorization(c, w, CFG).relative_residual <= 1e-14
+        o = np.linalg.solve(w, r.V)
+        assert frobenius(o.T @ o - np.eye(len(c))) <= 1e-13 * max(frobenius(o) ** 2, 1.0), seed
+        assert frobenius(orthogonal_gauge(w, o) - r.V) <= 1e-13 * frobenius(r.V), seed
+        checked += 1
+    assert checked >= 20
 
 
 def test_verify_factorization_examples():
@@ -555,30 +586,41 @@ def _boosted(n, t, seed):
     + [(10, 5.5, 4), (9, 6.0, 9), (9, 6.5, 3)],
 )
 def test_boosted_inputs_factor_within_verify_tol(n, t, seed):
-    # the CaseI level at the e^T e fallback must keep its rounding-level
-    # coupling row: a congruence that drops it reads up to 0.75 on this grid.
-    # The two odd inputs take two bordered levels each, which an LU solve of
-    # A' D assembled at 3.1e-7 and 2.6e-7
+    # no eigenvector is safely non-isotropic from t = 5 on: 57 of the 60 even inputs and all three
+    # odd ones end in the Takagi terminal
     assert factor_symmetric(_boosted(n, t, seed), CFG).relative_residual <= CFG.verify_tol
 
 
-@pytest.mark.xfail(strict=True, reason="eig splits the Jordan pair ~sqrt(eps) apart, and its near-isotropic "
-                                       "eigenvector takes the last-resort reflector (1e-2 to 1.6e-1)")
 @pytest.mark.parametrize("lam", [1.0, 2.0, 1j, -3 + 0.5j])
 def test_two_by_two_jordan_blocks_factor_within_verify_tol(lam):
-    # lam I + [[-i, 1], [1, i]] is a symmetric 2x2 Jordan block at lam
+    # lam I + [[-i, 1], [1, i]] is a symmetric 2x2 Jordan block at lam: eig splits the pair ~sqrt(eps)
+    # apart, its eigenvectors are near-isotropic, and no candidate has a sound route
     c = lam * np.eye(2) + np.array([[-1j, 1], [1, 1j]])
     assert factor_symmetric(c, CFG).relative_residual <= CFG.verify_tol
 
 
-_LAST_RESORT_NORM_GROWTH = pytest.mark.xfail(
-    strict=True, reason="last-resort levels with |e^T e| ~ 5e-4 raise the block norm past the O(1) eigenvalues, "
-                        "which then leave through a null split (1.8e-5)")
+def test_a_block_without_a_sound_candidate_ends_in_the_takagi_terminal(monkeypatch):
+    # the Jordan block's candidates all defer; with no candidate at all, any block takes the terminal:
+    # one level for the whole block, V = U Sigma^1/2 itself, and no next block
+    jordan = factor_symmetric(np.eye(2) + np.array([[-1j, 1], [1, 1j]]), CFG)
+    assert jordan.trace.branches() == [BRANCH_TAKAGI]
+    assert BRANCH_TAKAGI not in ALL_BRANCHES
+    monkeypatch.setattr(factor.eigen, "_candidate_pairs", lambda *args: iter(()))
+    for kind in ("DenseSymmetric", "RankDeficient", "IsotropicLambdaZero"):
+        c = factor._symmetrized(oracle.gen(oracle.GeneratorSpec(dim=7, seed=2, kind=kind)))  # as the loop takes it
+        plan = factor._first_sound_plan(c, CFG)
+        assert [(lv.dim, lv.branch, lv.value) for lv in plan.records] == [(7, BRANCH_TAKAGI, None)]
+        assert plan.sub is None and np.array_equal(plan.b, np.eye(7))
+        r = factor_symmetric(c, CFG)
+        assert r.trace.branches() == [BRANCH_TAKAGI]
+        assert r.relative_residual <= 1e-14
+        assert np.array_equal(r.V, plan.left)
 
 
-@pytest.mark.parametrize("t", [pytest.param(4.0, marks=_LAST_RESORT_NORM_GROWTH), 4.5, 5.0])
+@pytest.mark.parametrize("t", [4.0, 4.5, 5.0])
 def test_far_from_normal_inputs_at_n_64_factor_within_verify_tol(t):
-    # |C|_F is 1.7e4 at t = 4 against eigenvalues of modulus 0.06 to 2.5
+    # |C|_F is 1.7e4 at t = 4 against eigenvalues of modulus 0.06 to 2.5: t = 4 and 4.5 end in the
+    # Takagi terminal, t = 5 in a null split
     assert factor_symmetric(_boosted(64, t, 1), CFG).relative_residual <= CFG.verify_tol
 
 
@@ -683,11 +725,10 @@ def test_a_semisimple_cluster_takes_eigs_own_vectors_without_an_svd(monkeypatch)
     assert frobenius(c @ basis - pair.value * basis) <= 1e-14 * frobenius(c)
 
 
-@pytest.mark.xfail(strict=True, reason="eig splits the defective pair ~sqrt(eps) apart, and its near-isotropic "
-                                       "eigenvector takes the last-resort reflector: m in (2, 3, 4, 6, 10), seeds "
-                                       "0-49 miss on 250 of 250 inputs, worst 9.1e-2")
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
 def test_the_jordan_family_factors_within_verify_tol(m):
+    # eig splits the defective pair ~sqrt(eps) apart, and its eigenvectors are near-isotropic: the
+    # pair's block ends in the Takagi terminal
     assert factor_symmetric(_jordan_family(m, 0), CFG).relative_residual <= CFG.verify_tol
 
 
@@ -1144,13 +1185,11 @@ def test_a_nilpotent_tail_is_tried_rejected_and_walked(monkeypatch):
         assert r.relative_residual <= CFG.verify_tol
 
 
-@pytest.mark.xfail(strict=True, reason="the perturbed 2x2 nilpotent block's eigenvalues, ~sqrt(u |C| |N|), clear the "
-                                       "near-zero cut of its own norm: a CaseI level on a near-isotropic eigenvector "
-                                       "and a ZeroMatrix rest miss by 0.26 of the block's norm (2.6e-8)")
 @pytest.mark.parametrize("seed", range(4))
 def test_a_nilpotent_block_without_an_exact_null_row_factors_within_verify_tol(seed):
     # the input of the test above without its exact-null row: blockdiag(diag(lam), eps e e^T),
-    # 5 x 5, rotated by a real orthogonal Q; the trace reads CaseI x 4, then ZeroMatrix
+    # 5 x 5, rotated by a real orthogonal Q.  The block's eigenvalues, ~sqrt(u |C| |N|), clear the
+    # near-zero cut of its own norm, and its eigenvectors are near-isotropic: it ends in the Takagi terminal
     c = np.zeros((5, 5), dtype=complex)
     c[:3, :3] = np.diag([3.0, -2.0 + 1.0j, 1.0j])
     c[3:, 3:] = 1e-7 * np.outer([1.0, 1.0j], [1.0, 1.0j])
@@ -1468,7 +1507,7 @@ def test_a_bordered_level_carries_the_inverse_transpose_of_its_transform():
     c = c + w @ (s + s.T) @ w.T
     pair = EigenPair(value=lam, vector=e, residual=0.0)
     plan = _isotropic_plan(c, pair)
-    assert plan.records[0].branch == BRANCH_CASE_II_GENERAL and plan.sound
+    assert plan.records[0].branch == BRANCH_CASE_II_GENERAL
     a_prime, c_prime = factor._reduce_case_ii(c / frobenius(c), _canonical(e))
     ct_prime = c_prime[:-1, :-1]
     x = choose_x(ct_prime, c_prime[-2, -1]).x
